@@ -95,7 +95,7 @@ class _Checker:
 
 
 def _check_number(checker, obj, key, path, *, integer=False, required=False,
-                  minimum=None, exclusive_min=None, exclusive_max=None):
+                  minimum=None, maximum=None, exclusive_min=None, exclusive_max=None):
     if key not in obj:
         if required:
             checker.fail(f"{path}{key}", "is required")
@@ -110,6 +110,9 @@ def _check_number(checker, obj, key, path, *, integer=False, required=False,
     if minimum is not None and value < minimum:
         checker.fail(f"{path}{key}", f"must be >= {minimum}")
         return None
+    if maximum is not None and value > maximum:
+        checker.fail(f"{path}{key}", f"must be <= {maximum}")
+        return None
     if exclusive_min is not None and not value > exclusive_min:
         checker.fail(f"{path}{key}", f"must be > {exclusive_min}")
         return None
@@ -117,6 +120,16 @@ def _check_number(checker, obj, key, path, *, integer=False, required=False,
         checker.fail(f"{path}{key}", f"must be < {exclusive_max}")
         return None
     return value
+
+
+# key derivation keeps only a seed's low 64 bits and table.bin stores it as
+# uint64, so a larger seed is a configuration error, not an alias
+_SEED_MAX = 2**64 - 1
+
+
+def _check_seed(checker, obj):
+    return _check_number(checker, obj, "seed", "", integer=True, required=True,
+                         minimum=0, maximum=_SEED_MAX)
 
 
 _TOP_KEYS = {"schema", "model", "N", "seed", "acceptance", "bandwidth",
@@ -161,7 +174,7 @@ def validate_config(config_text: str) -> RunConfig:
     if n_rows is not None and n_rows < 2:
         checker.fail("N", "must be >= 2 (the k-nearest rule needs 1 <= k <= N-1)")
     # seed is mandatory: a wall-clock default would break reproducibility
-    seed = _check_number(checker, raw, "seed", "", integer=True, required=True, minimum=0)
+    seed = _check_seed(checker, raw)
 
     acceptance_mode, acceptance_value = "", 0.0
     acceptance = raw.get("acceptance")
@@ -366,8 +379,8 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         "outputs": [],
     }
 
-    def emit_csv(name, rows):
-        path = write_csv(out_dir / name, rows)
+    def emit_csv(name, header, columns):
+        path = write_csv(out_dir / name, header, columns)
         summary["outputs"].append(str(path))
 
     def emit_json(name, obj):
@@ -378,7 +391,10 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
         path = atomic_write_bytes(out_dir / "table.bin", core.table_to_bytes(table))
         summary["outputs"].append(str(path))
-        emit_csv("table.csv", core.table_csv_rows(table))
+        p, m = table.thetas.shape[1], table.summaries.shape[1]
+        emit_csv("table.csv",
+                 [f"theta_{j}" for j in range(p)] + [f"s_{j}" for j in range(m)],
+                 [*table.thetas.T, *table.summaries.T])
     elif command == "estimate":
         table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
         accepted, info = _accept(config, model, table, s0)
@@ -401,7 +417,8 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
             accepted, h, kernel, axes=axes,
             meta={"N": config.n_rows, "seed": config.seed, "s0": s0.tolist(),
                   "model_id": model.model_id})
-        emit_csv("density.csv", estimators.density_csv_rows(est))
+        emit_csv("density.csv", [f"theta_{j}" for j in range(model.p)] + ["g_hat"],
+                 [*est.grid.T, est.values])
         emit_json("density_meta.json", est.meta)
     elif command == "validate":
         _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
@@ -441,9 +458,8 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
             max_workers=threads)
         summary.update({"k": k, "h": report.h_mean})
         emit_json("mise_report.json", _mise_report_dict(report))
-        emit_csv("mise_replicates.csv",
-                 [["replicate", "ise"]] + [[str(i), f"{v:.17g}"]
-                                           for i, v in enumerate(report.per_replicate)])
+        emit_csv("mise_replicates.csv", ["replicate", "ise"],
+                 [np.arange(len(report.per_replicate)), report.per_replicate])
     elif sub == "rates":
         block = _block(config, "rates")
         report = validate.rate_experiment(
@@ -459,10 +475,10 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
             "log_factor_flag": report.log_factor_flag,
             "per_N": [_mise_report_dict(r) for r in report.reports],
         })
-        emit_csv("rate_points.csv",
-                 [["N", "mise_mean", "mise_stderr"]] +
-                 [[str(r.n_rows), f"{r.mise_mean:.17g}", f"{r.mise_stderr:.17g}"]
-                  for r in report.reports])
+        emit_csv("rate_points.csv", ["N", "mise_mean", "mise_stderr"],
+                 [[r.n_rows for r in report.reports],
+                  [r.mise_mean for r in report.reports],
+                  [r.mise_stderr for r in report.reports]])
     elif sub == "prop1":
         block = _block(config, "prop1")
         k = _k_for(config, model)
@@ -473,9 +489,8 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
         summary["k"] = k
         emit_json("prop1_report.json", {key: val for key, val in result.items()
                                         if key != "p_values"})
-        emit_csv("prop1_pvalues.csv",
-                 [["run", "p_value"]] + [[str(i), f"{v:.17g}"]
-                                         for i, v in enumerate(result["p_values"])])
+        emit_csv("prop1_pvalues.csv", ["run", "p_value"],
+                 [np.arange(len(result["p_values"])), result["p_values"]])
     elif sub == "bounds":
         block = _block(config, "bounds")
         results = validate.bound_check(
@@ -576,8 +591,9 @@ def main(argv=None) -> int:
     try:
         config = validate_config(config_text)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigurationError(["seed: must be >= 0"])
+            checker = _Checker()
+            if _check_seed(checker, {"seed": args.seed}) is None:
+                raise ConfigurationError(checker.errors)
             config = dataclasses.replace(config, seed=int(args.seed))
     except ConfigurationError as exc:
         print(_error_json("config", exc), file=sys.stderr)

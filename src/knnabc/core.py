@@ -266,12 +266,3 @@ def table_from_bytes(blob: bytes) -> ReferenceTable:
         summaries=np.ascontiguousarray(cols[p:].T),
         seed=seed, model_id=model_id)
 
-
-def table_csv_rows(table: ReferenceTable):
-    """Header + rows for CSV export (17 significant digits)."""
-    p, m = table.thetas.shape[1], table.summaries.shape[1]
-    yield [f"theta_{j}" for j in range(p)] + [f"s_{j}" for j in range(m)]
-    for i in range(table.n_rows):
-        row = [f"{v:.17g}" for v in table.thetas[i]]
-        row += [f"{v:.17g}" for v in table.summaries[i]]
-        yield row

@@ -369,10 +369,3 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
         full_meta.update(meta)
     return DensityEstimate(grid=pts, values=values, axes=axes, meta=full_meta)
 
-
-def density_csv_rows(estimate: DensityEstimate):
-    """Header + rows for CSV export of a density estimate."""
-    p = estimate.grid.shape[1]
-    yield [f"theta_{j}" for j in range(p)] + ["g_hat"]
-    for point, value in zip(estimate.grid, estimate.values):
-        yield [f"{v:.17g}" for v in point] + [f"{value:.17g}"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -74,13 +75,16 @@ def ols_slope(x, y) -> tuple[float, float]:
 
 
 def parallel_map(fn, items, max_workers: int = 1) -> list:
-    """Map preserving order; thread pool when max_workers > 1.
+    """Map preserving order; thread pool when more than one worker is useful.
 
-    Results are collected by item index, so the output (and any
-    aggregation done over it in order) is independent of scheduling.
+    The pool never has more threads than items or CPUs, whatever
+    ``max_workers`` asks for.  Results are collected by item index, so the
+    output (and any aggregation done over it in order) is independent of
+    scheduling.
     """
     items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
+    workers = min(max_workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

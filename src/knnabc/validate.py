@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import core, estimators, tuning
 from .errors import InvalidArgumentError, UnsupportedModelError
@@ -179,6 +178,9 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
         aux = core.generate_table(model, max(2, int(oracle_draws)),
                                   derive_seed(seed, "prop1-null"))
         oracle_thetas = aux.thetas[:oracle_draws]
+    # scipy.stats is slow to import and only this test needs it, so the CLI
+    # loads it for `validate prop1` alone
+    from scipy.stats import ks_2samp
     result = ks_2samp(accepted.ordered_thetas[:, 0], oracle_thetas[:, 0], method="asymp")
     return float(result.statistic), float(result.pvalue)
 

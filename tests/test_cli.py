@@ -1,17 +1,23 @@
 """Config validation, CLI round trips, atomic outputs, exit codes."""
 
+import csv
+import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnabc
 from knnabc import cli, fileio
 from knnabc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig,
                         serialize, validate_config)
-from knnabc.errors import ConfigurationError
+from knnabc.errors import ConfigurationError, InvalidArgumentError
 
 
 def minimal_config(**overrides):
@@ -78,6 +84,12 @@ class TestValidateConfig:
     def test_not_json(self):
         with pytest.raises(ConfigurationError):
             validate_config("{nope")
+
+    def test_seed_range_is_uint64(self):
+        assert validate_config(json.dumps(minimal_config(seed=2**64 - 1))).seed == 2**64 - 1
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(minimal_config(seed=2**64)))
+        assert f"seed: must be <= {2**64 - 1}" in err.value.messages
 
 
 _bandwidth = st.one_of(st.just("auto"),
@@ -218,6 +230,21 @@ class TestEndToEnd:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "runtime"
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_seed_beyond_uint64_is_config_error(self, tmp_path, capsys, where):
+        raw = minimal_config(N=100, acceptance={"k": 5})
+        extra = ()
+        if where == "config":
+            raw["seed"] = 2**64
+        else:
+            extra = ("--seed", str(2**64))
+        code, out_dir = self._run(tmp_path, "sample", raw, extra=extra)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["messages"] == [f"seed: must be <= {2**64 - 1}"]
+        assert not out_dir.exists()
+
     def test_validate_requires_block(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(minimal_config()))
@@ -277,3 +304,62 @@ class TestAtomicWrites:
                                   "i": np.int64(3)})
         back = json.loads(path.read_text())
         assert back == {"inf": "inf", "arr": [1.5, 2.5], "i": 3}
+
+    def test_outputs_follow_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            path = fileio.atomic_write_bytes(tmp_path / "t.bin", b"abc")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+
+def _reference_csv(header, columns):
+    """The former export: csv.writer over cells formatted one at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([str(v) if isinstance(v, int) else f"{v:.17g}" for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestWriteCsv:
+    def test_matches_cell_by_cell_reference(self, tmp_path):
+        n = fileio._CSV_CHUNK_ROWS + 7            # crosses a chunk boundary
+        special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                   5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+        gen = np.random.default_rng(3)
+        floats = gen.normal(size=n) * 10.0 ** gen.integers(-320, 307, size=n)
+        floats[:len(special)] = special
+        floats[-len(special):] = special
+        ints = np.arange(n, dtype=np.int64) * 3 - 5
+        ints[-1] = 2**63 - 1
+        ints[0] = -2**63
+        header = ["i", "x", "u", "y"]
+        columns = [ints, floats, np.arange(n, dtype=np.uint32), floats[::-1]]
+        path = fileio.write_csv(tmp_path / "t.csv", header, columns)
+        expected = _reference_csv(header, [c.tolist() for c in columns])
+        assert path.read_bytes() == expected
+
+    def test_header_only(self, tmp_path):
+        path = fileio.write_csv(tmp_path / "t.csv", ["a", "b"],
+                                [np.zeros(0), np.zeros(0, dtype=int)])
+        assert path.read_bytes() == b"a,b\r\n"
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError):
+            fileio.write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+        with pytest.raises(InvalidArgumentError):
+            fileio.write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3), np.zeros(3)])
+        assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(knnabc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = "import sys, knnabc.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Reference table, acceptance rules, restricted sampler, persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from knnabc import (abc_knn, abc_tolerance, generate_table, get_model,
+from knnabc import (abc_knn, abc_tolerance, cli, generate_table, get_model,
                     percentile_to_k, sample_restricted)
-from knnabc.core import ReferenceTable, table_csv_rows, table_from_bytes, table_to_bytes
+from knnabc.cli import validate_config
+from knnabc.core import ReferenceTable, table_from_bytes, table_to_bytes
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
 
 
@@ -249,12 +251,18 @@ class TestPersistence:
         assert np.array_equal(back.thetas, table.thetas)
         assert np.array_equal(back.summaries, table.summaries)
 
-    def test_csv_rows_shape_and_precision(self):
-        table = generate_table(get_model("gaussian_conjugate_1d"), 4, 1)
-        rows = list(table_csv_rows(table))
-        assert rows[0] == ["theta_0", "s_0"]
-        assert len(rows) == 5
-        assert float(rows[1][0]) == table.thetas[0, 0]  # 17 digits round-trip
+    def test_csv_rows_shape_and_precision(self, tmp_path, capsys):
+        config = validate_config(json.dumps({
+            "schema": "abc-config/1", "model": {"id": "gauss_5d"}, "N": 4, "seed": 1,
+            "s0": [0.0] * 5, "acceptance": {"k": 1}}))
+        cli.run(config, "sample", tmp_path)
+        lines = (tmp_path / "table.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"theta_0,s_0,s_1,s_2,s_3,s_4"
+        assert len(lines) == 6 and lines[-1] == b""      # header, 4 rows, final CRLF
+        cells = np.array([[float(v) for v in line.split(b",")] for line in lines[1:-1]])
+        table = generate_table(get_model("gauss_5d"), 4, 1)
+        # 17 significant digits round-trip every value exactly
+        assert np.array_equal(cells, np.hstack([table.thetas, table.summaries]))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(InvalidArgumentError):

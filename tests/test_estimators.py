@@ -1,18 +1,20 @@
 """Kernels, the accepted-set estimator, and the double-kernel competitors."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from knnabc import (abc_knn, g_hat, g_rosenblatt, g_smoothed_nn, get_model,
+from knnabc import (abc_knn, cli, g_hat, g_rosenblatt, g_smoothed_nn, get_model,
                     generate_table, kernel_eval, make_kernel,
                     posterior_functional, unit_ball_volume)
+from knnabc.cli import validate_config
 from knnabc.core import AcceptedSet, ReferenceTable
 from knnabc.errors import (DegenerateScaleError, EmptyAcceptedSetError,
                            InvalidArgumentError, UndefinedEstimateError)
-from knnabc.estimators import (default_grid, density_csv_rows, estimate_density,
+from knnabc.estimators import (default_grid, estimate_density,
                                g_hat_many, grid_points, kernel_second_moment,
                                kernel_square_integral)
 
@@ -262,12 +264,18 @@ class TestDensityEstimate:
         assert len(axes) == 2
         assert len(axes[0]) * len(axes[1]) <= 100_000
 
-    def test_csv_export_header(self):
-        acc = _accepted([0.0, 1.0])
-        est = estimate_density(acc, 0.5, make_kernel("gaussian", 1))
-        rows = list(density_csv_rows(est))
-        assert rows[0] == ["theta_0", "g_hat"]
-        assert len(rows) == 513
+    def test_csv_export_header(self, tmp_path):
+        config = validate_config(json.dumps({
+            "schema": "abc-config/1", "model": {"id": "gaussian_conjugate_1d"},
+            "N": 200, "seed": 4, "s0": [0.5], "acceptance": {"k": 20}, "bandwidth": 0.5}))
+        cli.run(config, "estimate", tmp_path)
+        lines = (tmp_path / "density.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"theta_0,g_hat"
+        assert len(lines) == 514 and lines[-1] == b""    # header, 512 grid rows, final CRLF
+        cells = np.array([[float(v) for v in line.split(b",")] for line in lines[1:-1]])
+        acc = abc_knn(generate_table(get_model("gaussian_conjugate_1d"), 200, 4), [0.5], 20)
+        est = estimate_density(acc, 0.5, make_kernel("gaussian", 1), axes=default_grid(acc, 0.5))
+        assert np.array_equal(cells, np.column_stack([est.grid, est.values]))
 
 
 class TestTensorGridEvaluation:

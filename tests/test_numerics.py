@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import linregress
 
+from knnabc import numerics
 from knnabc.errors import InvalidArgumentError
 from knnabc.numerics import (adaptive_trapezoid, ols_slope, parallel_map,
                              round_half_up, trapezoid_nd)
@@ -76,3 +77,32 @@ class TestParallelMap:
         serial = parallel_map(lambda i: i * i, items, 1)
         threaded = parallel_map(lambda i: i * i, items, 8)
         assert serial == threaded == [i * i for i in items]
+
+    @pytest.mark.parametrize("asked,n_items,cpus,expected", [
+        (64, 10, 4, 4),       # capped by the CPU count
+        (64, 3, 4, 3),        # capped by the item count
+        (2, 10, 4, 2),        # the caller's cap holds
+        (8, 10, None, None),  # unknown CPU count: serial, no pool
+        (8, 1, 4, None),      # one item: serial, no pool
+    ])
+    def test_pool_size_capped(self, monkeypatch, asked, n_items, cpus, expected):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: cpus)
+        items = list(range(n_items))
+        assert parallel_map(lambda i: -i, items, asked) == [-i for i in items]
+        assert pools == ([] if expected is None else [expected])
