@@ -17,7 +17,7 @@ from .estimators import (DensityEstimate, KernelSpec, estimate_density, g_hat,
                          g_rosenblatt, g_smoothed_nn, kernel_eval, make_kernel,
                          posterior_functional, unit_ball_volume)
 from .models import (Model, PosteriorOracle, get_model, model_ids,
-                     oracle_posterior_pdf, sample_prior, simulate_summary)
+                     oracle_posterior_pdf)
 from .tuning import (Schedule, TheoreticalQuantities, acceptance_fraction,
                      distance_moment_bound, estimate_xi0, mise_prediction,
                      mise_rate_quantities, resolve_schedule, schedule)
@@ -35,6 +35,6 @@ __all__ = [
     "kernel_eval", "make_kernel", "mise_estimate", "mise_prediction",
     "mise_rate_quantities", "model_ids", "moment_consistency",
     "oracle_posterior_pdf", "percentile_to_k", "posterior_functional",
-    "prop1_calibration", "rate_experiment", "resolve_schedule", "sample_prior",
-    "sample_restricted", "schedule", "simulate_summary", "unit_ball_volume",
+    "prop1_calibration", "rate_experiment", "resolve_schedule",
+    "sample_restricted", "schedule", "unit_ball_volume",
 ]

@@ -50,8 +50,8 @@ class RunConfig:
     kernel: str
     s0: Optional[tuple] = None
     y0: Optional[tuple] = None
-    grid_points: int = 512
-    grid_padding: float = 4.0
+    grid_points: int = estimators.GRID_POINTS_1D
+    grid_padding: float = estimators.GRID_PADDING
     blocks: dict = field(default_factory=dict)   # per-command option blocks
 
     def to_dict(self) -> dict:
@@ -122,14 +122,9 @@ def _check_number(checker, obj, key, path, *, integer=False, required=False,
     return value
 
 
-# key derivation keeps only a seed's low 64 bits and table.bin stores it as
-# uint64, so a larger seed is a configuration error, not an alias
-_SEED_MAX = 2**64 - 1
-
-
 def _check_seed(checker, obj):
     return _check_number(checker, obj, "seed", "", integer=True, required=True,
-                         minimum=0, maximum=_SEED_MAX)
+                         minimum=0, maximum=core.SEED_MAX)
 
 
 _TOP_KEYS = {"schema", "model", "N", "seed", "acceptance", "bandwidth",
@@ -232,7 +227,7 @@ def validate_config(config_text: str) -> RunConfig:
     if s0 is not None and y0 is not None:
         checker.fail("s0", "give s0 or y0, not both")
 
-    grid_points, grid_padding = 512, 4.0
+    grid_points, grid_padding = estimators.GRID_POINTS_1D, estimators.GRID_PADDING
     grid = raw.get("grid")
     if grid is not None:
         if not isinstance(grid, dict):
@@ -287,17 +282,21 @@ def _validate_block(checker: _Checker, name: str, block: dict) -> dict:
     checker.reject_unknown(block, _BLOCK_KEYS[name], path)
     out = dict(block)
     if name == "mise":
-        _check_number(checker, block, "replicates", path + ".", integer=True, minimum=2)
+        _check_number(checker, block, "replicates", path + ".", integer=True,
+                      required=True, minimum=2)
     elif name == "rates":
         ns = block.get("Ns")
         if not isinstance(ns, list) or len(ns) < 3 or \
                 any(isinstance(v, bool) or not isinstance(v, int) or v < 2 for v in ns):
             checker.fail(path + ".Ns", "must be an array of at least 3 integers >= 2")
-        _check_number(checker, block, "replicates", path + ".", integer=True, minimum=2)
+        _check_number(checker, block, "replicates", path + ".", integer=True,
+                      required=True, minimum=2)
         _check_number(checker, block, "c_k", path + ".", exclusive_min=0.0)
     elif name == "prop1":
-        _check_number(checker, block, "runs", path + ".", integer=True, minimum=1)
-        _check_number(checker, block, "oracle_draws", path + ".", integer=True, minimum=1)
+        _check_number(checker, block, "runs", path + ".", integer=True,
+                      required=True, minimum=1)
+        _check_number(checker, block, "oracle_draws", path + ".", integer=True,
+                      required=True, minimum=1)
         if "negative_control" in block and not isinstance(block["negative_control"], bool):
             checker.fail(path + ".negative_control", "must be a boolean")
     elif name == "bounds":
@@ -312,9 +311,10 @@ def _validate_block(checker: _Checker, name: str, block: dict) -> dict:
         if order not in (2, 4):
             checker.fail(path + ".order", "must be 2 or 4")
         out["order"] = order
-        _check_number(checker, block, "replicates", path + ".", integer=True, minimum=1)
-        _check_number(checker, block, "xi0", path + ".", exclusive_min=0.0)
-        _check_number(checker, block, "L", path + ".", exclusive_min=0.0)
+        _check_number(checker, block, "replicates", path + ".", integer=True,
+                      required=True, minimum=1)
+        _check_number(checker, block, "xi0", path + ".", required=True, exclusive_min=0.0)
+        _check_number(checker, block, "L", path + ".", required=True, exclusive_min=0.0)
     elif name == "moments":
         phis = block.get("phis", ["identity", "square"])
         if not isinstance(phis, list) or not phis or \
@@ -322,16 +322,13 @@ def _validate_block(checker: _Checker, name: str, block: dict) -> dict:
             checker.fail(path + ".phis",
                          f"must be a non-empty array from {sorted(validate._PHI_REGISTRY)}")
         out["phis"] = phis
-        _check_number(checker, block, "replicates", path + ".", integer=True, minimum=2)
+        _check_number(checker, block, "replicates", path + ".", integer=True,
+                      required=True, minimum=2)
     return out
 
 
 # ---------------------------------------------------------------------------
 # command execution
-
-def _build_model(config: RunConfig) -> Model:
-    return get_model(config.model_id, **config.model_params)
-
 
 def _resolve_s0(config: RunConfig, model: Model) -> np.ndarray:
     if config.s0 is not None:
@@ -345,18 +342,22 @@ def _resolve_s0(config: RunConfig, model: Model) -> np.ndarray:
     return model.summary_map(np.asarray(config.y0, dtype=float))
 
 
-def _accept(config: RunConfig, model: Model, table: core.ReferenceTable, s0):
+def _k_for(config: RunConfig) -> int:
+    if config.acceptance_mode == "k":
+        return int(config.acceptance_value)
+    if config.acceptance_mode == "percentile":
+        return core.percentile_to_k(config.n_rows, config.acceptance_value)
+    raise ConfigurationError(["acceptance: validate commands need k or percentile"])
+
+
+def _accept(config: RunConfig, table: core.ReferenceTable, s0):
     """Resolve the acceptance block into an AcceptedSet plus bookkeeping."""
     info = {}
     if config.acceptance_mode == "epsilon":
         info["epsilon"] = float(config.acceptance_value)
         accepted = core.abc_tolerance(table, s0, config.acceptance_value)
     else:
-        if config.acceptance_mode == "percentile":
-            k = core.percentile_to_k(table.n_rows, config.acceptance_value)
-        else:
-            k = int(config.acceptance_value)
-        accepted = core.abc_knn(table, s0, k)
+        accepted = core.abc_knn(table, s0, _k_for(config))
     info["k"] = accepted.k
     info["d_k_plus_1"] = accepted.radius_next
     return accepted, info
@@ -367,7 +368,7 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
     """Execute one pipeline command; returns the stdout summary dict."""
     started = time.perf_counter()
     out_dir = Path(out_dir)
-    model = _build_model(config)
+    model = get_model(config.model_id, **config.model_params)
     s0 = _resolve_s0(config, model)
     summary = {
         "version": __version__,
@@ -397,16 +398,13 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
                  [*table.thetas.T, *table.summaries.T])
     elif command == "estimate":
         table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
-        accepted, info = _accept(config, model, table, s0)
+        accepted, info = _accept(config, table, s0)
         summary.update(info)
         if accepted.k == 0:
             raise KnnAbcError("tolerance accepted zero rows; no estimate is defined")
         if config.bandwidth == "auto":
-            if accepted.k < 2:
-                raise KnnAbcError("auto bandwidth needs at least 2 accepted rows")
-            sched = tuning.resolve_schedule(model.m, model.p)
-            spread = float(np.std(accepted.ordered_thetas, ddof=1))
-            h = spread * config.n_rows ** float(sched.h_exponent)
+            h = tuning.auto_bandwidth(accepted.ordered_thetas, model.m, model.p,
+                                      config.n_rows)
         else:
             h = float(config.bandwidth)
         summary["h"] = h
@@ -429,43 +427,30 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
     return summary
 
 
-def _block(config: RunConfig, name: str) -> dict:
-    block = config.blocks.get(name)
-    if block is None:
-        raise ConfigurationError([f"validate.{name}: block is required for this command"])
-    return block
-
-
-def _kernel_for(config: RunConfig, model: Model):
-    return estimators.make_kernel(config.kernel, model.p)
-
-
-def _k_for(config: RunConfig, model: Model) -> int:
-    if config.acceptance_mode == "k":
-        return int(config.acceptance_value)
-    if config.acceptance_mode == "percentile":
-        return core.percentile_to_k(config.n_rows, config.acceptance_value)
-    raise ConfigurationError(["acceptance: validate commands need k or percentile"])
-
-
 def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json):
+    if sub not in _VALIDATE_BLOCKS:
+        raise ConfigurationError(
+            ["validate: subcommand must be one of mise/rates/prop1/bounds/moments"])
+    block = config.blocks.get(sub)
+    if block is None:
+        raise ConfigurationError([f"validate.{sub}: block is required for this command"])
     if sub == "mise":
-        block = _block(config, "mise")
-        k = _k_for(config, model)
+        k = _k_for(config)
         report = validate.mise_estimate(
-            model, s0, config.n_rows, k, config.bandwidth, _kernel_for(config, model),
-            block["replicates"], config.seed, grid_points=config.grid_points,
+            model, s0, config.n_rows, k, config.bandwidth,
+            estimators.make_kernel(config.kernel, model.p), block["replicates"],
+            config.seed, grid_points=config.grid_points, grid_padding=config.grid_padding,
             max_workers=threads)
         summary.update({"k": k, "h": report.h_mean})
         emit_json("mise_report.json", _mise_report_dict(report))
         emit_csv("mise_replicates.csv", ["replicate", "ise"],
                  [np.arange(len(report.per_replicate)), report.per_replicate])
     elif sub == "rates":
-        block = _block(config, "rates")
         report = validate.rate_experiment(
-            model, s0, block["Ns"], _kernel_for(config, model), block["replicates"],
-            config.seed, c_k=block.get("c_k", 1.0), bandwidth=config.bandwidth,
-            grid_points=config.grid_points, max_workers=threads)
+            model, s0, block["Ns"], estimators.make_kernel(config.kernel, model.p),
+            block["replicates"], config.seed, c_k=block.get("c_k", 1.0),
+            bandwidth=config.bandwidth, grid_points=config.grid_points,
+            grid_padding=config.grid_padding, max_workers=threads)
         emit_json("rate_report.json", {
             "Ns": list(report.Ns),
             "mise_points": [list(pt) for pt in report.mise_points],
@@ -480,8 +465,7 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
                   [r.mise_mean for r in report.reports],
                   [r.mise_stderr for r in report.reports]])
     elif sub == "prop1":
-        block = _block(config, "prop1")
-        k = _k_for(config, model)
+        k = _k_for(config)
         kind = "unrestricted" if block.get("negative_control") else "restricted"
         result = validate.prop1_calibration(
             model, s0, config.n_rows, k, block["runs"], block["oracle_draws"],
@@ -492,23 +476,18 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
         emit_csv("prop1_pvalues.csv", ["run", "p_value"],
                  [np.arange(len(result["p_values"])), result["p_values"]])
     elif sub == "bounds":
-        block = _block(config, "bounds")
         results = validate.bound_check(
             model, s0, [tuple(pair) for pair in block["pairs"]], block["xi0"],
             block["L"], block["order"], block["replicates"], config.seed,
             max_workers=threads)
         emit_json("bounds_report.json", {"order": block["order"], "pairs": results})
-    elif sub == "moments":
-        block = _block(config, "moments")
-        k = _k_for(config, model)
+    else:
+        k = _k_for(config)
         results = validate.moment_consistency(
             model, s0, config.n_rows, k, block["phis"], block["replicates"],
             config.seed, max_workers=threads)
         summary["k"] = k
         emit_json("moments_report.json", {"phis": results})
-    else:
-        raise ConfigurationError(
-            ["validate: subcommand must be one of mise/rates/prop1/bounds/moments"])
 
 
 def _mise_report_dict(report: validate.MiseReport) -> dict:

@@ -22,7 +22,9 @@ from .numerics import parallel_map, round_half_up
 from .rng import derive_key, row_words, uniform01
 
 _CHUNK_ROWS = 1 << 15
-_MAX_SEED = 2**64
+# key derivation keeps only a seed's low 64 bits and table.bin stores it as
+# uint64, so a larger seed is an error, not an alias
+SEED_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class AcceptedSet:
 
 def _validate_seed(seed: int) -> int:
     seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
+    if not 0 <= seed <= SEED_MAX:
         raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
     return seed
 

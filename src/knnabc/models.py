@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, InvalidArgumentError, UnsupportedModelError
-from .rng import generator_uniforms, truncated_normal_from_uniform
+from .rng import truncated_normal_from_uniform
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -92,22 +92,6 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # operations
-
-def sample_prior(model: Model, rng: np.random.Generator) -> np.ndarray:
-    """One draw theta ~ prior, deterministic given the substream."""
-    u = generator_uniforms(rng, (1, model.theta_words))
-    return model.thetas_from_uniforms(u)[0]
-
-
-def simulate_summary(model: Model, theta, rng: np.random.Generator) -> np.ndarray:
-    """One draw s ~ f(s | theta), deterministic given the substream."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape != (model.p,):
-        raise InvalidArgumentError(
-            f"theta has dimension {theta.shape[0]}, model expects p={model.p}")
-    u = generator_uniforms(rng, (1, model.summary_words))
-    return model.summaries_from_uniforms(theta[None, :], u)[0]
-
 
 def oracle_posterior_pdf(model: Model, theta0, s0) -> float:
     """Exact posterior density g(theta0 | s0) for oracle-bearing models."""

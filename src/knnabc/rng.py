@@ -40,11 +40,6 @@ def derive_seed(seed: int, *tags) -> int:
     return int(np.random.SeedSequence(_entropy(seed, tags)).generate_state(1, dtype=np.uint64)[0])
 
 
-def substream(seed: int, *tags) -> np.random.Generator:
-    """Independent Generator for ad-hoc draws under the same key derivation."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, *tags)))
-
-
 def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int) -> np.ndarray:
     """Raw uint64 words for rows [start_row, start_row + n_rows).
 
@@ -67,17 +62,6 @@ def uniform01(words: np.ndarray) -> np.ndarray:
     transforms safe.
     """
     return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-
-
-def generator_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform (0,1) draws from a Generator using the same word mapping as
-    :func:`uniform01`."""
-    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
-    return uniform01(words)
-
-
-def normal_from_uniform(u: np.ndarray) -> np.ndarray:
-    return ndtri(u)
 
 
 def truncated_normal_from_uniform(u: np.ndarray, bound: float) -> np.ndarray:

@@ -12,7 +12,7 @@ leading-order MISE prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import generate_table
 from .errors import (BoundHypothesisError, InsufficientSampleError,
-                     InvalidArgumentError, RegimeNotCoveredError,
+                     InvalidArgumentError, KnnAbcError, RegimeNotCoveredError,
                      UnsupportedModelError)
 from .estimators import KernelSpec, kernel_second_moment, kernel_square_integral
 from .models import Model
@@ -71,13 +71,21 @@ def schedule(m: int, p: int, n_rows: int, c_k: float = 1.0, c_h: float = 1.0) ->
     return k, h
 
 
+def auto_bandwidth(thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
+    """The "auto" bandwidth: the accepted thetas' standard deviation times
+    the schedule power of N."""
+    if thetas.shape[0] < 2:
+        raise KnnAbcError("auto bandwidth needs at least 2 accepted rows")
+    spread = float(np.std(thetas, ddof=1))
+    return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
+
+
 def acceptance_fraction(m: int, p: int, n_rows: int) -> float:
     """Rule-of-thumb accepted fraction k/N for m > 4."""
-    m, p = int(m), int(p)
-    if m <= 4:
+    if int(m) <= 4:
         raise RegimeNotCoveredError(
             "acceptance fraction rule applies only for m > 4; use schedule()")
-    return float(n_rows) ** (-m / (m + p + 4))
+    return float(n_rows) ** float(resolve_schedule(m, p).k_exponent - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +170,7 @@ def distance_moment_bound(m: int, k: int, n_rows: int, xi0: float, L_diam: float
 
 @dataclass(frozen=True)
 class TheoreticalQuantities:
-    """Quadrature values of the rate constants at a fixed s0.
-
-    The distance terms (plain and logarithmic variants of the second- and
-    fourth-moment bounds) depend on (k, N) and are filled in by
-    :func:`with_distance_terms`; they are NaN until then.
-    """
+    """Quadrature values of the rate constants at a fixed s0."""
 
     xi0: float
     L_diam: float
@@ -177,36 +180,6 @@ class TheoreticalQuantities:
     kernel_sq_integral: float
     m: int
     p: int
-    D_m: float = float("nan")
-    Delta_m: float = float("nan")
-    D_log: float = float("nan")
-    Delta_log: float = float("nan")
-
-
-def _plain_bound(m, k, n_rows, xi0, L_diam, order):
-    """The non-logarithmic bound expression, NaN where it is undefined."""
-    if m == order:
-        return float("nan")
-    return distance_moment_bound(m, k, n_rows, xi0, L_diam, order)
-
-
-def _log_bound(m, k, n_rows, xi0, L_diam, order):
-    ratio = (int(k) + 1) / (int(n_rows) + 1)
-    if ratio > xi0 * L_diam**m:
-        raise BoundHypothesisError("bound hypothesis violated")
-    return (1.0 / xi0) * (1.0 + math.log(xi0 * L_diam**order / ratio)) * ratio
-
-
-def with_distance_terms(tq: TheoreticalQuantities, k: int, n_rows: int) -> TheoreticalQuantities:
-    """Fill the (k, N)-dependent distance terms of ``tq``."""
-    m, xi0, L = tq.m, tq.xi0, tq.L_diam
-    return replace(
-        tq,
-        D_m=_plain_bound(m, k, n_rows, xi0, L, 2),
-        Delta_m=_plain_bound(m, k, n_rows, xi0, L, 4),
-        D_log=_log_bound(m, k, n_rows, xi0, L, 2),
-        Delta_log=_log_bound(m, k, n_rows, xi0, L, 4),
-    )
 
 
 def mise_rate_quantities(model: Model, s0, kernel: KernelSpec,
@@ -269,14 +242,6 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec,
     )
 
 
-def _dispatch_moment_terms(m, k, n_rows, xi0, L_diam):
-    """(second-moment term, fourth-moment term) with the m-appropriate
-    logarithmic variants."""
-    d2 = distance_moment_bound(m, k, n_rows, xi0, L_diam, order=2)
-    d4 = distance_moment_bound(m, k, n_rows, xi0, L_diam, order=4)
-    return d2, d4
-
-
 def mise_prediction(tq: TheoreticalQuantities, m: int, p: int, n_rows: int,
                     k: int, h: float) -> float:
     """Leading-order MISE prediction:
@@ -290,7 +255,8 @@ def mise_prediction(tq: TheoreticalQuantities, m: int, p: int, n_rows: int,
     """
     if m != tq.m or p != tq.p:
         raise InvalidArgumentError("dimensions disagree with the quantities' provenance")
-    d2_term, d4_term = _dispatch_moment_terms(m, k, n_rows, tq.xi0, tq.L_diam)
+    d2_term = distance_moment_bound(m, k, n_rows, tq.xi0, tq.L_diam, order=2)
+    d4_term = distance_moment_bound(m, k, n_rows, tq.xi0, tq.L_diam, order=4)
     return _mise_display(tq, k, h, p, d2_term, d4_term)
 
 

@@ -69,21 +69,17 @@ def integrated_squared_error(values: np.ndarray, oracle_values: np.ndarray, axes
     return trapezoid_nd(diff * diff, axes)
 
 
-def _auto_bandwidth(accepted: core.AcceptedSet, m: int, p: int, n_rows: int) -> float:
-    spread = float(np.std(accepted.ordered_thetas, ddof=1))
-    sched = tuning.resolve_schedule(m, p)
-    return spread * n_rows ** float(sched.h_exponent)
-
-
 def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.KernelSpec,
-                  replicates: int, seed: int, grid_points: int = 512,
+                  replicates: int, seed: int,
+                  grid_points: int = estimators.GRID_POINTS_1D,
+                  grid_padding: float = estimators.GRID_PADDING,
                   max_workers: int = 1) -> MiseReport:
     """Monte Carlo MISE of the accepted-set estimator against the oracle.
 
     Each replicate regenerates a fresh table, accepts the k nearest rows,
-    evaluates the estimate on the default padded grid and integrates the
-    squared error.  ``h`` is either a fixed bandwidth or "auto"
-    (accepted-theta standard deviation times the schedule power of N).
+    evaluates the estimate on the default grid, padded by ``grid_padding``
+    bandwidths, and integrates the squared error.  ``h`` is either a fixed
+    bandwidth or "auto" (:func:`tuning.auto_bandwidth`).
     """
     _require_oracle(model)
     replicates = int(replicates)
@@ -97,8 +93,10 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     def one(r: int):
         table = core.generate_table(model, n_rows, derive_seed(seed, "mise", r))
         accepted = core.abc_knn(table, s0, k)
-        h_r = _auto_bandwidth(accepted, model.m, model.p, n_rows) if auto else float(h)
-        axes = estimators.default_grid(accepted, h_r, points=grid_points)
+        h_r = (tuning.auto_bandwidth(accepted.ordered_thetas, model.m, model.p, n_rows)
+               if auto else float(h))
+        axes = estimators.default_grid(accepted, h_r, points=grid_points,
+                                       padding=grid_padding)
         est = estimators.estimate_density(accepted, h_r, kernel, axes=axes)
         oracle_vals = _oracle_on_grid(model, est.grid, s0)
         return integrated_squared_error(est.values, oracle_vals, axes), h_r
@@ -112,13 +110,14 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
         kernel=kernel.kind, replicates=replicates,
         mise_mean=float(ise.mean()),
         mise_stderr=float(ise.std(ddof=1) / np.sqrt(replicates)),
-        grid_spec={"points": int(grid_points), "padding": estimators.GRID_PADDING},
+        grid_spec={"points": int(grid_points), "padding": float(grid_padding)},
         per_replicate=ise, seed=int(seed))
 
 
 def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.KernelSpec,
                     replicates: int, seed: int, c_k: float = 1.0,
-                    bandwidth="auto", grid_points: int = 512,
+                    bandwidth="auto", grid_points: int = estimators.GRID_POINTS_1D,
+                    grid_padding: float = estimators.GRID_PADDING,
                     max_workers: int = 1) -> RateReport:
     """MISE ladder across N with schedule-tuned (k, h), plus the fitted
     log-log slope and its standard error."""
@@ -132,19 +131,16 @@ def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.Kern
         reports.append(mise_estimate(
             model, s0, n_rows, k, bandwidth, kernel, replicates,
             derive_seed(seed, "rate", i), grid_points=grid_points,
-            max_workers=max_workers))
+            grid_padding=grid_padding, max_workers=max_workers))
     log_n = np.log([r.n_rows for r in reports])
     log_mise = np.log([r.mise_mean for r in reports])
     slope, stderr = ols_slope(log_n, log_mise)
-    if model.m > 4:
-        theoretical = -4.0 / (model.m + model.p + 4.0)
-    else:
-        theoretical = -4.0 / (model.p + 8.0)
+    h_exponent = tuning.resolve_schedule(model.m, model.p).h_exponent
     return RateReport(
         Ns=tuple(Ns),
         mise_points=tuple(zip(log_n.tolist(), log_mise.tolist())),
         fitted_slope=slope, slope_stderr=stderr,
-        theoretical_slope=theoretical,
+        theoretical_slope=4.0 * float(h_exponent),
         log_factor_flag=(model.m == 4),
         reports=tuple(reports))
 

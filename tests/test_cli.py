@@ -91,6 +91,16 @@ class TestValidateConfig:
             validate_config(json.dumps(minimal_config(seed=2**64)))
         assert f"seed: must be <= {2**64 - 1}" in err.value.messages
 
+    def test_validate_block_counts_are_required(self):
+        raw = minimal_config()
+        raw["validate"] = {name: {} for name in ("mise", "rates", "prop1", "bounds", "moments")}
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(raw))
+        for key in ("mise.replicates", "rates.replicates", "prop1.runs",
+                    "prop1.oracle_draws", "bounds.replicates", "bounds.xi0",
+                    "bounds.L", "moments.replicates"):
+            assert f"validate.{key}: is required" in err.value.messages
+
 
 _bandwidth = st.one_of(st.just("auto"),
                        st.floats(min_value=0.001, max_value=10.0, allow_nan=False))
@@ -244,6 +254,43 @@ class TestEndToEnd:
         assert err["error"] == "config"
         assert err["messages"] == [f"seed: must be <= {2**64 - 1}"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("block, key, contents", [
+        ("mise", "replicates", {}),
+        ("rates", "replicates", {"Ns": [200, 400, 800]}),
+        ("prop1", "oracle_draws", {"runs": 4}),
+        ("bounds", "xi0", {"pairs": [[999, 9]], "replicates": 5, "L": 20.0}),
+        ("moments", "replicates", {"phis": ["identity"]}),
+    ])
+    def test_validate_block_missing_key_is_config_error(self, tmp_path, capsys,
+                                                        block, key, contents):
+        raw = minimal_config(N=500, acceptance={"k": 20})
+        raw["validate"] = {block: contents}
+        code, out_dir = self._run(tmp_path, f"validate {block}", raw)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["messages"] == [f"validate.{block}.{key}: is required"]
+        assert not out_dir.exists()
+
+    def test_grid_padding_reaches_validate(self, tmp_path, capsys):
+        raw = minimal_config(N=2000, acceptance={"k": 60})
+        raw["validate"] = {"mise": {"replicates": 2},
+                           "rates": {"Ns": [200, 400, 800], "replicates": 2}}
+        reports = {}
+        for padding in (4.0, 9.0):
+            raw["grid"] = {"points": 64, "padding": padding}
+            for sub in ("mise", "rates"):
+                code, out_dir = self._run(tmp_path, f"validate {sub}", raw)
+                assert code == EXIT_OK
+            capsys.readouterr()
+            mise = json.loads((out_dir / "mise_report.json").read_text())
+            rates = json.loads((out_dir / "rate_report.json").read_text())
+            assert mise["grid_spec"] == {"points": 64, "padding": padding}
+            assert [r["grid_spec"]["padding"] for r in rates["per_N"]] == [padding] * 3
+            reports[padding] = mise["mise_mean"]
+        # the padding moves the grid, so it changes the integrated error too
+        assert reports[4.0] != reports[9.0]
 
     def test_validate_requires_block(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"

@@ -7,11 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from knnabc import (get_model, oracle_posterior_pdf, sample_prior,
-                    simulate_summary)
+from knnabc import abc_knn, generate_table, get_model, oracle_posterior_pdf
 from knnabc.errors import (ConfigurationError, InvalidArgumentError,
                            UnsupportedModelError)
-from knnabc.rng import substream
+from knnabc.rng import derive_key, row_words, uniform01
 
 BOUND = 5.0
 TRUNC_MASS = ndtr(BOUND) - ndtr(-BOUND)
@@ -31,8 +30,13 @@ def trunc_noise_pdf(e):
 
 
 def _draw_thetas(model, seed, n):
-    from knnabc.core import generate_table
     return generate_table(model, n, seed).thetas[:, 0]
+
+
+def _uniforms(seed, tag, n, width):
+    """n rows of `width` uniforms from the Philox words tables are built from."""
+    words = row_words(derive_key(seed, tag), 0, n, -(-width // 4) * 4)
+    return uniform01(words[:, :width])
 
 
 class TestSamplePrior:
@@ -58,8 +62,8 @@ class TestSamplePrior:
 
     def test_single_draw_deterministic(self):
         model = get_model("gaussian_conjugate_1d")
-        a = sample_prior(model, substream(7, "draw"))
-        b = sample_prior(model, substream(7, "draw"))
+        a = generate_table(model, 2, 7).thetas[0]
+        b = generate_table(model, 2, 7).thetas[0]
         assert np.array_equal(a, b)
         assert a.shape == (1,)
 
@@ -67,20 +71,16 @@ class TestSamplePrior:
 class TestSimulateSummary:
     def test_conjugate_noise_centering(self):
         model = get_model("gaussian_conjugate_1d")
-        rng = substream(201, "sim")
-        draws = np.array([simulate_summary(model, [0.0], rng)[0] for _ in range(5000)])
+        u = _uniforms(201, "sim", 5000, model.summary_words)
+        draws = model.summaries_from_uniforms(np.zeros((5000, 1)), u)[:, 0]
         assert abs(draws.mean()) <= 4.0 / math.sqrt(5000)
 
     def test_uniform_ball_stays_within_radius(self):
         model = get_model("uniform_ball_1d", radius=0.1)
-        rng = substream(202, "sim")
-        for _ in range(200):
-            theta = sample_prior(model, rng)
-            s = simulate_summary(model, theta, rng)
-            assert abs(s[0] - theta[0]) <= 0.1
+        table = generate_table(model, 200, 202)
+        assert np.all(np.abs(table.summaries - table.thetas) <= 0.1)
 
     def test_ancillary_coordinates_uncorrelated_with_theta(self):
-        from knnabc.core import generate_table
         model = get_model("gauss_5d")
         table = generate_table(model, 100_000, 203)
         theta = table.thetas[:, 0]
@@ -89,9 +89,9 @@ class TestSimulateSummary:
             assert abs(rho) < 0.01
 
     def test_dimension_mismatch_rejected(self):
-        model = get_model("gauss_5d")
+        table = generate_table(get_model("gauss_5d"), 10, 1)
         with pytest.raises(InvalidArgumentError):
-            simulate_summary(model, [0.0, 0.0], substream(1, "x"))
+            abc_knn(table, [0.0, 0.0], 3)
 
 
 class TestPosteriorOracle:
@@ -198,7 +198,6 @@ class TestModelInvariants:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_compact_support_diameter(self):
-        from knnabc.core import generate_table
         for model_id in ("gaussian_conjugate_1d", "uniform_box_1d",
                          "uniform_ball_1d", "gauss_5d"):
             model = get_model(model_id)
@@ -208,8 +207,10 @@ class TestModelInvariants:
 
     def test_seed_determinism_bitwise(self):
         model = get_model("gauss_5d")
-        a = simulate_summary(model, [0.3], substream(9, "det"))
-        b = simulate_summary(model, [0.3], substream(9, "det"))
+        theta = np.full((1, 1), 0.3)
+        a = model.summaries_from_uniforms(theta, _uniforms(9, "det", 1, model.summary_words))
+        b = model.summaries_from_uniforms(theta, _uniforms(9, "det", 1, model.summary_words))
+        assert a.shape == (1, 5)
         assert a.tobytes() == b.tobytes()
 
 

@@ -52,6 +52,6 @@ class TestDerivation:
             6565243829855084329, 3317916441970074577]
 
     def test_generator_uniforms_open_interval(self):
-        g = rng.substream(11, "quick")
-        u = rng.generator_uniforms(g, (1000,))
+        u = rng.uniform01(rng.row_words(rng.derive_key(11, "quick"), 0, 250, 4))
+        assert u.size == 1000
         assert np.all((u > 0) & (u < 1))

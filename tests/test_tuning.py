@@ -13,8 +13,8 @@ from knnabc.errors import (BoundHypothesisError, InsufficientSampleError,
                            InvalidArgumentError, RegimeNotCoveredError,
                            UnsupportedModelError)
 from knnabc.estimators import make_kernel
-from knnabc.tuning import (TheoreticalQuantities, mise_prediction_exact_moments,
-                           with_distance_terms, xi0_from_marginal_cdf)
+from knnabc.tuning import (TheoreticalQuantities, auto_bandwidth,
+                           mise_prediction_exact_moments, xi0_from_marginal_cdf)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -82,6 +82,14 @@ class TestAcceptanceFraction:
     def test_vanishes_with_n(self):
         values = [acceptance_fraction(10, 1, n) for n in (10**3, 10**5, 10**7)]
         assert values[0] > values[1] > values[2]
+
+
+class TestAutoBandwidth:
+    def test_spread_times_schedule_power(self):
+        thetas = np.array([[0.1], [0.4], [-0.3], [0.9]])
+        spread = float(np.std(thetas, ddof=1))
+        assert auto_bandwidth(thetas, 1, 1, 1000) == spread * 1000 ** float(Fraction(-1, 9))
+        assert auto_bandwidth(thetas, 5, 1, 1000) == spread * 1000 ** float(Fraction(-1, 10))
 
 
 class TestXi0:
@@ -201,14 +209,6 @@ class TestRateQuantities:
         with pytest.raises(UnsupportedModelError):
             mise_rate_quantities(get_model("uniform_box_1d"), [0.5],
                                     make_kernel("gaussian", 1))
-
-    def test_distance_terms_filled(self):
-        tq = TheoreticalQuantities(xi0=1.0, L_diam=1.0, Phi1=0.0, Phi2=0.0,
-                                   Phi3=0.0, kernel_sq_integral=0.5, m=2, p=1)
-        tq = with_distance_terms(tq, 9, 999)
-        assert math.isnan(tq.D_m)          # plain order-2 form undefined at m=2
-        assert not math.isnan(tq.Delta_m)  # plain order-4 form fine at m=2
-        assert tq.D_log > 0 and tq.Delta_log > 0
 
 
 class TestMisePrediction:

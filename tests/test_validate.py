@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from knnabc import (bound_check, conditional_law_test, get_model, mise_estimate,
                     moment_consistency, prop1_calibration, rate_experiment)
-from knnabc.errors import InvalidArgumentError, UnsupportedModelError
+from knnabc.errors import InvalidArgumentError, KnnAbcError, UnsupportedModelError
 from knnabc.estimators import make_kernel
 from knnabc.validate import integrated_squared_error
 
@@ -42,6 +42,11 @@ class TestMiseEstimate:
                                make_kernel("gaussian", 1), 2, seed=62,
                                grid_points=200_001)
         assert report.mise_mean >= 0.9 * oracle_sq
+
+    def test_auto_bandwidth_needs_two_rows(self):
+        model = get_model("gaussian_conjugate_1d")
+        with pytest.raises(KnnAbcError, match="auto bandwidth needs at least 2 accepted rows"):
+            mise_estimate(model, [1.0], 100, 1, "auto", make_kernel("gaussian", 1), 2, seed=3)
 
     def test_requires_oracle(self):
         with pytest.raises(UnsupportedModelError):
