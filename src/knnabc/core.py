@@ -103,22 +103,37 @@ def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -
     seed = _validate_seed(seed)
     key = derive_key(seed, "table", model.model_id)
 
-    spans = [(start, min(start + _CHUNK_ROWS, n_rows)) for start in range(0, n_rows, _CHUNK_ROWS)]
-    chunks = parallel_map(lambda span: _joint_rows(model, key, *span), spans, max_workers)
-    thetas = np.concatenate([c[0] for c in chunks], axis=0)
-    summaries = np.concatenate([c[1] for c in chunks], axis=0)
+    # each chunk writes its own disjoint slice, so the table is held once
+    thetas = np.empty((n_rows, model.p))
+    summaries = np.empty((n_rows, model.m))
+
+    def fill(start: int) -> None:
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        thetas[start:stop], summaries[start:stop] = _joint_rows(model, key, start, stop)
+
+    parallel_map(fill, range(0, n_rows, _CHUNK_ROWS), max_workers)
     return ReferenceTable(thetas=thetas, summaries=summaries, seed=seed, model_id=model.model_id)
 
 
 def squared_distances(summaries: np.ndarray, s0) -> np.ndarray:
+    """Squared Euclidean distances ||s_i - s0||^2, one per row.
+
+    For m > 1 the differences are formed ``_CHUNK_ROWS`` rows at a time,
+    so the work beyond the (N,) result is bounded by one block; each row's
+    sum is the same ``einsum`` as over the whole array, bit for bit.
+    """
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     if s0.shape[0] != summaries.shape[1]:
         raise InvalidArgumentError(
             f"s0 has dimension {s0.shape[0]}, summaries have m={summaries.shape[1]}")
-    diff = summaries - s0
-    if diff.shape[1] == 1:
-        return diff[:, 0] ** 2
-    return np.einsum("ij,ij->i", diff, diff)
+    if s0.shape[0] == 1:
+        diff = summaries[:, 0] - s0[0]
+        return diff * diff
+    out = np.empty(summaries.shape[0])
+    for start in range(0, summaries.shape[0], _CHUNK_ROWS):
+        diff = summaries[start:start + _CHUNK_ROWS] - s0
+        np.einsum("ij,ij->i", diff, diff, out=out[start:start + _CHUNK_ROWS])
+    return out
 
 
 def _build_accepted(table: ReferenceTable, idx: np.ndarray, distances: np.ndarray,
@@ -171,7 +186,7 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     chosen = np.flatnonzero(inside)
     order = np.lexsort((chosen, d2[chosen]))
     idx = chosen[order]
-    radius_next = float(d[~inside].min()) if chosen.size < table.n_rows else np.inf
+    radius_next = np.min(d, where=~inside, initial=np.inf)
     return _build_accepted(table, idx, d[idx], radius_next)
 
 

@@ -94,11 +94,16 @@ class Model:
 # operations
 
 def oracle_posterior_pdf(model: Model, theta0, s0) -> float:
-    """Exact posterior density g(theta0 | s0) for oracle-bearing models."""
+    """Exact posterior density g(theta0 | s0) at the single point theta0,
+    for oracle-bearing models."""
     if model.oracle is None:
         raise UnsupportedModelError(f"model '{model.model_id}' has no posterior oracle")
-    value = model.oracle.pdf(np.asarray(theta0, dtype=float), np.asarray(s0, dtype=float))
-    return float(np.asarray(value).reshape(-1)[0]) if np.ndim(value) else float(value)
+    value = np.asarray(model.oracle.pdf(np.asarray(theta0, dtype=float),
+                                        np.asarray(s0, dtype=float)))
+    if value.size != 1:
+        raise InvalidArgumentError(
+            f"theta0 must be one point, got {value.size}; use model.oracle.pdf for several")
+    return float(value.item())
 
 
 # ---------------------------------------------------------------------------

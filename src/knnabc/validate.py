@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import core, estimators, tuning
-from .errors import InvalidArgumentError, UnsupportedModelError
+from .errors import BoundHypothesisError, InvalidArgumentError, UnsupportedModelError
 from .models import Model
 from .numerics import ols_slope, parallel_map, trapezoid_nd
 from .rng import derive_seed
@@ -219,7 +219,7 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
         n_rows, k = int(n_rows), int(k)
         try:
             bound = tuning.distance_moment_bound(model.m, k, n_rows, xi0, L_diam, order)
-        except Exception as exc:
+        except BoundHypothesisError as exc:
             results.append({"N": n_rows, "k": k, "tested": False,
                             "reason": str(exc), "holds": None})
             continue

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.stats import ks_2samp
 from knnabc import (abc_knn, abc_tolerance, cli, generate_table, get_model,
                     percentile_to_k, sample_restricted)
 from knnabc.cli import validate_config
-from knnabc.core import ReferenceTable, table_from_bytes, table_to_bytes
+from knnabc.core import (_CHUNK_ROWS, ReferenceTable, squared_distances, table_from_bytes,
+                         table_to_bytes)
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
 
 
@@ -29,6 +31,25 @@ def _sort_oracle(summaries, s0, k):
     return order[:k], d2
 
 
+def _overhead_bytes(fn, *args):
+    """Peak traced allocation during fn(*args) beyond the arrays it returns
+    (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = out.thetas.nbytes + out.summaries.nbytes if isinstance(out, ReferenceTable) else out.nbytes
+    return peak - base - kept
+
+
+# whatever the table size, the work beyond the result is one chunk's; a few
+# bytes per chunk of bookkeeping may grow, a second copy of the table may not
+_OVERHEAD_GROWTH_BYTES = 1 << 16
+
+
 class TestGenerateTable:
     def test_bit_identical_across_worker_counts(self):
         model = get_model("gaussian_conjugate_1d")
@@ -40,6 +61,20 @@ class TestGenerateTable:
         big1 = generate_table(model, 70_000, 42, max_workers=1)
         big8 = generate_table(model, 70_000, 42, max_workers=8)
         assert big1.summaries.tobytes() == big8.summaries.tobytes()
+
+    def test_multi_chunk_gauss_5d_identical_at_two_workers(self):
+        model = get_model("gauss_5d")
+        n = 3 * _CHUNK_ROWS + 17
+        one = generate_table(model, n, 9, max_workers=1)
+        two = generate_table(model, n, 9, max_workers=2)
+        assert one.thetas.tobytes() == two.thetas.tobytes()
+        assert one.summaries.tobytes() == two.summaries.tobytes()
+
+    def test_memory_beyond_table_does_not_grow_with_rows(self):
+        model = get_model("gauss_5d")
+        small = _overhead_bytes(generate_table, model, 4 * _CHUNK_ROWS, 3)
+        large = _overhead_bytes(generate_table, model, 16 * _CHUNK_ROWS, 3)
+        assert large - small <= _OVERHEAD_GROWTH_BYTES
 
     def test_single_row_table_rejected(self):
         model = get_model("uniform_box_1d")
@@ -73,6 +108,27 @@ class TestGenerateTable:
         large = generate_table(model, 1000, 5)
         assert np.array_equal(small.thetas, large.thetas[:100])
         assert np.array_equal(small.summaries, large.summaries[:100])
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                   3 * _CHUNK_ROWS + 123])
+    def test_blocks_match_one_shot_bit_for_bit(self, m, n):
+        summaries = np.random.default_rng(n + m).standard_normal((n, m))
+        s0 = np.linspace(-0.3, 0.7, m)
+        diff = summaries - s0
+        one_shot = diff[:, 0] ** 2 if m == 1 else np.einsum("ij,ij->i", diff, diff)
+        assert squared_distances(summaries, s0).tobytes() == one_shot.tobytes()
+
+    def test_memory_beyond_output_does_not_grow_with_rows(self):
+        s0 = np.zeros(5)
+        rng = np.random.default_rng(4)
+        small = rng.standard_normal((4 * _CHUNK_ROWS, 5))
+        large = rng.standard_normal((16 * _CHUNK_ROWS, 5))
+        growth = (_overhead_bytes(squared_distances, large, s0)
+                  - _overhead_bytes(squared_distances, small, s0))
+        assert growth <= _OVERHEAD_GROWTH_BYTES
 
 
 class TestToleranceRule:

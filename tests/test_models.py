@@ -129,6 +129,14 @@ class TestPosteriorOracle:
         val = trunc_noise_pdf(1.0 - 0.5) * trunc_prior_pdf(0.5) * tail / norm
         assert oracle_posterior_pdf(five, 0.5, s0) == pytest.approx(val, rel=1e-9)
 
+    def test_several_points_raise(self):
+        model = get_model("gaussian_conjugate_1d")
+        single = oracle_posterior_pdf(model, 0.0, [1.0])
+        assert oracle_posterior_pdf(model, [0.0], [1.0]) == single
+        assert oracle_posterior_pdf(model, [[0.0]], [1.0]) == single
+        with pytest.raises(InvalidArgumentError, match="one point"):
+            oracle_posterior_pdf(model, [0.0, 3.0], [1.0])
+
     def test_missing_oracle_raises(self):
         demo = get_model("gaussian_mean_demo")
         with pytest.raises(UnsupportedModelError):

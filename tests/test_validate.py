@@ -167,6 +167,13 @@ class TestBoundCheck:
         assert results[0]["tested"] is False
         assert results[0]["holds"] is None
 
+    def test_invalid_order_raises(self):
+        # only a failed bound hypothesis skips a pair; a bad argument is an error
+        model = get_model("uniform_box_1d")
+        with pytest.raises(InvalidArgumentError, match="order must be 2 or 4"):
+            bound_check(model, [0.5], [(999, 9)], xi0=1.0, L_diam=1.0,
+                        order=3, replicates=5, seed=1)
+
 
 class TestMomentConsistency:
     def test_constant_functional_is_exact(self):
