@@ -12,7 +12,7 @@ conjugate posteriors.
 __version__ = "0.1.0"
 
 from .core import (AcceptedSet, ReferenceTable, abc_knn, abc_tolerance,
-                   generate_table, percentile_to_k, sample_restricted)
+                   generate_table, percentile_to_k, sample_restricted, simulate_knn)
 from .estimators import (DensityEstimate, KernelSpec, estimate_density, g_hat,
                          g_rosenblatt, g_smoothed_nn, kernel_eval, make_kernel,
                          posterior_functional, unit_ball_volume)
@@ -36,5 +36,5 @@ __all__ = [
     "mise_rate_quantities", "model_ids", "moment_consistency",
     "oracle_posterior_pdf", "percentile_to_k", "posterior_functional",
     "prop1_calibration", "rate_experiment", "resolve_schedule",
-    "sample_restricted", "schedule", "unit_ball_volume",
+    "sample_restricted", "schedule", "simulate_knn", "unit_ball_volume",
 ]

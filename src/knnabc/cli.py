@@ -350,19 +350,6 @@ def _k_for(config: RunConfig) -> int:
     raise ConfigurationError(["acceptance: validate commands need k or percentile"])
 
 
-def _accept(config: RunConfig, table: core.ReferenceTable, s0):
-    """Resolve the acceptance block into an AcceptedSet plus bookkeeping."""
-    info = {}
-    if config.acceptance_mode == "epsilon":
-        info["epsilon"] = float(config.acceptance_value)
-        accepted = core.abc_tolerance(table, s0, config.acceptance_value)
-    else:
-        accepted = core.abc_knn(table, s0, _k_for(config))
-    info["k"] = accepted.k
-    info["d_k_plus_1"] = accepted.radius_next
-    return accepted, info
-
-
 def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         subcommand: Optional[str] = None) -> dict:
     """Execute one pipeline command; returns the stdout summary dict."""
@@ -397,9 +384,15 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
                  [f"theta_{j}" for j in range(p)] + [f"s_{j}" for j in range(m)],
                  [*table.thetas.T, *table.summaries.T])
     elif command == "estimate":
-        table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
-        accepted, info = _accept(config, table, s0)
-        summary.update(info)
+        if config.acceptance_mode == "epsilon":
+            summary["epsilon"] = float(config.acceptance_value)
+            table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
+            accepted = core.abc_tolerance(table, s0, config.acceptance_value)
+        else:
+            accepted = core.simulate_knn(model, config.n_rows, config.seed, s0,
+                                         _k_for(config), max_workers=threads)
+        summary["k"] = accepted.k
+        summary["d_k_plus_1"] = accepted.radius_next
         if accepted.k == 0:
             raise KnnAbcError("tolerance accepted zero rows; no estimate is defined")
         if config.bandwidth == "auto":

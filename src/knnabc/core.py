@@ -4,14 +4,16 @@
 substream per row, so tables regenerate bit-identically for a given
 (model, seed, N) at any worker count.  ``abc_knn`` keeps the k nearest
 summaries by squared distance with index tie-breaking, in expected O(N)
-via partial selection; ``abc_tolerance`` keeps everything within a fixed
-radius.  ``sample_restricted`` draws from the joint density restricted
-to the ball cylinder via rejection.
+via partial selection; ``simulate_knn`` gives the same result while
+simulating, without holding the table.  ``abc_tolerance`` keeps
+everything within a fixed radius.  ``sample_restricted`` draws from the
+joint density restricted to the ball cylinder via rejection.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +92,15 @@ def _joint_rows(model: Model, key: np.ndarray, start: int, stop: int):
     return thetas, summaries
 
 
+def _table_stream(model: Model, n_rows: int, seed: int) -> tuple[int, int, np.ndarray]:
+    """Checked (n_rows, seed) and the key of the table's joint stream."""
+    n_rows = int(n_rows)
+    if n_rows < 2:
+        raise InvalidArgumentError("n_rows must be >= 2 (the k-nearest rule needs 1 <= k <= N-1)")
+    seed = _validate_seed(seed)
+    return n_rows, seed, derive_key(seed, "table", model.model_id)
+
+
 def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -> ReferenceTable:
     """Simulate the iid reference table.
 
@@ -97,11 +108,7 @@ def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -
     chunk reads its own counter range, so output is identical for any
     ``max_workers``.
     """
-    n_rows = int(n_rows)
-    if n_rows < 2:
-        raise InvalidArgumentError("n_rows must be >= 2 (the k-nearest rule needs 1 <= k <= N-1)")
-    seed = _validate_seed(seed)
-    key = derive_key(seed, "table", model.model_id)
+    n_rows, seed, key = _table_stream(model, n_rows, seed)
 
     # each chunk writes its own disjoint slice, so the table is held once
     thetas = np.empty((n_rows, model.p))
@@ -136,15 +143,44 @@ def squared_distances(summaries: np.ndarray, s0) -> np.ndarray:
     return out
 
 
-def _build_accepted(table: ReferenceTable, idx: np.ndarray, distances: np.ndarray,
+def _build_accepted(thetas: np.ndarray, summaries: np.ndarray, pos: np.ndarray,
+                    index: np.ndarray, distances: np.ndarray,
                     radius_next: float) -> AcceptedSet:
+    """The rows at ``pos``, whose row numbers are ``index``, as an AcceptedSet."""
     return AcceptedSet(
-        ordered_thetas=table.thetas[idx],
-        ordered_summaries=table.summaries[idx],
+        ordered_thetas=thetas[pos],
+        ordered_summaries=summaries[pos],
         distances=distances,
         radius_next=float(radius_next),
-        source_indices=idx.astype(np.int64),
+        source_indices=index.astype(np.int64),
     )
+
+
+def _check_k(k: int, n_rows: int) -> int:
+    k = int(k)
+    if not 1 <= k <= n_rows - 1:
+        raise InvalidArgumentError(f"k must satisfy 1 <= k <= N-1 = {n_rows - 1}, got {k}")
+    return k
+
+
+def _nearest(d2: np.ndarray, k: int, index: np.ndarray | None = None):
+    """The k-nearest rule on squared distances ``d2`` (length > k).
+
+    Returns the positions in ``d2`` of its k smallest entries by (value,
+    row index), in that order, and the (k+1)-th smallest value.  ``index``
+    gives each entry's row index, in any order; by default it is the
+    position.  A partial selection positions the k-th and (k+1)-th order
+    statistics, and only the winners get sorted.
+    """
+    part = np.partition(d2, (k - 1, k))
+    kth_value = part[k - 1]
+    below = np.flatnonzero(d2 < kth_value)
+    at = np.flatnonzero(d2 == kth_value)
+    if index is not None:
+        at = at[np.argsort(index[at])]
+    chosen = np.concatenate([below, at[: k - below.size]])
+    order = np.lexsort((chosen if index is None else index[chosen], d2[chosen]))
+    return chosen[order], part[k]
 
 
 def abc_knn(table: ReferenceTable, s0, k: int) -> AcceptedSet:
@@ -152,23 +188,69 @@ def abc_knn(table: ReferenceTable, s0, k: int) -> AcceptedSet:
 
     Ordering and tie-breaking are by the pair (squared distance, original
     index), so results are deterministic even with exact float ties.
-    Expected O(N): a partial selection positions the k-th and (k+1)-th
-    order statistics, and only the winners get sorted.
+    Expected O(N) (see ``_nearest``).
     """
-    n = table.n_rows
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= N-1 = {n - 1}, got {k}")
+    k = _check_k(k, table.n_rows)
     d2 = squared_distances(table.summaries, s0)
-    part = np.partition(d2, (k - 1, k))
-    kth_value, next_value = part[k - 1], part[k]
+    idx, next_value = _nearest(d2, k)
+    return _build_accepted(table.thetas, table.summaries, idx, idx, np.sqrt(d2[idx]),
+                           np.sqrt(next_value))
 
-    below = np.flatnonzero(d2 < kth_value)
-    at = np.flatnonzero(d2 == kth_value)
-    chosen = np.concatenate([below, at[: k - below.size]])
-    order = np.lexsort((chosen, d2[chosen]))
-    idx = chosen[order]
-    return _build_accepted(table, idx, np.sqrt(d2[idx]), np.sqrt(next_value))
+
+def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
+                 max_workers: int = 1) -> AcceptedSet:
+    """``abc_knn(generate_table(model, n_rows, seed), s0, k)``, bit for bit,
+    without holding the table.
+
+    Each chunk of the joint stream adds its rows with squared distance at
+    most tau, the (k+1)-th smallest seen at the last cut, to a candidate
+    pool with their row indices.  Once the pool holds more than 2(k+1)
+    rows it is cut back to its k+1 nearest by (distance, index), which
+    lowers tau.  Rows beyond those k+1 can neither be accepted nor be
+    d_(k+1), so the pool never holds more than 2(k+1) rows plus one chunk,
+    and the cuts cost amortised O(N).  A chunk may read tau just before a
+    cut lowers it; that adds a superset, so the result is the same at any
+    worker count and in any order of completion.
+    """
+    n_rows, _, key = _table_stream(model, n_rows, seed)
+    k = _check_k(k, n_rows)
+    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    if np.isnan(s0).any():
+        # NaN distances would fail every d2 <= tau test and empty the pool
+        raise InvalidArgumentError("s0 must not contain NaN")
+    cap = min(n_rows, 2 * (k + 1) + _CHUNK_ROWS)
+    pool_d2 = np.empty(cap)
+    pool_index = np.empty(cap, dtype=np.int64)
+    pool_thetas = np.empty((cap, model.p))
+    pool_summaries = np.empty((cap, model.m))
+    lock = threading.Lock()
+    size = 0
+    tau = np.inf
+
+    def scan(start: int) -> None:
+        nonlocal size, tau
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        thetas, summaries = _joint_rows(model, key, start, stop)
+        d2 = squared_distances(summaries, s0)
+        keep = np.flatnonzero(d2 <= tau)
+        with lock:
+            end = size + keep.size
+            np.take(d2, keep, out=pool_d2[size:end])
+            np.add(keep, start, out=pool_index[size:end])
+            np.take(thetas, keep, axis=0, out=pool_thetas[size:end])
+            np.take(summaries, keep, axis=0, out=pool_summaries[size:end])
+            size = end
+            if size > 2 * (k + 1):
+                cut, _ = _nearest(pool_d2[:size], k + 1, pool_index[:size])
+                for pool in (pool_d2, pool_index, pool_thetas, pool_summaries):
+                    pool[:k + 1] = pool[cut]
+                size = k + 1
+                tau = pool_d2[k]
+
+    parallel_map(scan, range(0, n_rows, _CHUNK_ROWS), max_workers)
+    pos, next_value = _nearest(pool_d2[:size], k, pool_index[:size])
+    return _build_accepted(pool_thetas, pool_summaries, pos, pool_index[pos],
+                           np.sqrt(pool_d2[pos]), np.sqrt(next_value))
 
 
 def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
@@ -187,7 +269,7 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     order = np.lexsort((chosen, d2[chosen]))
     idx = chosen[order]
     radius_next = np.min(d, where=~inside, initial=np.inf)
-    return _build_accepted(table, idx, d[idx], radius_next)
+    return _build_accepted(table.thetas, table.summaries, idx, idx, d[idx], radius_next)
 
 
 def percentile_to_k(n_rows: int, alpha: float) -> int:
@@ -223,25 +305,22 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     key = derive_key(seed, "restricted", model.model_id)
 
-    kept_thetas, kept_summaries = [], []
+    thetas = np.empty((count, model.p))
+    summaries = np.empty((count, model.m))
     kept = 0
     drawn = 0
-    start = 0
     r2 = radius * radius
     while kept < count:
-        thetas, summaries = _joint_rows(model, key, start, start + batch_rows)
-        start += batch_rows
+        batch_thetas, batch_summaries = _joint_rows(model, key, drawn, drawn + batch_rows)
         drawn += batch_rows
-        accept = squared_distances(summaries, s0) <= r2
-        kept_thetas.append(thetas[accept])
-        kept_summaries.append(summaries[accept])
-        kept += int(accept.sum())
+        accept = np.flatnonzero(squared_distances(batch_summaries, s0) <= r2)[:count - kept]
+        thetas[kept:kept + accept.size] = batch_thetas[accept]
+        summaries[kept:kept + accept.size] = batch_summaries[accept]
+        kept += accept.size
         if kept < count and drawn >= probe_budget and kept / drawn < 1e-12:
             raise InfeasibleRadiusError(
                 f"acceptance rate below 1e-12 after {drawn} proposals "
                 f"(radius={radius!r}, s0={s0.tolist()})")
-    thetas = np.concatenate(kept_thetas, axis=0)[:count]
-    summaries = np.concatenate(kept_summaries, axis=0)[:count]
     return thetas, summaries
 
 

@@ -76,10 +76,11 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
                   max_workers: int = 1) -> MiseReport:
     """Monte Carlo MISE of the accepted-set estimator against the oracle.
 
-    Each replicate regenerates a fresh table, accepts the k nearest rows,
-    evaluates the estimate on the default grid, padded by ``grid_padding``
-    bandwidths, and integrates the squared error.  ``h`` is either a fixed
-    bandwidth or "auto" (:func:`tuning.auto_bandwidth`).
+    Each replicate simulates a fresh table's k nearest rows
+    (:func:`core.simulate_knn`), evaluates the estimate on the default
+    grid, padded by ``grid_padding`` bandwidths, and integrates the
+    squared error.  ``h`` is either a fixed bandwidth or "auto"
+    (:func:`tuning.auto_bandwidth`).
     """
     _require_oracle(model)
     replicates = int(replicates)
@@ -91,8 +92,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     s0 = np.asarray(s0, dtype=float).reshape(-1)
 
     def one(r: int):
-        table = core.generate_table(model, n_rows, derive_seed(seed, "mise", r))
-        accepted = core.abc_knn(table, s0, k)
+        accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "mise", r), s0, k)
         h_r = (tuning.auto_bandwidth(accepted.ordered_thetas, model.m, model.p, n_rows)
                if auto else float(h))
         axes = estimators.default_grid(accepted, h_r, points=grid_points,
@@ -165,8 +165,7 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
     if oracle_kind not in ("restricted", "unrestricted"):
         raise InvalidArgumentError("oracle_kind must be 'restricted' or 'unrestricted'")
     s0 = np.asarray(s0, dtype=float).reshape(-1)
-    table = core.generate_table(model, n_rows, derive_seed(seed, "prop1-table"))
-    accepted = core.abc_knn(table, s0, k)
+    accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "prop1-table"), s0, k)
     if oracle_kind == "restricted":
         oracle_thetas, _ = core.sample_restricted(
             model, s0, accepted.radius_next, oracle_draws, derive_seed(seed, "prop1-oracle"))
@@ -278,8 +277,7 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
             resolved.append(tuple(item))
 
     def one(r: int):
-        table = core.generate_table(model, n_rows, derive_seed(seed, "moment", r))
-        accepted = core.abc_knn(table, s0, k)
+        accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "moment", r), s0, k)
         return [estimators.posterior_functional(accepted, fn) for _, fn, _ in resolved]
 
     rows = np.array(parallel_map(one, range(int(replicates)), max_workers))

@@ -9,12 +9,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from knnabc import (abc_knn, abc_tolerance, cli, generate_table, get_model,
-                    percentile_to_k, sample_restricted)
+from knnabc import (abc_knn, abc_tolerance, cli, core, generate_table, get_model,
+                    percentile_to_k, sample_restricted, simulate_knn)
 from knnabc.cli import validate_config
-from knnabc.core import (_CHUNK_ROWS, ReferenceTable, squared_distances, table_from_bytes,
-                         table_to_bytes)
+from knnabc.core import (_CHUNK_ROWS, ReferenceTable, _nearest, squared_distances,
+                         table_from_bytes, table_to_bytes)
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
+from knnabc.rng import derive_key
 
 
 def _table_from_distances(distances, s0=0.0):
@@ -41,8 +42,19 @@ def _overhead_bytes(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = out.thetas.nbytes + out.summaries.nbytes if isinstance(out, ReferenceTable) else out.nbytes
+    if isinstance(out, np.ndarray):
+        kept = out.nbytes
+    else:
+        kept = sum(v.nbytes for v in vars(out).values() if isinstance(v, np.ndarray))
     return peak - base - kept
+
+
+def _assert_same_accepted(got, expected):
+    for field in ("source_indices", "ordered_thetas", "ordered_summaries", "distances"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert np.float64(got.radius_next).tobytes() == np.float64(expected.radius_next).tobytes()
 
 
 # whatever the table size, the work beyond the result is one chunk's; a few
@@ -244,6 +256,69 @@ class TestKnnRule:
         assert acc.radius_next >= acc.distances[-1]
 
 
+class TestSimulateKnn:
+    def test_shared_rule_breaks_ties_by_lowest_index(self):
+        # rows 0..99 of chunk 0 and 100..199 of chunk 1; the k-th and
+        # (k+1)-th values tie at 4.0, among rows of both chunks
+        d2 = np.full(200, 9.0)
+        d2[[3, 150]] = 1.0
+        d2[[7, 40, 120, 199]] = 4.0          # k = 4: 2 of these 4 win
+        full_idx, full_next = _nearest(d2, 4)
+        assert full_idx.tolist() == [3, 150, 7, 40]
+        assert full_next == 4.0
+        # a 2-worker merge: chunk 1's candidates arrive before chunk 0's
+        pool_rows = np.r_[np.arange(100, 200), np.arange(100)]
+        pos, pool_next = _nearest(d2[pool_rows], 4, pool_rows)
+        assert pool_rows[pos].tolist() == full_idx.tolist()
+        assert pool_next == full_next
+        # and the same through abc_knn on the whole array
+        acc = abc_knn(_table_from_distances(np.sqrt(d2)), [0.0], 4)
+        assert acc.source_indices.tolist() == full_idx.tolist()
+        # a cut to the k+1 nearest keeps the lowest-indexed (k+1)-th row
+        cut, _ = _nearest(d2[pool_rows], 5, pool_rows)
+        assert sorted(pool_rows[cut].tolist()) == [3, 7, 40, 120, 150]
+
+    @pytest.mark.parametrize("schedule", ["one_worker", "two_workers", "last_chunk_first"])
+    def test_massive_ties_across_chunks_match_table_path(self, monkeypatch, schedule):
+        # summaries rounded to a 0.25 lattice tie thousands of rows at each
+        # distance, so pool cuts and the final selection all break ties
+        joint_rows = core._joint_rows
+
+        def lattice_rows(model, key, start, stop):
+            thetas, summaries = joint_rows(model, key, start, stop)
+            return thetas, np.round(summaries * 4.0) / 4.0
+
+        monkeypatch.setattr(core, "_joint_rows", lattice_rows)
+        workers = 2 if schedule == "two_workers" else 1
+        if schedule == "last_chunk_first":
+            # a chunk finishing before lower-indexed ones: its rows tied at
+            # tau must still beat pooled rows with higher indices
+            monkeypatch.setattr(core, "parallel_map",
+                                lambda fn, items, max_workers=1: [fn(i) for i in reversed(items)])
+        model = get_model("gaussian_conjugate_1d")
+        n = 3 * _CHUNK_ROWS + 7
+        table = generate_table(model, n, 5)
+        for k in (1, 100, 20_000, n - 1):
+            _assert_same_accepted(simulate_knn(model, n, 5, [0.3], k, max_workers=workers),
+                                  abc_knn(table, [0.3], k))
+
+    def test_memory_beyond_accepted_set_does_not_grow_with_rows(self):
+        model = get_model("gauss_5d")
+        s0 = np.full(5, 0.2)
+        small = _overhead_bytes(simulate_knn, model, 4 * _CHUNK_ROWS, 3, s0, 500)
+        large = _overhead_bytes(simulate_knn, model, 16 * _CHUNK_ROWS, 3, s0, 500)
+        assert large - small <= _OVERHEAD_GROWTH_BYTES
+
+    @pytest.mark.parametrize("k", [0, 10, 11])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(InvalidArgumentError, match="1 <= k <= N-1 = 9"):
+            simulate_knn(get_model("uniform_box_1d"), 10, 1, [0.5], k)
+
+    def test_nan_s0_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            simulate_knn(get_model("uniform_box_1d"), 10, 1, [np.nan], 3)
+
+
 class TestPercentile:
     def test_common_case(self):
         assert percentile_to_k(10**6, 0.001) == 1000
@@ -288,6 +363,21 @@ class TestRestrictedSampler:
         model = get_model("uniform_box_1d")
         with pytest.raises(InfeasibleRadiusError):
             sample_restricted(model, [50.0], 0.1, 10, seed=25, probe_budget=100_000)
+
+    @pytest.mark.parametrize("where", ["first_batch", "mid_batch", "batch_end"])
+    def test_keeps_first_accepted_rows_of_the_stream(self, where):
+        model = get_model("gauss_5d")
+        s0, radius, batch, seed = np.full(5, 0.1), 2.0, 1000, 8
+        thetas, summaries = core._joint_rows(model, derive_key(seed, "restricted", "gauss_5d"),
+                                             0, 3 * batch)
+        inside = np.sum((summaries - s0) ** 2, axis=1) <= radius * radius
+        per_batch = np.cumsum(inside.reshape(3, batch).sum(axis=1))
+        count = {"first_batch": per_batch[0] - 5, "mid_batch": per_batch[1] - 5,
+                 "batch_end": per_batch[1]}[where]
+        got_thetas, got_summaries = sample_restricted(model, s0, radius, count, seed=seed,
+                                                      batch_rows=batch)
+        assert got_thetas.tobytes() == thetas[inside][:count].tobytes()
+        assert got_summaries.tobytes() == summaries[inside][:count].tobytes()
 
     def test_deterministic(self):
         model = get_model("gaussian_conjugate_1d")

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from knnabc import (abc_knn, abc_tolerance, distance_moment_bound,
-                    make_kernel, percentile_to_k, unit_ball_volume)
-from knnabc.core import ReferenceTable, squared_distances
+from knnabc import (abc_knn, abc_tolerance, distance_moment_bound, generate_table,
+                    get_model, make_kernel, model_ids, percentile_to_k, simulate_knn,
+                    unit_ball_volume)
+from knnabc.core import _CHUNK_ROWS, ReferenceTable, squared_distances
 from knnabc.estimators import kernel_eval
 
 
@@ -66,6 +67,28 @@ class TestSelectionProperties:
         radii = [abc_knn(table, s0, k).radius_next
                  for k in range(1, table.n_rows)]
         assert all(a <= b for a, b in zip(radii, radii[1:]))
+
+
+_C = _CHUNK_ROWS
+_CHUNK_EDGES = [_C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 2 * _C + 1, 3 * _C]
+
+
+class TestSimulateKnnProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_table_path(self, data):
+        model = get_model(data.draw(st.sampled_from(model_ids())))
+        n = data.draw(st.one_of(st.integers(2, 300), st.sampled_from(_CHUNK_EDGES)))
+        k = data.draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        s0 = data.draw(hnp.arrays(np.float64, (model.m,),
+                                  elements=st.floats(-3, 3, allow_nan=False, width=32)))
+        workers = data.draw(st.sampled_from([1, 2]))
+        got = simulate_knn(model, n, seed, s0, k, max_workers=workers)
+        expected = abc_knn(generate_table(model, n, seed), s0, k)
+        for field in ("source_indices", "ordered_thetas", "ordered_summaries", "distances"):
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+        assert np.float64(got.radius_next).tobytes() == np.float64(expected.radius_next).tobytes()
 
 
 class TestPercentileProperties:
