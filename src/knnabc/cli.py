@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -218,7 +219,14 @@ def validate_config(config_text: str) -> RunConfig:
                 any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
             checker.fail(key, "must be a non-empty array of numbers")
             return None
-        return tuple(float(v) for v in value)
+        try:
+            vector = tuple(float(v) for v in value)
+        except OverflowError:  # an integer beyond the float range
+            vector = (math.inf,)
+        # json.loads takes the literals NaN and Infinity
+        if not all(map(math.isfinite, vector)):
+            checker.fail(key, "must contain only finite numbers")
+        return vector
 
     s0 = _vector("s0")
     y0 = _vector("y0")

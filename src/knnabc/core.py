@@ -5,13 +5,15 @@ substream per row, so tables regenerate bit-identically for a given
 (model, seed, N) at any worker count.  ``abc_knn`` keeps the k nearest
 summaries by squared distance with index tie-breaking, in expected O(N)
 via partial selection; ``simulate_knn`` gives the same result while
-simulating, without holding the table.  ``abc_tolerance`` keeps
-everything within a fixed radius.  ``sample_restricted`` draws from the
+simulating, without holding the table; ``block_distances`` gives the
+distances of many equal-size tables at once, for validation replicates.
+``abc_tolerance`` keeps everything within a fixed radius.  ``sample_restricted`` draws from the
 joint density restricted to the ball cylinder via rejection.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import InfeasibleRadiusError, InvalidArgumentError
 from .models import Model
 from .numerics import parallel_map, round_half_up
-from .rng import derive_key, row_words, uniform01
+from .rng import derive_key, derive_keys, row_words, uniform01
 
 _CHUNK_ROWS = 1 << 15
 # key derivation keeps only a seed's low 64 bits and table.bin stores it as
@@ -81,15 +83,27 @@ def _words_per_row(model: Model) -> int:
     return 4 * ((need + 3) // 4)
 
 
-def _joint_rows(model: Model, key: np.ndarray, start: int, stop: int):
-    """Rows [start, stop) of the joint stream for the given key."""
-    wpr = _words_per_row(model)
-    words = row_words(key, start, stop - start, wpr)
+def _rows_from_words(model: Model, words: np.ndarray):
+    """(thetas, summaries) of the joint rows whose Philox words are ``words``.
+
+    Every transform acts on each row alone, so a row's values do not depend
+    on which other rows share the call.
+    """
     tw = model.theta_words
     thetas = model.thetas_from_uniforms(uniform01(words[:, :tw]))
     summaries = model.summaries_from_uniforms(
         thetas, uniform01(words[:, tw:tw + model.summary_words]))
     return thetas, summaries
+
+
+def _joint_rows(model: Model, key: np.ndarray, start: int, stop: int):
+    """Rows [start, stop) of the joint stream for the given key."""
+    return _rows_from_words(model, row_words(key, start, stop - start, _words_per_row(model)))
+
+
+def _table_tags(model: Model) -> tuple[str, str]:
+    """Purpose tags of a table's joint stream, after its seed."""
+    return "table", model.model_id
 
 
 def _table_stream(model: Model, n_rows: int, seed: int) -> tuple[int, int, np.ndarray]:
@@ -98,7 +112,36 @@ def _table_stream(model: Model, n_rows: int, seed: int) -> tuple[int, int, np.nd
     if n_rows < 2:
         raise InvalidArgumentError("n_rows must be >= 2 (the k-nearest rule needs 1 <= k <= N-1)")
     seed = _validate_seed(seed)
-    return n_rows, seed, derive_key(seed, "table", model.model_id)
+    return n_rows, seed, derive_key(seed, *_table_tags(model))
+
+
+def table_keys(model: Model, seeds: np.ndarray) -> np.ndarray:
+    """The joint-stream keys of the tables with these uint64 ``seeds``, one
+    row each: row b is the key ``generate_table`` derives from seeds[b]."""
+    return derive_keys(seeds, *_table_tags(model))
+
+
+def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0) -> np.ndarray:
+    """Squared distances to s0 of every row of several equal-size tables.
+
+    Row b of the (len(keys), n_rows) result is
+    ``squared_distances(generate_table(model, n_rows, seed).summaries, s0)``,
+    bit for bit, for the seed whose key is keys[b].  Each table's words come
+    from one Philox call; the uniforms, the model's transforms and the
+    distances then run once over the whole block.  A table longer than
+    ``_CHUNK_ROWS`` is done one chunk of rows at a time, so the work beyond
+    the result is bounded by one chunk per table.
+    """
+    wpr = _words_per_row(model)
+    d2 = np.empty((len(keys), n_rows))
+    step = min(n_rows, _CHUNK_ROWS)
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        words = [row_words(key, start, stop - start, wpr) for key in keys]
+        _, summaries = _rows_from_words(model, words[0] if len(keys) == 1
+                                        else np.concatenate(words))
+        d2[:, start:stop] = squared_distances(summaries, s0).reshape(len(keys), stop - start)
+    return d2
 
 
 def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -> ReferenceTable:
@@ -294,6 +337,10 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     the restriction exactly.  If the empirical acceptance rate over at
     least ``probe_budget`` proposals falls below 1e-12 the radius is
     declared infeasible.
+
+    Accepted rows are taken in stream order, so the output does not depend
+    on batch sizes.  Batches hold ``batch_rows`` rows until a row is
+    accepted; later ones are sized from the acceptance rate seen so far.
     """
     radius = float(radius)
     if not radius > 0.0:
@@ -309,10 +356,11 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     summaries = np.empty((count, model.m))
     kept = 0
     drawn = 0
+    rows = batch_rows
     r2 = radius * radius
     while kept < count:
-        batch_thetas, batch_summaries = _joint_rows(model, key, drawn, drawn + batch_rows)
-        drawn += batch_rows
+        batch_thetas, batch_summaries = _joint_rows(model, key, drawn, drawn + rows)
+        drawn += rows
         accept = np.flatnonzero(squared_distances(batch_summaries, s0) <= r2)[:count - kept]
         thetas[kept:kept + accept.size] = batch_thetas[accept]
         summaries[kept:kept + accept.size] = batch_summaries[accept]
@@ -321,6 +369,10 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
             raise InfeasibleRadiusError(
                 f"acceptance rate below 1e-12 after {drawn} proposals "
                 f"(radius={radius!r}, s0={s0.tolist()})")
+        if kept:
+            # size the next batch from the acceptance rate so far, with a
+            # margin so that one more batch usually suffices
+            rows = min(batch_rows, math.ceil(1.2 * (count - kept) * drawn / kept) + 64)
     return thetas, summaries
 
 

@@ -9,6 +9,7 @@ bit-identical no matter how the work is chunked or how many workers run.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -16,6 +17,16 @@ from scipy.special import ndtr, ndtri
 WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter block
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_U32_MASK = 0xFFFFFFFF
+
+_thread = threading.local()  # per-thread Philox generator for row_words
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 def tag_to_int(tag: str) -> int:
@@ -23,11 +34,12 @@ def tag_to_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
 
 
+def _tag_ints(tags) -> list[int]:
+    return [tag_to_int(t) if isinstance(t, str) else int(t) & _U64_MASK for t in tags]
+
+
 def _entropy(seed: int, tags) -> list[int]:
-    ent = [int(seed) & _U64_MASK]
-    for t in tags:
-        ent.append(tag_to_int(t) if isinstance(t, str) else int(t) & _U64_MASK)
-    return ent
+    return [int(seed) & _U64_MASK] + _tag_ints(tags)
 
 
 def derive_key(seed: int, *tags) -> np.ndarray:
@@ -40,6 +52,99 @@ def derive_seed(seed: int, *tags) -> int:
     return int(np.random.SeedSequence(_entropy(seed, tags)).generate_state(1, dtype=np.uint64)[0])
 
 
+def _entropy_words(ints) -> list[int]:
+    """SeedSequence's split of entropy integers into uint32 words: low word
+    first, and one word for 0."""
+    words = []
+    for n in ints:
+        words.append(n & _U32_MASK)
+        n >>= 32
+        while n:
+            words.append(n & _U32_MASK)
+            n >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` over arrays of uint32 words.
+
+    Its running constant never depends on the data, so it is tracked as a
+    Python int and applied to every row at once.
+    """
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _U32_MASK
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_sequence_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, np.uint64)`` for each row
+    of a (rows, L) uint32 array of assembled entropy words."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    columns = list(entropy.T)
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(columns[i] if i < len(columns) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for column in columns[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(column))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * n_words)]
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
+                    axis=1)
+
+
+def _states_varying(prefix: list[int], values: np.ndarray, suffix: list[int],
+                    n_words: int) -> np.ndarray:
+    """States of the entropies ``prefix + [v] + suffix``, one row per uint64 v.
+
+    A v below 2^32 (0 included) is one entropy word, a larger one two, so
+    the two kinds are hashed apart.
+    """
+    values = np.asarray(values, dtype=np.uint64).reshape(-1)
+    out = np.empty((values.size, n_words), dtype=np.uint64)
+    low = (values & np.uint64(_U32_MASK)).astype(np.uint32)
+    high = (values >> np.uint64(32)).astype(np.uint32)
+    short = values <= np.uint64(_U32_MASK)
+    for rows, middle in ((short, [low]), (~short, [low, high])):
+        if rows.any():
+            entropy = np.empty((int(rows.sum()), len(prefix) + len(middle) + len(suffix)),
+                               dtype=np.uint32)
+            entropy[:, :len(prefix)] = prefix
+            for i, column in enumerate(middle):
+                entropy[:, len(prefix) + i] = column[rows]
+            entropy[:, len(prefix) + len(middle):] = suffix
+            out[rows] = _seed_sequence_states(entropy, n_words)
+    return out
+
+
+def derive_seeds(seed: int, *tags, count: int) -> np.ndarray:
+    """``[derive_seed(seed, *tags, r) for r in range(count)]`` as a uint64
+    array, hashed in one vectorised pass."""
+    replicates = np.arange(int(count), dtype=np.uint64)
+    return _states_varying(_entropy_words(_entropy(seed, tags)), replicates, [], 1)[:, 0]
+
+
+def derive_keys(seeds, *tags) -> np.ndarray:
+    """``derive_key(s, *tags)`` for each of ``seeds`` (uint64), as rows of a
+    (len(seeds), 2) array, hashed in one vectorised pass."""
+    return _states_varying([], seeds, _entropy_words(_tag_ints(tags)), 2)
+
+
 def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int) -> np.ndarray:
     """Raw uint64 words for rows [start_row, start_row + n_rows).
 
@@ -49,9 +154,32 @@ def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int) 
     """
     if words_per_row % WORDS_PER_BLOCK:
         raise ValueError("words_per_row must be a multiple of 4")
-    bit_gen = np.random.Philox(key=key, counter=start_row * (words_per_row // WORDS_PER_BLOCK))
+    bit_gen = _philox_at(key, start_row * (words_per_row // WORDS_PER_BLOCK))
     raw = bit_gen.random_raw(n_rows * words_per_row)
     return raw.reshape(n_rows, words_per_row)
+
+
+def _philox_at(key: np.ndarray, counter: int) -> np.random.Philox:
+    """This thread's Philox generator, in the state that
+    ``Philox(key=key, counter=counter)`` starts in.
+
+    A new Philox costs about 20 us, most of it OS entropy that the key then
+    overrides; resetting the state of one kept per thread costs about 4.
+    """
+    bit_gen = getattr(_thread, "philox", None)
+    if bit_gen is None:
+        bit_gen = _thread.philox = np.random.Philox(0)
+    bit_gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([(counter >> shift) & _U64_MASK
+                                       for shift in (0, 64, 128, 192)], dtype=np.uint64),
+                  "key": np.asarray(key, dtype=np.uint64)},
+        "buffer": np.zeros(WORDS_PER_BLOCK, dtype=np.uint64),
+        "buffer_pos": WORDS_PER_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen
 
 
 def uniform01(words: np.ndarray) -> np.ndarray:

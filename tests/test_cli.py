@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,18 @@ class TestValidateConfig:
                     "prop1.oracle_draws", "bounds.replicates", "bounds.xi0",
                     "bounds.L", "moments.replicates"):
             assert f"validate.{key}: is required" in err.value.messages
+
+    @pytest.mark.parametrize("key", ["s0", "y0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_vector_rejected(self, key, bad):
+        raw = minimal_config()
+        del raw["s0"]
+        raw[key] = [1.0, bad]
+        # json.dumps writes NaN and Infinity literals, which json.loads reads
+        # back; a 401-digit integer has no float
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(raw))
+        assert err.value.messages == [f"{key}: must contain only finite numbers"]
 
 
 _bandwidth = st.one_of(st.just("auto"),
@@ -231,6 +244,14 @@ class TestEndToEnd:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert any("N" in msg for msg in err["messages"])
+
+    def test_non_finite_s0_is_config_error(self, tmp_path, capsys):
+        raw = minimal_config(N=100, acceptance={"k": 10}, s0=[math.nan])
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["messages"] == ["s0: must contain only finite numbers"]
+        assert not out_dir.exists()
 
     def test_runtime_error_exit(self, tmp_path, capsys):
         # zero-width tolerance accepts nothing: a runtime failure, not a 0

@@ -379,6 +379,34 @@ class TestRestrictedSampler:
         assert got_thetas.tobytes() == thetas[inside][:count].tobytes()
         assert got_summaries.tobytes() == summaries[inside][:count].tobytes()
 
+    def test_batch_sizing_leaves_rows_unchanged(self, monkeypatch):
+        # about 2 % of proposals land within 0.05 of s0 = 1, so 500 draws
+        # need more than the first 2^14-row batch
+        model = get_model("gaussian_conjugate_1d")
+        s0, radius, count, seed = [1.0], 0.05, 500, 31
+        thetas, summaries = core._joint_rows(model, derive_key(seed, "restricted", model.model_id),
+                                             0, 1 << 16)
+        inside = np.flatnonzero(np.abs(summaries[:, 0] - 1.0) <= radius)
+        needed = inside[count - 1] + 1
+        assert needed > 1 << 14
+        drawn = []
+        row_words = core.row_words
+
+        def counting(key, start_row, n_rows, words_per_row):
+            drawn.append(n_rows)
+            return row_words(key, start_row, n_rows, words_per_row)
+
+        monkeypatch.setattr(core, "row_words", counting)
+        got_thetas, got_summaries = sample_restricted(model, s0, radius, count, seed=seed)
+        assert got_thetas.tobytes() == thetas[inside[:count]].tobytes()
+        assert got_summaries.tobytes() == summaries[inside[:count]].tobytes()
+        # the first batch is full size; the rest are sized from its rate
+        assert drawn[0] == 1 << 14 and max(drawn[1:]) < 1 << 14
+        assert needed <= sum(drawn) < 1.3 * needed
+        for batch in (1000, 1 << 16):
+            other = sample_restricted(model, s0, radius, count, seed=seed, batch_rows=batch)
+            assert other[0].tobytes() == got_thetas.tobytes()
+
     def test_deterministic(self):
         model = get_model("gaussian_conjugate_1d")
         a = sample_restricted(model, [1.0], 0.3, 100, seed=6)

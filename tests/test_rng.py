@@ -1,5 +1,8 @@
 """Substream machinery: chunk-independence and value hygiene."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -55,3 +58,86 @@ class TestDerivation:
         u = rng.uniform01(rng.row_words(rng.derive_key(11, "quick"), 0, 250, 4))
         assert u.size == 1000
         assert np.all((u > 0) & (u < 1))
+
+
+def _seed_sequence(entropy, n_words):
+    return np.random.SeedSequence(entropy).generate_state(n_words, dtype=np.uint64)
+
+
+# seeds whose entropy is one 32-bit word (0 included) or two
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+class TestVectorisedDerivation:
+    """derive_seeds/derive_keys against numpy's SeedSequence itself, on
+    60 000 + 40 000 random entropy tuples."""
+
+    @pytest.mark.parametrize("tags", [("table", "gauss_5d"), (), (0, 2**40 + 3, "bound")])
+    def test_derive_keys_matches_seed_sequence(self, tags):
+        gen = np.random.default_rng(len(tags))
+        seeds = gen.integers(0, 2**64 - 1, size=20_000, dtype=np.uint64, endpoint=True)
+        seeds[::3] >>= np.uint64(32)    # derived seeds below 2^32
+        seeds[:len(_EDGE_SEEDS)] = _EDGE_SEEDS
+        tag_ints = rng._tag_ints(tags)
+        expected = np.array([_seed_sequence([s, *tag_ints], 2) for s in seeds.tolist()])
+        got = rng.derive_keys(seeds, *tags)
+        assert got.dtype == np.uint64 and got.shape == (seeds.size, 2)
+        assert np.array_equal(got, expected)
+
+    def test_derive_seeds_matches_seed_sequence(self):
+        gen = np.random.default_rng(7)
+        for case in range(40):
+            seed = (_EDGE_SEEDS[case] if case < len(_EDGE_SEEDS)
+                    else int(gen.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True)))
+            tags = [("bound", int(gen.integers(0, 4))), ("mise",), (),
+                    (2**33, "a", 2**64 - 1), ("rate", 0, "x")][case % 5]
+            entropy = rng._entropy(seed, tags)
+            got = rng.derive_seeds(seed, *tags, count=1000)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, [_seed_sequence(entropy + [r], 1)[0]
+                                        for r in range(1000)])
+
+    def test_match_the_scalar_functions(self):
+        seeds = rng.derive_seeds(5000, "bound", 1, count=50)
+        assert seeds.tolist() == [rng.derive_seed(5000, "bound", 1, r) for r in range(50)]
+        keys = rng.derive_keys(seeds, "table", "uniform_box_1d")
+        assert np.array_equal(keys, [rng.derive_key(s, "table", "uniform_box_1d")
+                                     for s in seeds.tolist()])
+
+    def test_empty(self):
+        assert rng.derive_seeds(3, "x", count=0).shape == (0,)
+        assert rng.derive_keys(np.array([], dtype=np.uint64), "x").shape == (0, 2)
+
+
+class TestPhiloxReuse:
+    def test_row_words_match_a_fresh_generator(self):
+        gen = np.random.default_rng(12)
+        for case in range(300):
+            key = gen.integers(0, 2**64 - 1, size=2, dtype=np.uint64, endpoint=True)
+            start = int(gen.integers(0, 2**40)) if case % 2 else int(gen.integers(0, 64))
+            wpr = int(gen.choice([4, 8, 12]))
+            n = int(gen.integers(1, 40))
+            fresh = np.random.Philox(key=key, counter=start * (wpr // 4))
+            assert np.array_equal(rng.row_words(key, start, n, wpr),
+                                  fresh.random_raw(n * wpr).reshape(n, wpr))
+
+    def test_threads_keep_their_own_generator(self):
+        # more threads than cores, switching often: a generator shared
+        # between threads would hand one thread another's words
+        keys = list(rng.derive_keys(np.arange(64, dtype=np.uint64), "t"))
+        expected = [np.random.Philox(key=key, counter=3).random_raw(4000) for key in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda key: rng.row_words(key, 3, 1000, 4).ravel(), keys,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_counter_beyond_64_bits(self):
+        key = np.array([5, 6], dtype=np.uint64)
+        counter = 2**200 + 2**130 + 2**64 + 7
+        assert np.array_equal(rng._philox_at(key, counter).random_raw(12),
+                              np.random.Philox(key=key, counter=counter).random_raw(12))

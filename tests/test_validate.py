@@ -1,15 +1,18 @@
 """Validation harness at reduced scale (full scale runs in acceptance)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from knnabc import (bound_check, conditional_law_test, get_model, mise_estimate,
-                    moment_consistency, prop1_calibration, rate_experiment)
+from knnabc import (bound_check, conditional_law_test, core, generate_table, get_model,
+                    mise_estimate, moment_consistency, prop1_calibration, rate_experiment)
+from knnabc.core import squared_distances
 from knnabc.errors import InvalidArgumentError, KnnAbcError, UnsupportedModelError
 from knnabc.estimators import make_kernel
+from knnabc.rng import derive_seed
 from knnabc.validate import integrated_squared_error
 
 
@@ -173,6 +176,88 @@ class TestBoundCheck:
         with pytest.raises(InvalidArgumentError, match="order must be 2 or 4"):
             bound_check(model, [0.5], [(999, 9)], xi0=1.0, L_diam=1.0,
                         order=3, replicates=5, seed=1)
+
+
+_BOUND_MODELS = [
+    # (model, s0, xi0, L): every pair below meets the bound hypothesis
+    ("uniform_box_1d", [0.5], 1.0, 1.0),
+    ("uniform_ball_1d", [0.45], 0.05, 20.0),
+    ("gaussian_conjugate_1d", [1.0], 0.05, 20.0),
+    ("gauss_5d", [1.0, 0.2, -0.1, 0.0, 0.3], 0.05, 20.0),   # the m > 1 einsum path
+    ("gaussian_mean_demo", [0.4], 0.05, 20.0),
+]
+
+
+def _bound_reference(model, s0, n_rows, k, order, replicates, seed, j):
+    """bound_check's moment for pair j, one whole table per replicate."""
+    moments = []
+    for r in range(replicates):
+        table = generate_table(model, n_rows, derive_seed(seed, "bound", j, r))
+        d2 = squared_distances(table.summaries, s0)
+        moments.append(float(np.partition(d2, k)[k]) ** (order / 2))
+    return float(np.array(moments).mean())
+
+
+class TestBoundCheckBlocks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model_id, s0, xi0, L", _BOUND_MODELS)
+    def test_matches_per_replicate_tables(self, model_id, s0, xi0, L, workers):
+        # 999 and 301 do not divide the block size, and 43 replicates are a
+        # whole number of neither's blocks (8 and 27 tables)
+        model = get_model(model_id)
+        pairs, replicates, seed = [(999, 9), (301, 4)], 43, 84
+        for order in (2, 4):
+            got = bound_check(model, s0, pairs, xi0, L, order, replicates, seed,
+                              max_workers=workers)
+            for j, (entry, (n_rows, k)) in enumerate(zip(got, pairs)):
+                assert entry["tested"]
+                assert entry["empirical_moment"] == _bound_reference(
+                    model, s0, n_rows, k, order, replicates, seed, j)
+
+    @pytest.mark.parametrize("model_id", ["gauss_5d", "gaussian_mean_demo"])
+    def test_tables_longer_than_a_chunk(self, model_id, monkeypatch):
+        # a 64-row chunk makes a 300-row table take the chunked path
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 64)
+        model = get_model(model_id)
+        s0 = np.linspace(0.5, -0.5, model.m)
+        seeds = np.array([3, 2**40 + 1, 0], dtype=np.uint64)
+        got = core.block_distances(model, core.table_keys(model, seeds), 300, s0)
+        expected = [squared_distances(generate_table(model, 300, int(s)).summaries, s0)
+                    for s in seeds]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n_rows, k", [(999, 9), (9999, 99)])
+    def test_memory_does_not_grow_with_replicates(self, n_rows, k):
+        # each block's distances are freed once its d_(k+1) values are read
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bound_check(get_model("uniform_box_1d"), [0.5], [(n_rows, k)], xi0=1.0,
+                            L_diam=1.0, order=2, replicates=replicates, seed=85)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) - peak(40) < 1 << 20
+
+    @pytest.mark.parametrize("replicates", [0, -2])
+    def test_replicates_must_be_positive(self, replicates):
+        with pytest.raises(InvalidArgumentError, match="replicates"):
+            bound_check(get_model("uniform_box_1d"), [0.5], [(999, 9)], xi0=1.0,
+                        L_diam=1.0, order=2, replicates=replicates, seed=1)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (999, 0), (10, 10)])
+    def test_k_outside_the_table_raises(self, pair):
+        with pytest.raises(InvalidArgumentError, match="k must satisfy"):
+            bound_check(get_model("uniform_box_1d"), [0.5], [pair], xi0=1.0,
+                        L_diam=1.0, order=2, replicates=3, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_s0_must_be_finite(self, bad):
+        with pytest.raises(InvalidArgumentError, match="s0 must be finite"):
+            bound_check(get_model("uniform_box_1d"), [bad], [(999, 9)], xi0=1.0,
+                        L_diam=1.0, order=2, replicates=3, seed=1)
 
 
 class TestMomentConsistency:
