@@ -133,14 +133,17 @@ def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0) -> np.ndarr
     the result is bounded by one chunk per table.
     """
     wpr = _words_per_row(model)
-    d2 = np.empty((len(keys), n_rows))
+    n_tables = len(keys)
+    d2 = np.empty((n_tables, n_rows))
     step = min(n_rows, _CHUNK_ROWS)
+    words = np.empty((n_tables * step, wpr), dtype=np.uint64)
+    bit_gen = np.random.Philox(0)  # reset to each table's key by row_words
     for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        words = [row_words(key, start, stop - start, wpr) for key in keys]
-        _, summaries = _rows_from_words(model, words[0] if len(keys) == 1
-                                        else np.concatenate(words))
-        d2[:, start:stop] = squared_distances(summaries, s0).reshape(len(keys), stop - start)
+        rows = min(step, n_rows - start)
+        for b, key in enumerate(keys):
+            words[b * rows:(b + 1) * rows] = row_words(key, start, rows, wpr, bit_gen)
+        _, summaries = _rows_from_words(model, words[:n_tables * rows])
+        d2[:, start:start + rows] = squared_distances(summaries, s0).reshape(n_tables, rows)
     return d2
 
 

@@ -9,7 +9,6 @@ bit-identical no matter how the work is chunked or how many workers run.
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -18,8 +17,6 @@ WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter block
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _U32_MASK = 0xFFFFFFFF
-
-_thread = threading.local()  # per-thread Philox generator for row_words
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
 _POOL_SIZE = 4
@@ -145,30 +142,33 @@ def derive_keys(seeds, *tags) -> np.ndarray:
     return _states_varying([], seeds, _entropy_words(_tag_ints(tags)), 2)
 
 
-def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int) -> np.ndarray:
+def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int,
+              bit_gen: np.random.Philox | None = None) -> np.ndarray:
     """Raw uint64 words for rows [start_row, start_row + n_rows).
 
     Row i always receives counter words [i*words_per_row, (i+1)*words_per_row),
     so the result is independent of where chunk boundaries fall.
     ``words_per_row`` must be a multiple of 4 to align with Philox blocks.
+    A caller that draws from many keys in a row may pass its own ``bit_gen``,
+    which is reset to the key and counter instead of a new one being built.
     """
     if words_per_row % WORDS_PER_BLOCK:
         raise ValueError("words_per_row must be a multiple of 4")
-    bit_gen = _philox_at(key, start_row * (words_per_row // WORDS_PER_BLOCK))
+    counter = start_row * (words_per_row // WORDS_PER_BLOCK)
+    if bit_gen is None:
+        bit_gen = np.random.Philox(key=key, counter=counter)
+    else:
+        _reset_philox(bit_gen, key, counter)
     raw = bit_gen.random_raw(n_rows * words_per_row)
     return raw.reshape(n_rows, words_per_row)
 
 
-def _philox_at(key: np.ndarray, counter: int) -> np.random.Philox:
-    """This thread's Philox generator, in the state that
-    ``Philox(key=key, counter=counter)`` starts in.
+def _reset_philox(bit_gen: np.random.Philox, key: np.ndarray, counter: int) -> None:
+    """Put ``bit_gen`` in the state ``Philox(key=key, counter=counter)`` starts in.
 
-    A new Philox costs about 20 us, most of it OS entropy that the key then
-    overrides; resetting the state of one kept per thread costs about 4.
+    A new Philox costs about 15 us, most of it OS entropy that the key then
+    overrides; setting the state costs about 4.
     """
-    bit_gen = getattr(_thread, "philox", None)
-    if bit_gen is None:
-        bit_gen = _thread.philox = np.random.Philox(0)
     bit_gen.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([(counter >> shift) & _U64_MASK
@@ -179,7 +179,6 @@ def _philox_at(key: np.ndarray, counter: int) -> np.random.Philox:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return bit_gen
 
 
 def uniform01(words: np.ndarray) -> np.ndarray:

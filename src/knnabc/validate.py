@@ -236,7 +236,9 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
             results.append({"N": n_rows, "k": k, "tested": False,
                             "reason": str(exc), "holds": None})
             continue
-        k = core._check_k(k, n_rows)
+        if n_rows < 2 or not 0 <= k <= n_rows - 1:
+            raise InvalidArgumentError(
+                f"each (N, k) pair needs N >= 2 and 0 <= k <= N-1, got ({n_rows}, {k})")
         keys = core.table_keys(model, derive_seeds(seed, "bound", j, count=replicates))
         per_block = max(1, _BOUND_BLOCK_ROWS // n_rows)
 

@@ -247,9 +247,15 @@ class TestBoundCheckBlocks:
             bound_check(get_model("uniform_box_1d"), [0.5], [(999, 9)], xi0=1.0,
                         L_diam=1.0, order=2, replicates=replicates, seed=1)
 
-    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (999, 0), (10, 10)])
-    def test_k_outside_the_table_raises(self, pair):
-        with pytest.raises(InvalidArgumentError, match="k must satisfy"):
+    def test_k_zero_reads_the_nearest_distance(self):
+        model = get_model("uniform_box_1d")
+        got = bound_check(model, [0.5], [(999, 0)], xi0=1.0, L_diam=1.0, order=2,
+                          replicates=20, seed=1)
+        assert got[0]["empirical_moment"] == _bound_reference(model, [0.5], 999, 0, 2, 20, 1, 0)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (10, 10), (10, -1)])
+    def test_pair_outside_the_table_raises(self, pair):
+        with pytest.raises(InvalidArgumentError, match="0 <= k <= N-1"):
             bound_check(get_model("uniform_box_1d"), [0.5], [pair], xi0=1.0,
                         L_diam=1.0, order=2, replicates=3, seed=1)
 
