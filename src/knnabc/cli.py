@@ -95,6 +95,15 @@ class _Checker:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _is_finite(value) -> bool:
+    """Whether a JSON number has a finite float value: json.loads takes the
+    literals NaN and Infinity, and integers beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_number(checker, obj, key, path, *, integer=False, required=False,
                   minimum=None, maximum=None, exclusive_min=None, exclusive_max=None):
     if key not in obj:
@@ -104,6 +113,10 @@ def _check_number(checker, obj, key, path, *, integer=False, required=False,
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         checker.fail(f"{path}{key}", "must be a number")
+        return None
+    # an integer key keeps any int exactly; its bounds are checked below
+    if not (integer and isinstance(value, int)) and not _is_finite(value):
+        checker.fail(f"{path}{key}", "must be a finite number")
         return None
     if integer and not isinstance(value, int):
         checker.fail(f"{path}{key}", "must be an integer")
@@ -200,8 +213,11 @@ def validate_config(config_text: str) -> RunConfig:
 
     bandwidth = raw.get("bandwidth", "auto")
     if bandwidth != "auto":
-        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)) \
-                or not bandwidth > 0:
+        is_number = not isinstance(bandwidth, bool) and isinstance(bandwidth, (int, float))
+        if is_number and not _is_finite(bandwidth):
+            checker.fail("bandwidth", "must be a finite number")
+            bandwidth = "auto"
+        elif not (is_number and bandwidth > 0):
             checker.fail("bandwidth", "must be a positive number or 'auto'")
             bandwidth = "auto"
         else:
@@ -219,14 +235,10 @@ def validate_config(config_text: str) -> RunConfig:
                 any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
             checker.fail(key, "must be a non-empty array of numbers")
             return None
-        try:
-            vector = tuple(float(v) for v in value)
-        except OverflowError:  # an integer beyond the float range
-            vector = (math.inf,)
-        # json.loads takes the literals NaN and Infinity
-        if not all(map(math.isfinite, vector)):
+        if not all(map(_is_finite, value)):
             checker.fail(key, "must contain only finite numbers")
-        return vector
+            return tuple(value)  # present, so not also reported as missing
+        return tuple(float(v) for v in value)
 
     s0 = _vector("s0")
     y0 = _vector("y0")

@@ -114,6 +114,33 @@ class TestValidateConfig:
             validate_config(json.dumps(raw))
         assert err.value.messages == [f"{key}: must contain only finite numbers"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("path", [
+        "bandwidth", "N", "seed", "acceptance.k", "acceptance.percentile",
+        "acceptance.epsilon", "grid.points", "grid.padding", "validate.rates.c_k",
+        "validate.bounds.xi0", "validate.bounds.L",
+    ])
+    def test_non_finite_number_rejected(self, path, bad):
+        raw = minimal_config(grid={}, validate={
+            "rates": {"Ns": [200, 400, 800], "replicates": 2},
+            "bounds": {"pairs": [[999, 9]], "replicates": 5, "xi0": 1.0, "L": 1.0}})
+        *parents, key = path.split(".")
+        obj = raw
+        for name in parents:
+            obj = obj[name]
+        if parents == ["acceptance"]:
+            obj.clear()
+        obj[key] = bad
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(raw))
+        assert err.value.messages == [f"{path}: must be a finite number"]
+
+    def test_float_key_beyond_float_range_rejected(self):
+        raw = minimal_config(grid={"padding": 10**400})
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(raw))
+        assert err.value.messages == ["grid.padding: must be a finite number"]
+
 
 _bandwidth = st.one_of(st.just("auto"),
                        st.floats(min_value=0.001, max_value=10.0, allow_nan=False))
@@ -252,6 +279,22 @@ class TestEndToEnd:
         err = json.loads(capsys.readouterr().err)
         assert err["messages"] == ["s0: must contain only finite numbers"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"bandwidth": math.inf}, EXIT_CONFIG),
+        ({"grid": {"padding": math.inf}}, EXIT_CONFIG),
+        # finite, but the padded grid ends overflow
+        ({"bandwidth": 1e308}, EXIT_RUNTIME),
+        ({"grid": {"padding": 1e308}, "bandwidth": 10.0}, EXIT_RUNTIME),
+    ], ids=["bandwidth-inf", "padding-inf", "bandwidth-1e308", "padding-1e308"])
+    def test_grid_beyond_float_range_is_an_error(self, tmp_path, capsys, overrides,
+                                                  expected):
+        raw = minimal_config(N=2000, acceptance={"k": 50}, **overrides)
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == expected
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == ("config" if expected == EXIT_CONFIG else "runtime")
+        assert not (out_dir / "density.csv").exists()
 
     def test_runtime_error_exit(self, tmp_path, capsys):
         # zero-width tolerance accepts nothing: a runtime failure, not a 0

@@ -2,21 +2,23 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from knnabc import (abc_knn, cli, g_hat, g_rosenblatt, g_smoothed_nn, get_model,
-                    generate_table, kernel_eval, make_kernel,
+from knnabc import (abc_knn, cli, estimators, g_hat, g_rosenblatt, g_smoothed_nn,
+                    get_model, generate_table, kernel_eval, make_kernel,
                     posterior_functional, unit_ball_volume)
 from knnabc.cli import validate_config
 from knnabc.core import AcceptedSet, ReferenceTable
 from knnabc.errors import (DegenerateScaleError, EmptyAcceptedSetError,
                            InvalidArgumentError, UndefinedEstimateError)
-from knnabc.estimators import (default_grid, estimate_density,
-                               g_hat_many, grid_points, kernel_second_moment,
-                               kernel_square_integral)
+from knnabc.estimators import (BLOCK_ENTRIES, EXP_FLOOR, _gaussian_exp, default_grid,
+                               estimate_density, g_hat_many, grid_points,
+                               kernel_second_moment, kernel_square_integral)
 
 
 def _accepted(thetas, radius_next=1.0):
@@ -314,3 +316,61 @@ class TestTensorGridEvaluation:
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert np.any(np.abs(d2 - h * h) <= 1e-12)
         self._assert_matches_dense(_accepted(centers), h, "naive", axes)
+
+
+class TestGaussianExpFloor:
+    """Gaussian kernel factors below exp(EXP_FLOOR) are exactly 0, which
+    keeps numpy's exp off its scalar path; every other factor keeps the
+    bits of np.exp."""
+
+    def test_matches_np_exp_above_floor_and_zero_below(self):
+        edges = np.array([EXP_FLOOR, -708.4, -745.2, -0.0])
+        a = np.concatenate([np.linspace(-800.0, 0.0, 8001), edges,
+                            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        got = _gaussian_exp(a.copy())
+        keep = a >= EXP_FLOOR
+        assert got[keep].tobytes() == np.exp(a[keep]).tobytes()
+        assert np.all(got[~keep] == 0.0) and not np.signbit(got).any()
+        assert got[a == EXP_FLOOR][0] == math.exp(EXP_FLOOR) > 0.0
+
+    def test_two_clusters_100h_apart(self):
+        # grid points between the clusters lie up to 50h from every centre;
+        # a centre beyond about 37h adds 0 instead of a factor below
+        # exp(EXP_FLOOR), so a value moves by at most K(0) exp(EXP_FLOOR) / h
+        h = 0.1
+        gen = np.random.default_rng(61)
+        acc = _accepted(np.concatenate([gen.uniform(0.0, 2 * h, 40),
+                                        gen.uniform(100 * h, 102 * h, 40)]))
+        kernel = make_kernel("gaussian", 1)
+        axes = default_grid(acc, h, points=2001)
+
+        def both_paths():
+            return (estimate_density(acc, h, kernel, axes=axes).values,
+                    g_hat_many(acc, h, kernel, grid_points(axes)))
+
+        tensor, dense = both_paths()
+        with mock.patch.object(estimators, "_gaussian_exp", np.exp):
+            references = both_paths()
+        assert np.array_equal(tensor > 0, dense > 0)
+        for got, want in zip((tensor, dense), references):
+            large = want >= 1e-280
+            assert got[large].tobytes() == want[large].tobytes()
+            assert (got != want).any()
+            assert np.abs(got - want).max() <= kernel.normalizer * math.exp(EXP_FLOOR) / h
+
+
+def test_g_hat_many_memory_flat_in_k():
+    points = np.linspace(-3.0, 3.0, 1024)[:, None]
+    kernel = make_kernel("gaussian", 1)
+    peaks = []
+    for k in (1_000, 10_000):
+        acc = _accepted(np.linspace(-2.0, 2.0, k))
+        tracemalloc.start()
+        try:
+            g_hat_many(acc, 0.3, kernel, points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a few (rows, k) temporaries of about BLOCK_ENTRIES entries each
+    assert max(peaks) <= 8 * 8 * BLOCK_ENTRIES
+    assert peaks[1] <= 1.25 * peaks[0]

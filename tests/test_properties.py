@@ -1,15 +1,17 @@
 """Property tests for the structural invariants of the engine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from knnabc import (abc_knn, abc_tolerance, distance_moment_bound, generate_table,
-                    get_model, make_kernel, model_ids, percentile_to_k, simulate_knn,
-                    unit_ball_volume)
-from knnabc.core import _CHUNK_ROWS, ReferenceTable, squared_distances
+from knnabc import (abc_knn, abc_tolerance, distance_moment_bound, estimators,
+                    generate_table, get_model, make_kernel, model_ids, percentile_to_k,
+                    simulate_knn, unit_ball_volume)
+from knnabc.core import _CHUNK_ROWS, AcceptedSet, ReferenceTable, squared_distances
 from knnabc.estimators import kernel_eval
 
 
@@ -118,6 +120,35 @@ class TestKernelProperties:
         assert value >= 0.0
         assert value == kernel_eval(kernel, -u)
         assert value <= kernel.normalizer  # the mode sits at the origin
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_gaussian_floor_keeps_values_above_1e_280(self, data):
+        # only kernel factors below exp(EXP_FLOOR) ~ 1e-304 are dropped, so
+        # every value the plain np.exp gives at >= 1e-280 keeps its bits
+        p = data.draw(st.sampled_from([1, 2]))
+        k = data.draw(st.integers(1, 30))
+        thetas = data.draw(hnp.arrays(np.float64, (k, p),
+                                      elements=st.floats(-5, 5, width=32)))
+        h = data.draw(st.floats(0.01, 2.0))
+        axes = tuple(data.draw(hnp.arrays(np.float64, st.integers(1, 40),
+                                          elements=st.floats(-20, 20, width=32)))
+                     for _ in range(p))
+        accepted = AcceptedSet(ordered_thetas=thetas, ordered_summaries=np.zeros((k, 1)),
+                               distances=np.zeros(k), radius_next=1.0,
+                               source_indices=np.arange(k, dtype=np.int64))
+        kernel = make_kernel("gaussian", p)
+
+        def both_paths():
+            return (estimators.estimate_density(accepted, h, kernel, axes=axes).values,
+                    estimators.g_hat_many(accepted, h, kernel, estimators.grid_points(axes)))
+
+        got = both_paths()
+        with mock.patch.object(estimators, "_gaussian_exp", np.exp):
+            references = both_paths()
+        for value, reference in zip(got, references):
+            large = reference >= 1e-280
+            assert value[large].tobytes() == reference[large].tobytes()
 
     def test_ball_volume_ratio_identity(self):
         # V_p / V_{p-2} = 2 pi / p, a sharp closed-form consistency check
