@@ -14,13 +14,13 @@ __version__ = "0.1.0"
 from .core import (AcceptedSet, ReferenceTable, abc_knn, abc_tolerance,
                    generate_table, percentile_to_k, sample_restricted, simulate_knn)
 from .estimators import (DensityEstimate, KernelSpec, estimate_density, g_hat,
-                         g_rosenblatt, g_smoothed_nn, kernel_eval, make_kernel,
+                         g_rosenblatt, g_smoothed_nn, make_kernel,
                          posterior_functional, unit_ball_volume)
 from .models import (Model, PosteriorOracle, get_model, model_ids,
                      oracle_posterior_pdf)
-from .tuning import (Schedule, TheoreticalQuantities, acceptance_fraction,
-                     distance_moment_bound, estimate_xi0, mise_prediction,
-                     mise_rate_quantities, resolve_schedule, schedule)
+from .tuning import (Schedule, TheoreticalQuantities, distance_moment_bound,
+                     mise_prediction, mise_rate_quantities, resolve_schedule,
+                     schedule)
 from .validate import (MiseReport, RateReport, bound_check, conditional_law_test,
                        mise_estimate, moment_consistency, prop1_calibration,
                        rate_experiment)
@@ -29,10 +29,9 @@ __all__ = [
     "AcceptedSet", "DensityEstimate", "KernelSpec", "MiseReport", "Model",
     "PosteriorOracle", "RateReport", "ReferenceTable", "Schedule",
     "TheoreticalQuantities", "__version__", "abc_knn", "abc_tolerance",
-    "acceptance_fraction", "bound_check", "conditional_law_test",
-    "distance_moment_bound", "estimate_density", "estimate_xi0", "g_hat",
-    "g_rosenblatt", "g_smoothed_nn", "generate_table", "get_model",
-    "kernel_eval", "make_kernel", "mise_estimate", "mise_prediction",
+    "bound_check", "conditional_law_test", "distance_moment_bound",
+    "estimate_density", "g_hat", "g_rosenblatt", "g_smoothed_nn",
+    "generate_table", "get_model", "make_kernel", "mise_estimate", "mise_prediction",
     "mise_rate_quantities", "model_ids", "moment_consistency",
     "oracle_posterior_pdf", "percentile_to_k", "posterior_functional",
     "prop1_calibration", "rate_experiment", "resolve_schedule",

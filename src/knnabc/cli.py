@@ -13,28 +13,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, core, estimators, tuning, validate
 from .errors import ConfigurationError, KnnAbcError
-from .fileio import (atomic_write_bytes, dumps_json, jsonify, write_csv,
-                     write_json)
+from .fileio import atomic_write_bytes, jsonify, write_csv, write_json
 from .models import Model, get_model, model_ids
+from .numerics import is_finite
 
 SCHEMA_ID = "abc-config/1"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_ACCEPTANCE_KEYS = ("k", "percentile", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -55,101 +52,110 @@ class RunConfig:
     grid_padding: float = estimators.GRID_PADDING
     blocks: dict = field(default_factory=dict)   # per-command option blocks
 
-    def to_dict(self) -> dict:
-        acceptance = {self.acceptance_mode: self.acceptance_value}
-        out = {
-            "schema": SCHEMA_ID,
-            "model": {"id": self.model_id, "params": dict(self.model_params)},
-            "N": self.n_rows,
-            "seed": self.seed,
-            "acceptance": acceptance,
-            "bandwidth": self.bandwidth,
-            "kernel": self.kernel,
-            "grid": {"points": self.grid_points, "padding": self.grid_padding},
-        }
-        if self.s0 is not None:
-            out["s0"] = list(self.s0)
-        if self.y0 is not None:
-            out["y0"] = list(self.y0)
-        if self.blocks:
-            out["validate"] = {k: dict(v) for k, v in self.blocks.items()}
-        return out
+
+# The rule of a number key: an integer or any finite number, required or
+# not, and bounds ``low`` and ``high``, inclusive or, when ``open``,
+# exclusive; ``why`` follows the message of a failed lower bound.
+class _Number(NamedTuple):
+    integer: bool = False
+    required: bool = False
+    low: object = None
+    high: object = None
+    open: bool = False
+    why: str = ""
 
 
-def serialize(config: RunConfig) -> str:
-    return dumps_json(config.to_dict())
+# Every number key of a config, by JSON path.  With _OTHER_KEYS these
+# paths are also the keys each object accepts.
+_NUMBERS = {
+    "N": _Number(integer=True, required=True, low=2,
+                 why=" (the k-nearest rule needs 1 <= k <= N-1)"),
+    # seed is mandatory: a wall-clock default would break reproducibility
+    "seed": _Number(integer=True, required=True, low=0, high=core.SEED_MAX),
+    "acceptance.k": _Number(integer=True, low=1),
+    "acceptance.percentile": _Number(low=0, high=1, open=True),
+    "acceptance.epsilon": _Number(low=0.0),
+    "grid.points": _Number(integer=True, low=2, high=estimators.GRID_CAP),
+    "grid.padding": _Number(low=0.0, open=True),
+    "validate.mise.replicates": _Number(integer=True, required=True, low=2),
+    "validate.rates.replicates": _Number(integer=True, required=True, low=2),
+    "validate.rates.c_k": _Number(low=0.0, open=True),
+    "validate.prop1.runs": _Number(integer=True, required=True, low=1),
+    "validate.prop1.oracle_draws": _Number(integer=True, required=True, low=1),
+    "validate.bounds.replicates": _Number(integer=True, required=True, low=1),
+    "validate.bounds.xi0": _Number(required=True, low=0.0, open=True),
+    "validate.bounds.L": _Number(required=True, low=0.0, open=True),
+    "validate.moments.replicates": _Number(integer=True, required=True, low=2),
+}
+# the keys that are not numbers, checked in validate_config and _validate_block
+_OTHER_KEYS = ("schema", "model.id", "model.params", "bandwidth", "kernel", "s0", "y0",
+               "validate.rates.Ns", "validate.prop1.negative_control",
+               "validate.bounds.pairs", "validate.bounds.order", "validate.moments.phis")
 
 
-class _Checker:
-    """Collects path-qualified validation errors."""
-
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def fail(self, path: str, message: str):
-        self.errors.append(f"{path}: {message}" if path else message)
-
-    def reject_unknown(self, obj: dict, allowed, path: str):
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
+def _keys(path: str) -> tuple:
+    """The keys the object at ``path`` ("" for the top level) accepts."""
+    prefix = f"{path}." if path else ""
+    return tuple(dict.fromkeys(
+        key[len(prefix):].split(".")[0]
+        for key in (*_NUMBERS, *_OTHER_KEYS) if key.startswith(prefix)))
 
 
-def _is_finite(value) -> bool:
-    """Whether a JSON number has a finite float value: json.loads takes the
-    literals NaN and Infinity, and integers beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
+def _object(errors: list, value, path: str, required: bool = False) -> bool:
+    """Whether ``value``, found at ``path``, is an object; its unknown keys
+    are reported."""
+    if not isinstance(value, dict):
+        errors.append(f"{path}: is required and must be an object" if required
+                      else f"{path}: must be an object")
         return False
+    allowed = _keys(path)
+    errors.extend(f"{path}.{key}: unknown key" if path else f"{key}: unknown key"
+                  for key in value if key not in allowed)
+    return True
 
 
-def _check_number(checker, obj, key, path, *, integer=False, required=False,
-                  minimum=None, maximum=None, exclusive_min=None, exclusive_max=None):
+def _check_number(errors: list, obj: dict, path: str):
+    """Apply the rule of ``path`` to its key in ``obj``: the value if it
+    passes, else None with the failure appended to ``errors``."""
+    rule = _NUMBERS[path]
+    key = path.rpartition(".")[2]
     if key not in obj:
-        if required:
-            checker.fail(f"{path}{key}", "is required")
+        if rule.required:
+            errors.append(f"{path}: is required")
         return None
     value = obj[key]
+    low, high = rule.low, rule.high
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        checker.fail(f"{path}{key}", "must be a number")
-        return None
+        problem = "must be a number"
     # an integer key keeps any int exactly; its bounds are checked below
-    if not (integer and isinstance(value, int)) and not _is_finite(value):
-        checker.fail(f"{path}{key}", "must be a finite number")
-        return None
-    if integer and not isinstance(value, int):
-        checker.fail(f"{path}{key}", "must be an integer")
-        return None
-    if minimum is not None and value < minimum:
-        checker.fail(f"{path}{key}", f"must be >= {minimum}")
-        return None
-    if maximum is not None and value > maximum:
-        checker.fail(f"{path}{key}", f"must be <= {maximum}")
-        return None
-    if exclusive_min is not None and not value > exclusive_min:
-        checker.fail(f"{path}{key}", f"must be > {exclusive_min}")
-        return None
-    if exclusive_max is not None and not value < exclusive_max:
-        checker.fail(f"{path}{key}", f"must be < {exclusive_max}")
-        return None
-    return value
+    elif not (rule.integer and isinstance(value, int)) and not is_finite(value):
+        problem = "must be a finite number"
+    elif rule.integer and not isinstance(value, int):
+        problem = "must be an integer"
+    elif rule.open and not (low < value and (high is None or value < high)):
+        problem = f"must be > {low}" if high is None else f"must be in ({low},{high})"
+    elif not rule.open and low is not None and value < low:
+        problem = f"must be >= {low}{rule.why}"
+    elif not rule.open and high is not None and value > high:
+        problem = f"must be <= {high}"
+    else:
+        return value
+    errors.append(f"{path}: {problem}")
+    return None
 
 
-def _check_seed(checker, obj):
-    return _check_number(checker, obj, "seed", "", integer=True, required=True,
-                         minimum=0, maximum=core.SEED_MAX)
-
-
-_TOP_KEYS = {"schema", "model", "N", "seed", "acceptance", "bandwidth",
-             "kernel", "s0", "y0", "grid", "validate"}
-_VALIDATE_BLOCKS = {"mise", "rates", "prop1", "bounds", "moments"}
+def _numbers(errors: list, obj: dict, path: str) -> dict:
+    """Check every number key of the object at ``path``; map each key to
+    its value, or to None where it is absent or fails."""
+    prefix = f"{path}." if path else ""
+    return {key: _check_number(errors, obj, prefix + key)
+            for key in _keys(path) if prefix + key in _NUMBERS}
 
 
 def validate_config(config_text: str) -> RunConfig:
     """Parse and fully validate a JSON config, reporting every problem at
     once; unknown keys anywhere are rejected."""
-    checker = _Checker()
+    errors: list[str] = []
     try:
         raw = json.loads(config_text)
     except json.JSONDecodeError as exc:
@@ -157,75 +163,50 @@ def validate_config(config_text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(["config must be a JSON object"])
 
-    checker.reject_unknown(raw, _TOP_KEYS, "")
+    _object(errors, raw, "")
     if raw.get("schema") != SCHEMA_ID:
-        checker.fail("schema", f"must be '{SCHEMA_ID}'")
+        errors.append(f"schema: must be '{SCHEMA_ID}'")
 
-    model_id, model_params = "", {}
     model = raw.get("model")
-    if not isinstance(model, dict):
-        checker.fail("model", "is required and must be an object")
-    else:
-        checker.reject_unknown(model, {"id", "params"}, "model")
-        if not isinstance(model.get("id"), str):
-            checker.fail("model.id", "is required and must be a string")
-        else:
-            model_id = model["id"]
-            if model_id not in model_ids():
-                checker.fail("model.id", f"unknown model; available: {', '.join(model_ids())}")
-        params = model.get("params", {})
-        if not isinstance(params, dict):
-            checker.fail("model.params", "must be an object")
-        else:
-            model_params = params
+    if _object(errors, model, "model", required=True):
+        model_id = model.get("id")
+        if not isinstance(model_id, str):
+            errors.append("model.id: is required and must be a string")
+        elif model_id not in model_ids():
+            errors.append(f"model.id: unknown model; available: {', '.join(model_ids())}")
+        model_params = model.get("params", {})
+        if not isinstance(model_params, dict):
+            errors.append("model.params: must be an object")
 
-    n_rows = _check_number(checker, raw, "N", "", integer=True, required=True)
-    if n_rows is not None and n_rows < 2:
-        checker.fail("N", "must be >= 2 (the k-nearest rule needs 1 <= k <= N-1)")
-    # seed is mandatory: a wall-clock default would break reproducibility
-    seed = _check_seed(checker, raw)
+    top = _numbers(errors, raw, "")
+    n_rows, seed = top["N"], top["seed"]
 
     acceptance_mode, acceptance_value = "", 0.0
     acceptance = raw.get("acceptance")
-    if not isinstance(acceptance, dict):
-        checker.fail("acceptance", "is required and must be an object")
-    else:
-        checker.reject_unknown(acceptance, set(_ACCEPTANCE_KEYS), "acceptance")
-        present = [key for key in _ACCEPTANCE_KEYS if key in acceptance]
+    if _object(errors, acceptance, "acceptance", required=True):
+        modes = _keys("acceptance")
+        present = [key for key in modes if key in acceptance]
         if len(present) != 1:
-            checker.fail("acceptance",
-                         f"exactly one of {'/'.join(_ACCEPTANCE_KEYS)} must be present")
+            errors.append(f"acceptance: exactly one of {'/'.join(modes)} must be present")
         else:
             acceptance_mode = present[0]
-            if acceptance_mode == "k":
-                value = _check_number(checker, acceptance, "k", "acceptance.",
-                                      integer=True, minimum=1)
-            elif acceptance_mode == "percentile":
-                value = _check_number(checker, acceptance, "percentile", "acceptance.")
-                if value is not None and not 0.0 < value < 1.0:
-                    checker.fail("acceptance.percentile", "must be in (0,1)")
-                    value = None
-            else:
-                value = _check_number(checker, acceptance, "epsilon", "acceptance.",
-                                      minimum=0.0)
+            value = _check_number(errors, acceptance, f"acceptance.{acceptance_mode}")
             if value is not None:
                 acceptance_value = value
 
     bandwidth = raw.get("bandwidth", "auto")
     if bandwidth != "auto":
         is_number = not isinstance(bandwidth, bool) and isinstance(bandwidth, (int, float))
-        if is_number and not _is_finite(bandwidth):
-            checker.fail("bandwidth", "must be a finite number")
-            bandwidth = "auto"
+        if is_number and not is_finite(bandwidth):
+            errors.append("bandwidth: must be a finite number")
         elif not (is_number and bandwidth > 0):
-            checker.fail("bandwidth", "must be a positive number or 'auto'")
-            bandwidth = "auto"
+            errors.append("bandwidth: must be a positive number or 'auto'")
         else:
             bandwidth = float(bandwidth)
 
     kernel = raw.get("kernel", "gaussian")
     if kernel not in estimators.KERNEL_KINDS:
-        checker.fail("kernel", f"must be one of {'/'.join(estimators.KERNEL_KINDS)}")
+        errors.append(f"kernel: must be one of {'/'.join(estimators.KERNEL_KINDS)}")
 
     def _vector(key):
         if key not in raw:
@@ -233,53 +214,45 @@ def validate_config(config_text: str) -> RunConfig:
         value = raw[key]
         if not isinstance(value, list) or not value or \
                 any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-            checker.fail(key, "must be a non-empty array of numbers")
+            errors.append(f"{key}: must be a non-empty array of numbers")
             return None
-        if not all(map(_is_finite, value)):
-            checker.fail(key, "must contain only finite numbers")
+        if not all(map(is_finite, value)):
+            errors.append(f"{key}: must contain only finite numbers")
             return tuple(value)  # present, so not also reported as missing
         return tuple(float(v) for v in value)
 
     s0 = _vector("s0")
     y0 = _vector("y0")
     if s0 is None and y0 is None:
-        checker.fail("s0", "either s0 or y0 (demo model) is required")
+        errors.append("s0: either s0 or y0 (demo model) is required")
     if s0 is not None and y0 is not None:
-        checker.fail("s0", "give s0 or y0, not both")
+        errors.append("s0: give s0 or y0, not both")
 
     grid_points, grid_padding = estimators.GRID_POINTS_1D, estimators.GRID_PADDING
     grid = raw.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            checker.fail("grid", "must be an object")
-        else:
-            checker.reject_unknown(grid, {"points", "padding"}, "grid")
-            gp = _check_number(checker, grid, "points", "grid.", integer=True, minimum=2)
-            pad = _check_number(checker, grid, "padding", "grid.", exclusive_min=0.0)
-            grid_points = gp if gp is not None else grid_points
-            grid_padding = float(pad) if pad is not None else grid_padding
+    if grid is not None and _object(errors, grid, "grid"):
+        checked = _numbers(errors, grid, "grid")
+        # a valid count or padding is never 0, so `or` keeps the default
+        grid_points = checked["points"] or grid_points
+        grid_padding = checked["padding"] or grid_padding
 
     blocks: dict = {}
     vblocks = raw.get("validate")
-    if vblocks is not None:
-        if not isinstance(vblocks, dict):
-            checker.fail("validate", "must be an object")
-        else:
-            checker.reject_unknown(vblocks, _VALIDATE_BLOCKS, "validate")
-            for name, block in vblocks.items():
-                if name not in _VALIDATE_BLOCKS:
-                    continue
-                if not isinstance(block, dict):
-                    checker.fail(f"validate.{name}", "must be an object")
-                    continue
-                blocks[name] = _validate_block(checker, name, block)
+    if vblocks is not None and _object(errors, vblocks, "validate"):
+        for name, block in vblocks.items():
+            path = f"validate.{name}"
+            if name in _keys("validate") and _object(errors, block, path):
+                blocks[name] = _validate_block(errors, name, block)
+                _numbers(errors, block, path)
 
-    if (acceptance_mode == "k" and n_rows is not None
-            and acceptance_value > n_rows - 1):
-        checker.fail("acceptance.k", "must be <= N-1")
+    # k <= N-1 is checked against any integer N, also one its rule rejects
+    raw_n = raw.get("N")
+    if (acceptance_mode == "k" and isinstance(raw_n, int) and not isinstance(raw_n, bool)
+            and acceptance_value > raw_n - 1):
+        errors.append("acceptance.k: must be <= N-1")
 
-    if checker.errors:
-        raise ConfigurationError(checker.errors)
+    if errors:
+        raise ConfigurationError(errors)
     return RunConfig(
         model_id=model_id, model_params=model_params, n_rows=int(n_rows),
         seed=int(seed), acceptance_mode=acceptance_mode,
@@ -288,37 +261,19 @@ def validate_config(config_text: str) -> RunConfig:
         blocks=blocks)
 
 
-_BLOCK_KEYS = {
-    "mise": {"replicates"},
-    "rates": {"Ns", "replicates", "c_k"},
-    "prop1": {"runs", "oracle_draws", "negative_control"},
-    "bounds": {"pairs", "order", "replicates", "xi0", "L"},
-    "moments": {"phis", "replicates"},
-}
-
-
-def _validate_block(checker: _Checker, name: str, block: dict) -> dict:
+def _validate_block(errors: list, name: str, block: dict) -> dict:
+    """Check the keys of a validate block that are not numbers, and fill
+    in their defaults."""
     path = f"validate.{name}"
-    checker.reject_unknown(block, _BLOCK_KEYS[name], path)
     out = dict(block)
-    if name == "mise":
-        _check_number(checker, block, "replicates", path + ".", integer=True,
-                      required=True, minimum=2)
-    elif name == "rates":
+    if name == "rates":
         ns = block.get("Ns")
         if not isinstance(ns, list) or len(ns) < 3 or \
                 any(isinstance(v, bool) or not isinstance(v, int) or v < 2 for v in ns):
-            checker.fail(path + ".Ns", "must be an array of at least 3 integers >= 2")
-        _check_number(checker, block, "replicates", path + ".", integer=True,
-                      required=True, minimum=2)
-        _check_number(checker, block, "c_k", path + ".", exclusive_min=0.0)
+            errors.append(f"{path}.Ns: must be an array of at least 3 integers >= 2")
     elif name == "prop1":
-        _check_number(checker, block, "runs", path + ".", integer=True,
-                      required=True, minimum=1)
-        _check_number(checker, block, "oracle_draws", path + ".", integer=True,
-                      required=True, minimum=1)
         if "negative_control" in block and not isinstance(block["negative_control"], bool):
-            checker.fail(path + ".negative_control", "must be a boolean")
+            errors.append(f"{path}.negative_control: must be a boolean")
     elif name == "bounds":
         pairs = block.get("pairs")
         ok = isinstance(pairs, list) and pairs and all(
@@ -326,24 +281,18 @@ def _validate_block(checker: _Checker, name: str, block: dict) -> dict:
             and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
             for pair in pairs)
         if not ok:
-            checker.fail(path + ".pairs", "must be an array of [N, k] integer pairs")
+            errors.append(f"{path}.pairs: must be an array of [N, k] integer pairs")
         order = block.get("order", 2)
         if order not in (2, 4):
-            checker.fail(path + ".order", "must be 2 or 4")
+            errors.append(f"{path}.order: must be 2 or 4")
         out["order"] = order
-        _check_number(checker, block, "replicates", path + ".", integer=True,
-                      required=True, minimum=1)
-        _check_number(checker, block, "xi0", path + ".", required=True, exclusive_min=0.0)
-        _check_number(checker, block, "L", path + ".", required=True, exclusive_min=0.0)
     elif name == "moments":
         phis = block.get("phis", ["identity", "square"])
-        if not isinstance(phis, list) or not phis or \
-                any(p not in validate._PHI_REGISTRY for p in phis):
-            checker.fail(path + ".phis",
-                         f"must be a non-empty array from {sorted(validate._PHI_REGISTRY)}")
+        if not isinstance(phis, list) or not phis or any(
+                not isinstance(p, str) or p not in validate._PHI_REGISTRY for p in phis):
+            errors.append(f"{path}.phis: must be a non-empty array from "
+                          f"{sorted(validate._PHI_REGISTRY)}")
         out["phis"] = phis
-        _check_number(checker, block, "replicates", path + ".", integer=True,
-                      required=True, minimum=2)
     return out
 
 
@@ -441,9 +390,6 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
 
 
 def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json):
-    if sub not in _VALIDATE_BLOCKS:
-        raise ConfigurationError(
-            ["validate: subcommand must be one of mise/rates/prop1/bounds/moments"])
     block = config.blocks.get(sub)
     if block is None:
         raise ConfigurationError([f"validate.{sub}: block is required for this command"])
@@ -465,14 +411,8 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
             bandwidth=config.bandwidth, grid_points=config.grid_points,
             grid_padding=config.grid_padding, max_workers=threads)
         emit_json("rate_report.json", {
-            "Ns": list(report.Ns),
-            "mise_points": [list(pt) for pt in report.mise_points],
-            "fitted_slope": report.fitted_slope,
-            "slope_stderr": report.slope_stderr,
-            "theoretical_slope": report.theoretical_slope,
-            "log_factor_flag": report.log_factor_flag,
-            "per_N": [_mise_report_dict(r) for r in report.reports],
-        })
+            **_report_fields(report, drop="reports"),
+            "per_N": [_mise_report_dict(r) for r in report.reports]})
         emit_csv("rate_points.csv", ["N", "mise_mean", "mise_stderr"],
                  [[r.n_rows for r in report.reports],
                   [r.mise_mean for r in report.reports],
@@ -503,20 +443,16 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
         emit_json("moments_report.json", {"phis": results})
 
 
+def _report_fields(report, drop: str) -> dict:
+    """A report's fields but ``drop``, which goes to its own output."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name != drop}
+
+
 def _mise_report_dict(report: validate.MiseReport) -> dict:
-    return {
-        "model_id": report.model_id,
-        "N": report.n_rows,
-        "k": report.k,
-        "h_mode": report.h_mode,
-        "h_mean": report.h_mean,
-        "kernel": report.kernel,
-        "replicates": report.replicates,
-        "mise_mean": report.mise_mean,
-        "mise_stderr": report.mise_stderr,
-        "grid_spec": report.grid_spec,
-        "seed": report.seed,
-    }
+    out = _report_fields(report, drop="per_replicate")
+    out["N"] = out.pop("n_rows")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +481,7 @@ def _parser() -> argparse.ArgumentParser:
     sched.add_argument("--ch", type=float, default=1.0)
 
     val = sub.add_parser("validate", help="Monte Carlo verification reports")
-    val.add_argument("what", choices=["mise", "rates", "prop1", "bounds", "moments"])
+    val.add_argument("what", choices=_keys("validate"))
     common(val)
     return parser
 
@@ -576,25 +512,18 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        config_text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(_error_json("config", ConfigurationError([f"config: {exc}"])), file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        try:
+            config_text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError([f"config: {exc}"]) from None
         config = validate_config(config_text)
         if args.seed is not None:
-            checker = _Checker()
-            if _check_seed(checker, {"seed": args.seed}) is None:
-                raise ConfigurationError(checker.errors)
+            errors: list[str] = []
+            if _check_number(errors, {"seed": args.seed}, "seed") is None:
+                raise ConfigurationError(errors)
             config = dataclasses.replace(config, seed=int(args.seed))
-    except ConfigurationError as exc:
-        print(_error_json("config", exc), file=sys.stderr)
-        return EXIT_CONFIG
-
-    subcommand = getattr(args, "what", None)
-    try:
         summary = run(config, args.command, args.out, threads=max(1, args.threads),
-                      subcommand=subcommand)
+                      subcommand=getattr(args, "what", None))
     except ConfigurationError as exc:
         print(_error_json("config", exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -49,15 +49,6 @@ class InfeasibleRadiusError(KnnAbcError):
     over the probe budget."""
 
 
-class InsufficientSampleError(KnnAbcError):
-    """Too few auxiliary draws to estimate a local mass ratio."""
-
-
 class BoundHypothesisError(KnnAbcError):
     """(k+1)/(N+1) <= xi0 * L**m failed, so the distance-moment bound
     does not apply."""
-
-
-class RegimeNotCoveredError(KnnAbcError):
-    """The acceptance-fraction rule of thumb only covers summary dimension
-    m > 4; use the schedule-derived k/N instead."""

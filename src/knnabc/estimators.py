@@ -97,15 +97,6 @@ def _kernel_values(kernel: KernelSpec, sq_norms: np.ndarray) -> np.ndarray:
     return kernel.normalizer * _gaussian_exp(-0.5 * sq_norms)
 
 
-def kernel_eval(kernel: KernelSpec, u) -> float:
-    """K(u) for a single point u in R^dim."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != kernel.dim:
-        raise InvalidArgumentError(
-            f"u has dimension {u.shape[0]}, kernel expects {kernel.dim}")
-    return float(_kernel_values(kernel, np.array([float(np.dot(u, u))]))[0])
-
-
 def kernel_second_moment(kernel: KernelSpec) -> float:
     """Per-coordinate second moment of the kernel (off-diagonal moments
     vanish by radial symmetry)."""
@@ -142,6 +133,8 @@ def _points_sq_dist(points: np.ndarray, centers: np.ndarray, h: float) -> np.nda
 
 
 def _checked_centers(accepted: AcceptedSet, h: float, kernel: KernelSpec):
+    """The bandwidth as a float, the accepted thetas, and the normaliser
+    1 / (k h^p), which must be a finite float > 0."""
     if accepted.k == 0:
         raise EmptyAcceptedSetError("estimator needs at least one accepted row")
     h = float(h)
@@ -151,7 +144,14 @@ def _checked_centers(accepted: AcceptedSet, h: float, kernel: KernelSpec):
     p = centers.shape[1]
     if kernel.dim != p:
         raise InvalidArgumentError(f"kernel dimension {kernel.dim} != parameter dimension {p}")
-    return h, centers
+    try:
+        scale = 1.0 / (accepted.k * h**p)
+    except (OverflowError, ZeroDivisionError):  # h**p over- or underflows
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise InvalidArgumentError(
+            f"bandwidth h={h!r} at p={p}: the normaliser 1/(k h^p) is not a finite float > 0")
+    return h, centers, scale
 
 
 def g_hat(accepted: AcceptedSet, h: float, kernel: KernelSpec, theta0) -> float:
@@ -165,13 +165,12 @@ def g_hat_many(accepted: AcceptedSet, h: float, kernel: KernelSpec,
                points: np.ndarray) -> np.ndarray:
     """Vectorized ``g_hat`` over points of shape (G, p), in blocks of
     about BLOCK_ENTRIES (point, centre) pairs whatever k is."""
-    h, centers = _checked_centers(accepted, h, kernel)
+    h, centers, scale = _checked_centers(accepted, h, kernel)
     p = centers.shape[1]
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != p:
         raise InvalidArgumentError(f"points must have shape (G, {p})")
     out = np.empty(points.shape[0])
-    scale = 1.0 / (accepted.k * h**p)
     rows = max(1, BLOCK_ENTRIES // accepted.k)
     for lo in range(0, points.shape[0], rows):
         sq = _points_sq_dist(points[lo:lo + rows], centers, h)
@@ -376,7 +375,7 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
     The values are computed axis by axis, not point by point; they equal
     ``g_hat_many`` on ``grid_points(axes)`` up to the order of summation,
     and the naive kernel's counts are identical."""
-    h, centers = _checked_centers(accepted, h, kernel)
+    h, centers, scale = _checked_centers(accepted, h, kernel)
     p = centers.shape[1]
     if axes is None:
         axes = default_grid(accepted, h)
@@ -387,7 +386,7 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
         sums = _ball_grid_counts(centers, h, axes)
     else:
         sums = _gaussian_grid_sums(centers, h, axes)
-    values = (sums * kernel.normalizer * (1.0 / (accepted.k * h**p))).reshape(-1)
+    values = (sums * kernel.normalizer * scale).reshape(-1)
     pts = grid_points(axes)
     full_meta = {
         "k": accepted.k,

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, InvalidArgumentError, UnsupportedModelError
+from .numerics import is_finite
 from .rng import truncated_normal_from_uniform
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -323,9 +324,6 @@ def _gauss_5d(bound: float = 5.0) -> Model:
 
 
 def _uniform_ball_1d(radius: float = 0.1) -> Model:
-    if radius <= 0:
-        raise ConfigurationError("uniform_ball_1d requires radius > 0")
-
     def thetas(u):
         return u[:, :1].copy()
 
@@ -368,9 +366,6 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
     """Raw-data walkthrough model: y is n_obs iid noisy copies of theta and
     the summary is their mean.  No closed-form oracle is attached (the mean
     of truncated normals has none)."""
-    n_obs = int(n_obs)
-    if n_obs < 1:
-        raise ConfigurationError("gaussian_mean_demo requires n_obs >= 1")
 
     def thetas(u):
         return truncated_normal_from_uniform(u[:, :1], bound)
@@ -413,6 +408,17 @@ def model_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _check_params(params: dict):
+    """Reject parameter values no built-in model can run with: ``bound``
+    and ``radius`` must be finite numbers > 0, ``n_obs`` an integer >= 1."""
+    for name, value in params.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if name in ("bound", "radius") and not (number and is_finite(value) and value > 0):
+            raise ConfigurationError(f"model.params.{name}: must be a finite number > 0")
+        if name == "n_obs" and not (number and isinstance(value, int) and value >= 1):
+            raise ConfigurationError(f"model.params.{name}: must be an integer >= 1")
+
+
 def get_model(model_id: str, **params) -> Model:
     """Build a registered model from its identifier and parameter map."""
     try:
@@ -420,6 +426,7 @@ def get_model(model_id: str, **params) -> Model:
     except KeyError:
         raise ConfigurationError(
             f"unknown model '{model_id}'; available: {', '.join(model_ids())}") from None
+    _check_params(params)
     try:
         return builder(**params)
     except TypeError as exc:

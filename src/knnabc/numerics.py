@@ -1,4 +1,4 @@
-"""Small numerical utilities: rounding, trapezoid integration, OLS."""
+"""Small numerical utilities: finiteness, rounding, trapezoid integration, OLS."""
 
 from __future__ import annotations
 
@@ -9,6 +9,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+
+def is_finite(value) -> bool:
+    """Whether a number has a finite float value.  Numbers read from JSON
+    need this test: json.loads takes the literals NaN and Infinity, and
+    integers beyond the float range, on which math.isfinite raises."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def round_half_up(x: float) -> int:

@@ -18,14 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import generate_table
-from .errors import (BoundHypothesisError, InsufficientSampleError,
-                     InvalidArgumentError, KnnAbcError, RegimeNotCoveredError,
+from .errors import (BoundHypothesisError, InvalidArgumentError, KnnAbcError,
                      UnsupportedModelError)
 from .estimators import KernelSpec, kernel_second_moment, kernel_square_integral
 from .models import Model
 from .numerics import adaptive_trapezoid, round_half_up
-from .rng import derive_seed
 
 REGIMES = ("m_le_3", "m_eq_4", "m_gt_4")
 
@@ -80,51 +77,8 @@ def auto_bandwidth(thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
     return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
 
 
-def acceptance_fraction(m: int, p: int, n_rows: int) -> float:
-    """Rule-of-thumb accepted fraction k/N for m > 4."""
-    if int(m) <= 4:
-        raise RegimeNotCoveredError(
-            "acceptance fraction rule applies only for m > 4; use schedule()")
-    return float(n_rows) ** float(resolve_schedule(m, p).k_exponent - 1)
-
-
 # ---------------------------------------------------------------------------
 # local mass ratio xi0
-
-def estimate_xi0(model: Model, s0, L_diam: float, aux_sample_size: int,
-                 delta_grid: int = 64, seed: int = 0,
-                 min_ball_count: int = 4000) -> float:
-    """Monte Carlo estimate of the infimum over delta <= L of
-    mass(ball(s0, delta)) / delta^m.
-
-    The infimum over a continuum is discretized to a log-spaced grid, which
-    biases the estimate upward (dips between grid points are invisible);
-    Monte Carlo noise at the smallest radii pulls the minimum down, so the
-    smallest grid radius is chosen to contain at least ``min_ball_count``
-    draws.  Fewer than 50 draws in the largest ball is an error.
-    """
-    if not L_diam > 0:
-        raise InvalidArgumentError("L_diam must be > 0")
-    aux_sample_size = int(aux_sample_size)
-    if aux_sample_size < 2:
-        raise InvalidArgumentError("aux_sample_size must be >= 2")
-    table = generate_table(model, aux_sample_size, derive_seed(seed, "xi0"))
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    dist = np.sqrt(np.sum((table.summaries - s0) ** 2, axis=1))
-    dist.sort()
-    inside = int(np.searchsorted(dist, L_diam, side="right"))
-    if inside < 50:
-        raise InsufficientSampleError(
-            f"only {inside} draws inside the largest ball; need at least 50")
-    floor_rank = min(min_ball_count, inside)
-    delta_min = dist[floor_rank - 1]
-    if not delta_min > 0:
-        delta_min = np.finfo(float).tiny
-    deltas = np.geomspace(min(delta_min, L_diam), L_diam, int(delta_grid))
-    counts = np.searchsorted(dist, deltas, side="right")
-    ratios = counts / (aux_sample_size * deltas ** model.m)
-    return float(ratios.min())
-
 
 def xi0_from_marginal_cdf(marginal_cdf, s0: float, L_diam: float,
                           grid: int = 4096) -> float:

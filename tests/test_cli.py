@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnabc
-from knnabc import cli, fileio
+from knnabc import cli, estimators, fileio
 from knnabc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig,
-                        serialize, validate_config)
+                        validate_config)
 from knnabc.errors import ConfigurationError, InvalidArgumentError
 
 
@@ -141,6 +141,14 @@ class TestValidateConfig:
             validate_config(json.dumps(raw))
         assert err.value.messages == ["grid.padding: must be a finite number"]
 
+    def test_grid_points_capped(self):
+        # the p = 1 grid has the cap the p > 1 tensor grid already had
+        cap = estimators.GRID_CAP
+        assert validate_config(json.dumps(minimal_config(grid={"points": cap}))).grid_points == cap
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(json.dumps(minimal_config(grid={"points": 10**15})))
+        assert err.value.messages == [f"grid.points: must be <= {cap}"]
+
 
 _bandwidth = st.one_of(st.just("auto"),
                        st.floats(min_value=0.001, max_value=10.0, allow_nan=False))
@@ -171,11 +179,26 @@ def run_configs(draw):
     )
 
 
+def _raw_config(config):
+    """The JSON object a config file states ``config`` with."""
+    return {
+        "schema": "abc-config/1",
+        "model": {"id": config.model_id, "params": dict(config.model_params)},
+        "N": config.n_rows,
+        "seed": config.seed,
+        "acceptance": {config.acceptance_mode: config.acceptance_value},
+        "bandwidth": config.bandwidth,
+        "kernel": config.kernel,
+        "s0": list(config.s0),
+        "grid": {"points": config.grid_points, "padding": config.grid_padding},
+    }
+
+
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(run_configs())
     def test_serialize_validate_round_trip(self, config):
-        assert validate_config(serialize(config)) == config
+        assert validate_config(json.dumps(_raw_config(config))) == config
 
 
 class TestEndToEnd:
@@ -286,7 +309,10 @@ class TestEndToEnd:
         # finite, but the padded grid ends overflow
         ({"bandwidth": 1e308}, EXIT_RUNTIME),
         ({"grid": {"padding": 1e308}, "bandwidth": 10.0}, EXIT_RUNTIME),
-    ], ids=["bandwidth-inf", "padding-inf", "bandwidth-1e308", "padding-1e308"])
+        # finite, but 1/(k h) overflows: every density value would be nan or inf
+        ({"bandwidth": 1e-320}, EXIT_RUNTIME),
+    ], ids=["bandwidth-inf", "padding-inf", "bandwidth-1e308", "padding-1e308",
+            "bandwidth-1e-320"])
     def test_grid_beyond_float_range_is_an_error(self, tmp_path, capsys, overrides,
                                                   expected):
         raw = minimal_config(N=2000, acceptance={"k": 50}, **overrides)
@@ -295,6 +321,32 @@ class TestEndToEnd:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == ("config" if expected == EXIT_CONFIG else "runtime")
         assert not (out_dir / "density.csv").exists()
+
+    @pytest.mark.parametrize("model, message", [
+        ({"id": "gaussian_conjugate_1d", "params": {"bound": math.nan}},
+         "model.params.bound: must be a finite number > 0"),
+        ({"id": "uniform_ball_1d", "params": {"radius": math.inf}},
+         "model.params.radius: must be a finite number > 0"),
+        ({"id": "gaussian_mean_demo", "params": {"n_obs": True}},
+         "model.params.n_obs: must be an integer >= 1"),
+    ], ids=["bound-nan", "radius-inf", "n_obs-true"])
+    def test_bad_model_params_are_config_errors(self, tmp_path, capsys, model, message):
+        raw = minimal_config(N=200, acceptance={"k": 10}, model=model, s0=[0.5])
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [message]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("phis", [[["identity"]], [{"a": 1}]], ids=["list", "object"])
+    def test_non_string_phis_are_config_errors(self, tmp_path, capsys, phis):
+        raw = minimal_config(N=500, acceptance={"k": 20})
+        raw["validate"] = {"moments": {"phis": phis, "replicates": 5}}
+        code, out_dir = self._run(tmp_path, "validate moments", raw)
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["messages"] == [
+            "validate.moments.phis: must be a non-empty array from ['identity', 'one', 'square']"]
+        assert not out_dir.exists()
 
     def test_runtime_error_exit(self, tmp_path, capsys):
         # zero-width tolerance accepts nothing: a runtime failure, not a 0

@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from knnabc import (abc_knn, cli, estimators, g_hat, g_rosenblatt, g_smoothed_nn,
-                    get_model, generate_table, kernel_eval, make_kernel,
-                    posterior_functional, unit_ball_volume)
+                    get_model, generate_table, make_kernel, posterior_functional,
+                    unit_ball_volume)
 from knnabc.cli import validate_config
 from knnabc.core import AcceptedSet, ReferenceTable
 from knnabc.errors import (DegenerateScaleError, EmptyAcceptedSetError,
@@ -33,6 +33,11 @@ def _accepted(thetas, radius_next=1.0):
                        source_indices=np.arange(k, dtype=np.int64))
 
 
+def _kernel_at(kernel, u):
+    """K(u): g_hat with one accepted row at the origin and h = 1."""
+    return g_hat(_accepted(np.zeros((1, kernel.dim))), 1.0, kernel, u)
+
+
 class TestUnitBallVolume:
     def test_known_values(self):
         assert unit_ball_volume(1) == pytest.approx(2.0)
@@ -52,13 +57,13 @@ class TestUnitBallVolume:
 class TestKernels:
     def test_naive_values(self):
         naive1 = make_kernel("naive", 1)
-        assert kernel_eval(naive1, [0.0]) == pytest.approx(0.5)
-        assert kernel_eval(naive1, [1.0]) == pytest.approx(0.5)  # closed ball
-        assert kernel_eval(naive1, [1.0001]) == 0.0
+        assert _kernel_at(naive1, [0.0]) == pytest.approx(0.5)
+        assert _kernel_at(naive1, [1.0]) == pytest.approx(0.5)  # closed ball
+        assert _kernel_at(naive1, [1.0001]) == 0.0
 
     def test_gaussian_normalizer(self):
         gauss2 = make_kernel("gaussian", 2)
-        assert kernel_eval(gauss2, [0.0, 0.0]) == pytest.approx(1.0 / (2.0 * math.pi))
+        assert _kernel_at(gauss2, [0.0, 0.0]) == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_symmetry(self):
         gen = np.random.default_rng(0)
@@ -66,8 +71,8 @@ class TestKernels:
             kernel = make_kernel(kind, 3)
             for _ in range(50):
                 u = gen.normal(0, 1, 3)
-                assert kernel_eval(kernel, u) == kernel_eval(kernel, -u)
-                assert kernel_eval(kernel, u) >= 0.0
+                assert _kernel_at(kernel, u) == _kernel_at(kernel, -u)
+                assert _kernel_at(kernel, u) >= 0.0
 
     @pytest.mark.parametrize("kind,p", [("naive", 1), ("naive", 2), ("naive", 3),
                                         ("gaussian", 1), ("gaussian", 2), ("gaussian", 3)])
@@ -75,13 +80,13 @@ class TestKernels:
         # radial reduction: int K = p * V_p * int_0^inf r^(p-1) K(r) dr
         kernel = make_kernel(kind, p)
         surface = p * unit_ball_volume(p)
-        value, _ = quad(lambda r: r ** (p - 1) * kernel_eval(kernel, np.r_[r, np.zeros(p - 1)]),
+        value, _ = quad(lambda r: r ** (p - 1) * _kernel_at(kernel, np.r_[r, np.zeros(p - 1)]),
                         0, 1.0 if kind == "naive" else 40.0, limit=200)
         assert surface * value == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            kernel_eval(make_kernel("naive", 2), [0.0])
+            _kernel_at(make_kernel("naive", 2), [0.0])
 
     def test_second_moment_and_square_integral(self):
         # per-coordinate second moments and int K^2, against quadrature
@@ -94,7 +99,7 @@ class TestKernels:
                 (4.0 * math.pi) ** (-p / 2.0))
         # quadrature check of int K^2 in 1-d
         g1 = make_kernel("gaussian", 1)
-        val, _ = quad(lambda x: kernel_eval(g1, [x]) ** 2, -40, 40)
+        val, _ = quad(lambda x: _kernel_at(g1, [x]) ** 2, -40, 40)
         assert val == pytest.approx(kernel_square_integral(g1), rel=1e-9)
 
 
@@ -146,9 +151,30 @@ class TestGHat:
             kernel = make_kernel(kind, 1)
             direct = g_hat(_accepted(thetas), h, kernel, [theta0])
             hp = c * h
-            scaled_vals = [c * kernel_eval(kernel, [c * (theta0 - t) / hp]) for t in thetas]
+            scaled_vals = [c * _kernel_at(kernel, [c * (theta0 - t) / hp]) for t in thetas]
             manual = float(np.mean(scaled_vals)) / hp
             assert manual == pytest.approx(direct, rel=1e-12)
+
+
+class TestBandwidthNormaliser:
+    @pytest.mark.parametrize("p, h", [(1, 1e-320), (1, 1e308), (2, 1e-200), (2, 1e200)])
+    def test_unrepresentable_scale_rejected(self, p, h):
+        # 1/(k h^p) would be inf, 0, or a bare ZeroDivisionError or
+        # OverflowError from h**p
+        acc = _accepted(np.zeros((3, p)))
+        for kind in ("naive", "gaussian"):
+            kernel = make_kernel(kind, p)
+            with pytest.raises(InvalidArgumentError, match="normaliser"):
+                g_hat_many(acc, h, kernel, np.zeros((1, p)))
+            with pytest.raises(InvalidArgumentError, match="normaliser"):
+                estimate_density(acc, h, kernel, axes=[np.linspace(-1.0, 1.0, 5)] * p)
+
+    @pytest.mark.parametrize("p, h", [(1, 1e-300), (2, 1e-150), (2, 1e150)])
+    def test_extreme_but_representable_scale_kept(self, p, h):
+        acc = _accepted(np.zeros((3, p)))
+        kernel = make_kernel("naive", p)
+        value = g_hat_many(acc, h, kernel, np.zeros((1, p)))[0]
+        assert value == 3 * kernel.normalizer * (1.0 / (3 * h**p))
 
 
 class TestRosenblatt:
@@ -166,7 +192,7 @@ class TestRosenblatt:
         h, theta0 = 0.4, 0.1
         wide = abs(summaries).max() + 1.0
         value = g_rosenblatt(table, [0.0], [theta0], h, wide, naive, naive)
-        kde = np.mean([kernel_eval(naive, [(theta0 - t) / h]) for t in thetas]) / h
+        kde = np.mean([_kernel_at(naive, [(theta0 - t) / h]) for t in thetas]) / h
         assert value == pytest.approx(kde, rel=1e-12)
 
     def test_empty_window_is_undefined_not_zero(self):

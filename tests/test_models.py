@@ -231,6 +231,33 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_model("gaussian_conjugate_1d", wrong_param=1)
 
+    @pytest.mark.parametrize("model_id, params", [
+        ("gaussian_conjugate_1d", {"bound": math.nan}),
+        ("gaussian_conjugate_1d", {"bound": -1.0}),
+        ("gaussian_conjugate_1d", {"bound": 0}),
+        ("gauss_5d", {"bound": math.inf}),
+        ("gauss_5d", {"bound": 10**400}),
+        ("uniform_ball_1d", {"radius": math.nan}),
+        ("uniform_ball_1d", {"radius": math.inf}),
+        ("uniform_ball_1d", {"radius": "0.1"}),
+        ("gaussian_mean_demo", {"n_obs": True}),
+        ("gaussian_mean_demo", {"n_obs": 0}),
+        ("gaussian_mean_demo", {"n_obs": 2.0}),
+        ("gaussian_mean_demo", {"bound": True}),
+    ])
+    def test_param_values_checked(self, model_id, params):
+        # each of these once ran to a traceback, a wrong exit or a
+        # meaningless estimate
+        with pytest.raises(ConfigurationError) as err:
+            get_model(model_id, **params)
+        name = next(iter(params))
+        assert err.value.messages[0].startswith(f"model.params.{name}: must be")
+
+    def test_valid_params_kept(self):
+        assert get_model("uniform_ball_1d", radius=1).params == {"radius": 1}
+        assert get_model("gaussian_mean_demo", n_obs=3, bound=2.5).params == {
+            "n_obs": 3, "bound": 2.5}
+
     def test_demo_summary_map(self):
         demo = get_model("gaussian_mean_demo", n_obs=4)
         assert demo.summary_map([1.0, 2.0, 3.0, 4.0])[0] == pytest.approx(2.5)

@@ -6,11 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from knnabc import (acceptance_fraction, distance_moment_bound, estimate_xi0,
-                    get_model, mise_prediction, resolve_schedule, schedule,
-                    mise_rate_quantities)
-from knnabc.errors import (BoundHypothesisError, InsufficientSampleError,
-                           InvalidArgumentError, RegimeNotCoveredError,
+from knnabc import (distance_moment_bound, get_model, mise_prediction,
+                    resolve_schedule, schedule, mise_rate_quantities)
+from knnabc.errors import (BoundHypothesisError, InvalidArgumentError,
                            UnsupportedModelError)
 from knnabc.estimators import make_kernel
 from knnabc.tuning import (TheoreticalQuantities, auto_bandwidth,
@@ -70,20 +68,6 @@ class TestSchedule:
             resolve_schedule(1, 1, c_k=0.0)
 
 
-class TestAcceptanceFraction:
-    def test_reference_values(self):
-        assert acceptance_fraction(5, 1, 10**6) == pytest.approx(1e-3, rel=1e-12)
-        assert acceptance_fraction(6, 2, 10**6) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_low_m_not_covered(self):
-        with pytest.raises(RegimeNotCoveredError):
-            acceptance_fraction(4, 1, 10**6)
-
-    def test_vanishes_with_n(self):
-        values = [acceptance_fraction(10, 1, n) for n in (10**3, 10**5, 10**7)]
-        assert values[0] > values[1] > values[2]
-
-
 class TestAutoBandwidth:
     def test_spread_times_schedule_power(self):
         thetas = np.array([[0.1], [0.4], [-0.3], [0.9]])
@@ -93,27 +77,6 @@ class TestAutoBandwidth:
 
 
 class TestXi0:
-    def test_uniform_box_interior_point(self):
-        model = get_model("uniform_box_1d")
-        value = estimate_xi0(model, [0.5], 1.0, 1_000_000, seed=41)
-        assert value == pytest.approx(1.0, abs=0.05)
-
-    def test_uniform_box_boundary_point(self):
-        model = get_model("uniform_box_1d")
-        value = estimate_xi0(model, [0.0], 1.0, 1_000_000, seed=42)
-        assert value == pytest.approx(1.0, abs=0.05)
-
-    def test_positive_for_supported_points(self):
-        for model_id, s0, L in [("gaussian_conjugate_1d", [1.0], 20.0),
-                                ("uniform_ball_1d", [0.5], 1.2)]:
-            value = estimate_xi0(get_model(model_id), s0, L, 200_000, seed=43)
-            assert value > 0.0
-
-    def test_insufficient_sample(self):
-        model = get_model("uniform_box_1d")
-        with pytest.raises(InsufficientSampleError):
-            estimate_xi0(model, [100.0], 1.0, 10_000, seed=44)
-
     def test_deterministic_grid_version(self):
         model = get_model("gaussian_conjugate_1d")
         value = xi0_from_marginal_cdf(model.analytic.marginal_cdf, 1.0, 20.0)
