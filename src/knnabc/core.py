@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .numerics import parallel_map, round_half_up
 from .rng import derive_key, derive_keys, row_words, uniform01
 
 _CHUNK_ROWS = 1 << 15
+_BLOCK_ROWS = 1 << 13  # table rows per block of validation tables
 # key derivation keeps only a seed's low 64 bits and table.bin stores it as
 # uint64, so a larger seed is an error, not an alias
 SEED_MAX = 2**64 - 1
@@ -83,22 +85,124 @@ def _words_per_row(model: Model) -> int:
     return 4 * ((need + 3) // 4)
 
 
-def _rows_from_words(model: Model, words: np.ndarray):
-    """(thetas, summaries) of the joint rows whose Philox words are ``words``.
+class _Scratch:
+    """One worker's buffers for chunks of up to ``rows`` rows, reused for
+    every chunk it simulates, so that a chunk allocates little beyond its
+    Philox words; ``words`` holds a block's words gathered from many
+    tables."""
 
-    Every transform acts on each row alone, so a row's values do not depend
-    on which other rows share the call.
+    def __init__(self, model: Model, rows: int, words: bool = False):
+        self.thetas = np.empty((rows, model.p))
+        self.summaries = np.empty((rows, model.m))
+        self.d2 = np.empty(rows)
+        self.words = np.empty((rows, _words_per_row(model)), dtype=np.uint64) if words else None
+        self.bit_gen = np.random.Philox(0)  # reset to each key and counter by row_words
+
+
+class _ScratchPool:
+    """The scratch of one call's workers.  A worker takes spare scratch, or
+    makes its own, and gives it back when its piece of work is done, so
+    there is never more scratch than work in flight."""
+
+    def __init__(self, model: Model, rows: int, words: bool = False):
+        self._args = model, rows, words
+        self._spare = []  # list.pop and list.append are atomic, so workers can share it
+
+    @contextmanager
+    def take(self):
+        try:
+            scratch = self._spare.pop()
+        except IndexError:
+            scratch = _Scratch(*self._args)
+        yield scratch
+        self._spare.append(scratch)
+
+
+def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
+                   s0: np.ndarray | None = None, tau: float = np.inf):
+    """Simulate the joint rows whose Philox words are ``words`` into
+    ``scratch``, keeping those with squared distance at most ``tau`` to
+    ``s0`` (every row without s0).  ``words`` is overwritten.
+
+    Returns (rows, thetas, summaries, d2) of the rows kept, in order: their
+    positions in ``words`` (None when every row is kept), their values and
+    their squared distances (None without s0).  The summary entries are
+    computed in the model's coordinate order.  After each entry but the
+    last, the rows whose partial squared distance exceeds
+    tau * (1 + 2m 2^-52) are dropped before their other entries and their
+    thetas are computed.  A float sum of m nonnegative terms is within
+    about (m - 1) 2^-53 of the exact sum, so a dropped row's squared
+    distance exceeds tau whatever order it is summed in.  After the last
+    entry the test is d2 <= tau, on the ``squared_distances`` of the full
+    rows; for m = 1 it is the only step.  A kept row gets the same
+    elementwise operations as if it had been simulated alone, so its
+    values do not depend on the rows dropped.
     """
+    n = words.shape[0]
     tw = model.theta_words
-    thetas = model.thetas_from_uniforms(uniform01(words[:, :tw]))
-    summaries = model.summaries_from_uniforms(
-        thetas, uniform01(words[:, tw:tw + model.summary_words]))
-    return thetas, summaries
+    u = uniform01(words, in_place=True)
+    thetas, summaries, d2 = scratch.thetas, scratch.summaries, scratch.d2
+    rows = None       # positions of the rows in play, once some are dropped
+    at = slice(0, n)  # index of the rows in play in u and summaries
+    have_thetas = False
+    for step, (j, columns, uses_theta) in enumerate(model.coordinates):
+        if uses_theta and not have_thetas:
+            model.thetas_from_uniforms(u[at, :tw], thetas[:n])
+            have_thetas = True
+        # until rows are dropped, the entry goes straight into summaries
+        entry = summaries[at, j] if rows is None else np.empty(n)
+        model.summaries_from_uniforms(j, thetas[:n] if have_thetas else None,
+                                      u[at, columns], entry)
+        if rows is not None:
+            summaries[at, j] = entry
+        if s0 is None:
+            continue
+        if step == model.m - 1:
+            squared_distances(summaries[at], s0, out=d2[:n])
+            bound = tau
+        elif tau < np.inf:
+            term = np.subtract(entry, s0[j], out=None if step else d2[:n])
+            np.multiply(term, term, out=term)
+            if step:
+                np.add(d2[:n], term, out=d2[:n])
+            bound = tau * (1.0 + 2 * model.m * 2.0**-52)
+        else:
+            continue
+        keep = np.flatnonzero(d2[:n] <= bound)
+        if keep.size < n:
+            n = keep.size
+            d2[:n] = d2[keep]
+            thetas[:n] = thetas[keep]
+            rows = at = keep if rows is None else rows[keep]
+    if not have_thetas:
+        model.thetas_from_uniforms(u[at, :tw], thetas[:n])
+    return rows, thetas[:n], summaries[at], None if s0 is None else d2[:n]
 
 
-def _joint_rows(model: Model, key: np.ndarray, start: int, stop: int):
-    """Rows [start, stop) of the joint stream for the given key."""
-    return _rows_from_words(model, row_words(key, start, stop - start, _words_per_row(model)))
+def _point(s0, model: Model) -> np.ndarray:
+    """s0 as a float vector of the model's summary dimension m."""
+    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    if s0.shape[0] != model.m:
+        raise InvalidArgumentError(f"s0 has dimension {s0.shape[0]}, summaries have m={model.m}")
+    return s0
+
+
+def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, visit,
+                s0: np.ndarray | None = None, tau=lambda: np.inf) -> None:
+    """Simulate the table of ``n_rows`` rows with this key one chunk at a
+    time, calling ``visit(start, rows, thetas, summaries, d2)`` with each
+    chunk's first row number and its ``_simulate_rows`` result for
+    ``tau()`` read as the chunk starts.
+    """
+    wpr = _words_per_row(model)
+    pool = _ScratchPool(model, min(_CHUNK_ROWS, n_rows))
+
+    def scan(start: int) -> None:
+        with pool.take() as scratch:
+            words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr, scratch.bit_gen)
+            visit(start, *_simulate_rows(model, words, scratch, s0, tau()))
+
+    parallel_map(scan, range(0, n_rows, _CHUNK_ROWS), max_workers)
 
 
 def _table_tags(model: Model) -> tuple[str, str]:
@@ -121,7 +225,8 @@ def table_keys(model: Model, seeds: np.ndarray) -> np.ndarray:
     return derive_keys(seeds, *_table_tags(model))
 
 
-def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0) -> np.ndarray:
+def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0,
+                    scratch: _Scratch | None = None) -> np.ndarray:
     """Squared distances to s0 of every row of several equal-size tables.
 
     Row b of the (len(keys), n_rows) result is
@@ -130,21 +235,48 @@ def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0) -> np.ndarr
     from one Philox call; the uniforms, the model's transforms and the
     distances then run once over the whole block.  A table longer than
     ``_CHUNK_ROWS`` is done one chunk of rows at a time, so the work beyond
-    the result is bounded by one chunk per table.
+    the result is bounded by one chunk per table.  A caller running many
+    blocks may pass the ``scratch`` (with words) to reuse.
     """
+    s0 = _point(s0, model)
     wpr = _words_per_row(model)
     n_tables = len(keys)
     d2 = np.empty((n_tables, n_rows))
     step = min(n_rows, _CHUNK_ROWS)
-    words = np.empty((n_tables * step, wpr), dtype=np.uint64)
-    bit_gen = np.random.Philox(0)  # reset to each table's key by row_words
+    if scratch is None:
+        scratch = _Scratch(model, n_tables * step, words=True)
+    words = scratch.words
     for start in range(0, n_rows, step):
         rows = min(step, n_rows - start)
         for b, key in enumerate(keys):
-            words[b * rows:(b + 1) * rows] = row_words(key, start, rows, wpr, bit_gen)
-        _, summaries = _rows_from_words(model, words[:n_tables * rows])
-        d2[:, start:start + rows] = squared_distances(summaries, s0).reshape(n_tables, rows)
+            words[b * rows:(b + 1) * rows] = row_words(key, start, rows, wpr, scratch.bit_gen)
+        *_, block = _simulate_rows(model, words[:n_tables * rows], scratch, s0)
+        d2[:, start:start + rows] = block.reshape(n_tables, rows)
     return d2
+
+
+def kth_distances(model: Model, keys: np.ndarray, n_rows: int, s0, k: int,
+                  max_workers: int = 1) -> np.ndarray:
+    """Order statistic k (counting from 0) of the squared distances to s0
+    of each table whose key is in ``keys``: entry b is row b of
+    ``block_distances(model, keys, n_rows, s0)`` partitioned at k, so the
+    result is the same at any worker count.
+
+    The tables run in blocks of about ``_BLOCK_ROWS`` rows, and a worker
+    reuses its scratch for every block it runs, so the memory beyond the
+    result is one block per worker and is not handed back to the system
+    and faulted in again between blocks.
+    """
+    per_block = max(1, _BLOCK_ROWS // n_rows)
+    pool = _ScratchPool(model, per_block * min(n_rows, _CHUNK_ROWS), words=True)
+
+    def block(start: int) -> np.ndarray:
+        with pool.take() as scratch:
+            d2 = block_distances(model, keys[start:start + per_block], n_rows, s0, scratch)
+        d2.partition(k, axis=1)
+        return d2[:, k].copy()  # a view would keep the whole block alive
+
+    return np.concatenate(parallel_map(block, range(0, len(keys), per_block), max_workers))
 
 
 def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -> ReferenceTable:
@@ -160,16 +292,17 @@ def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -
     thetas = np.empty((n_rows, model.p))
     summaries = np.empty((n_rows, model.m))
 
-    def fill(start: int) -> None:
-        stop = min(start + _CHUNK_ROWS, n_rows)
-        thetas[start:stop], summaries[start:stop] = _joint_rows(model, key, start, stop)
+    def fill(start, _, chunk_thetas, chunk_summaries, __):
+        stop = start + chunk_thetas.shape[0]
+        thetas[start:stop], summaries[start:stop] = chunk_thetas, chunk_summaries
 
-    parallel_map(fill, range(0, n_rows, _CHUNK_ROWS), max_workers)
+    _scan_table(model, key, n_rows, max_workers, fill)
     return ReferenceTable(thetas=thetas, summaries=summaries, seed=seed, model_id=model.model_id)
 
 
-def squared_distances(summaries: np.ndarray, s0) -> np.ndarray:
-    """Squared Euclidean distances ||s_i - s0||^2, one per row.
+def squared_distances(summaries: np.ndarray, s0, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances ||s_i - s0||^2, one per row, into
+    ``out`` if given.
 
     For m > 1 the differences are formed ``_CHUNK_ROWS`` rows at a time,
     so the work beyond the (N,) result is bounded by one block; each row's
@@ -180,9 +313,10 @@ def squared_distances(summaries: np.ndarray, s0) -> np.ndarray:
         raise InvalidArgumentError(
             f"s0 has dimension {s0.shape[0]}, summaries have m={summaries.shape[1]}")
     if s0.shape[0] == 1:
-        diff = summaries[:, 0] - s0[0]
-        return diff * diff
-    out = np.empty(summaries.shape[0])
+        diff = np.subtract(summaries[:, 0], s0[0], out=out)
+        return np.multiply(diff, diff, out=diff)
+    if out is None:
+        out = np.empty(summaries.shape[0])
     for start in range(0, summaries.shape[0], _CHUNK_ROWS):
         diff = summaries[start:start + _CHUNK_ROWS] - s0
         np.einsum("ij,ij->i", diff, diff, out=out[start:start + _CHUNK_ROWS])
@@ -254,13 +388,15 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     rows it is cut back to its k+1 nearest by (distance, index), which
     lowers tau.  Rows beyond those k+1 can neither be accepted nor be
     d_(k+1), so the pool never holds more than 2(k+1) rows plus one chunk,
-    and the cuts cost amortised O(N).  A chunk may read tau just before a
-    cut lowers it; that adds a superset, so the result is the same at any
-    worker count and in any order of completion.
+    and the cuts cost amortised O(N).  Once tau is finite, a chunk drops
+    most rows beyond it before their last summary entries are drawn (see
+    ``_simulate_rows``).  A chunk may read tau just before a cut lowers
+    it; that adds a superset, so the result is the same at any worker
+    count and in any order of completion.
     """
     n_rows, _, key = _table_stream(model, n_rows, seed)
     k = _check_k(k, n_rows)
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    s0 = _point(s0, model)
     if np.isnan(s0).any():
         # NaN distances would fail every d2 <= tau test and empty the pool
         raise InvalidArgumentError("s0 must not contain NaN")
@@ -273,18 +409,14 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     size = 0
     tau = np.inf
 
-    def scan(start: int) -> None:
+    def add(start, rows, thetas, summaries, d2):
         nonlocal size, tau
-        stop = min(start + _CHUNK_ROWS, n_rows)
-        thetas, summaries = _joint_rows(model, key, start, stop)
-        d2 = squared_distances(summaries, s0)
-        keep = np.flatnonzero(d2 <= tau)
         with lock:
-            end = size + keep.size
-            np.take(d2, keep, out=pool_d2[size:end])
-            np.add(keep, start, out=pool_index[size:end])
-            np.take(thetas, keep, axis=0, out=pool_thetas[size:end])
-            np.take(summaries, keep, axis=0, out=pool_summaries[size:end])
+            end = size + d2.size
+            pool_d2[size:end] = d2
+            pool_index[size:end] = (start + np.arange(d2.size)) if rows is None else start + rows
+            pool_thetas[size:end] = thetas
+            pool_summaries[size:end] = summaries
             size = end
             if size > 2 * (k + 1):
                 cut, _ = _nearest(pool_d2[:size], k + 1, pool_index[:size])
@@ -293,7 +425,7 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
                 size = k + 1
                 tau = pool_d2[k]
 
-    parallel_map(scan, range(0, n_rows, _CHUNK_ROWS), max_workers)
+    _scan_table(model, key, n_rows, max_workers, add, s0, lambda: tau)
     pos, next_value = _nearest(pool_d2[:size], k, pool_index[:size])
     return _build_accepted(pool_thetas, pool_summaries, pos, pool_index[pos],
                            np.sqrt(pool_d2[pos]), np.sqrt(next_value))
@@ -344,6 +476,8 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     Accepted rows are taken in stream order, so the output does not depend
     on batch sizes.  Batches hold ``batch_rows`` rows until a row is
     accepted; later ones are sized from the acceptance rate seen so far.
+    Each batch drops most rows outside the ball before their last summary
+    entries are drawn (see ``_simulate_rows``).
     """
     radius = float(radius)
     if not radius > 0.0:
@@ -352,22 +486,25 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
     seed = _validate_seed(seed)
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    s0 = _point(s0, model)
     key = derive_key(seed, "restricted", model.model_id)
 
     thetas = np.empty((count, model.p))
     summaries = np.empty((count, model.m))
+    scratch = _Scratch(model, batch_rows)
+    wpr = _words_per_row(model)
     kept = 0
     drawn = 0
     rows = batch_rows
     r2 = radius * radius
     while kept < count:
-        batch_thetas, batch_summaries = _joint_rows(model, key, drawn, drawn + rows)
+        words = row_words(key, drawn, rows, wpr, scratch.bit_gen)
         drawn += rows
-        accept = np.flatnonzero(squared_distances(batch_summaries, s0) <= r2)[:count - kept]
-        thetas[kept:kept + accept.size] = batch_thetas[accept]
-        summaries[kept:kept + accept.size] = batch_summaries[accept]
-        kept += accept.size
+        _, batch_thetas, batch_summaries, _ = _simulate_rows(model, words, scratch, s0, r2)
+        accepted = min(batch_thetas.shape[0], count - kept)
+        thetas[kept:kept + accepted] = batch_thetas[:accepted]
+        summaries[kept:kept + accepted] = batch_summaries[:accepted]
+        kept += accepted
         if kept < count and drawn >= probe_budget and kept / drawn < 1e-12:
             raise InfeasibleRadiusError(
                 f"acceptance rate below 1e-12 after {drawn} proposals "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -62,13 +62,30 @@ class AnalyticJoint:
     marginal_cdf: Optional[Callable] = field(default=None, repr=False)
 
 
+class SummaryCoordinate(NamedTuple):
+    """Entry ``index`` of the summary, computed from the uniforms in
+    ``columns`` of its row (whose first ``theta_words`` are theta's) and,
+    when ``uses_theta``, from theta."""
+
+    index: int
+    columns: slice
+    uses_theta: bool
+
+
 @dataclass(frozen=True)
 class Model:
     """Immutable model descriptor.
 
     Sampling enters only through explicit uniforms, so draws are a pure
     function of the random words handed in; descriptors are safe to share
-    across threads.
+    across threads.  For n rows, ``thetas_from_uniforms(u, out)`` writes
+    the (n, p) thetas from their (n, theta_words) uniforms, and
+    ``summaries_from_uniforms(j, thetas, u, out)`` writes summary entry j
+    into the (n,) ``out`` from the uniforms of the columns its coordinate
+    lists (``thetas`` may be None for a coordinate that does not use
+    theta).  Both may overwrite ``u`` and act on each row alone.  ``coordinates``
+    lists every summary entry once, in the order the simulator computes
+    them: those that do not use theta come first.
     """
 
     model_id: str
@@ -79,8 +96,9 @@ class Model:
     summary_spec: str
     theta_words: int
     summary_words: int
-    thetas_from_uniforms: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    summaries_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    thetas_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    summaries_from_uniforms: Callable = field(repr=False)
+    coordinates: tuple[SummaryCoordinate, ...]
     support_diameter: Optional[float] = None
     oracle: Optional[PosteriorOracle] = field(default=None, repr=False)
     analytic: Optional[AnalyticJoint] = field(default=None, repr=False)
@@ -89,6 +107,8 @@ class Model:
     def __post_init__(self):
         if self.p < 1 or self.m < 1:
             raise InvalidArgumentError("model dimensions p and m must be >= 1")
+        if sorted(c.index for c in self.coordinates) != list(range(self.m)):
+            raise InvalidArgumentError("coordinates must list each summary entry once")
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +194,17 @@ def _conjugate_oracle(bound: float, noise_var: float, s_index: int = 0) -> Poste
 # ---------------------------------------------------------------------------
 # built-in models
 
-def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
-    def thetas(u):
-        return truncated_normal_from_uniform(u[:, :1], bound)
+def _thetas_truncated_normal(bound: float):
+    """Transform of a prior N(0,1) truncated to [-bound, bound]."""
+    def thetas(u, out):
+        return truncated_normal_from_uniform(u, bound, out=out)
+    return thetas
 
-    def summaries(thetas_, u):
-        return thetas_ + truncated_normal_from_uniform(u[:, :1], bound)
+
+def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
+    def summaries(j, thetas_, u, out):
+        truncated_normal_from_uniform(u[:, 0], bound, out=out)
+        return np.add(out, thetas_[:, 0], out=out)
 
     def joint_pdf(theta, s):
         t = _theta_points(theta, 1)[:, 0]
@@ -212,8 +237,9 @@ def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
         prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
         summary_spec=f"theta + N(0,1) truncated to [-{bound},{bound}]",
         theta_words=1, summary_words=1,
-        thetas_from_uniforms=thetas,
+        thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
+        coordinates=(SummaryCoordinate(0, slice(1, 2), True),),
         support_diameter=4.0 * bound,
         oracle=_conjugate_oracle(bound, noise_var=1.0),
         analytic=AnalyticJoint(
@@ -228,13 +254,17 @@ def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
     )
 
 
-def _uniform_box_1d() -> Model:
-    def thetas(u):
-        return u[:, :1].copy()
+def _thetas_uniform(u, out):
+    """Transform of a prior U[0,1]."""
+    out[:] = u
+    return out
 
-    def summaries(thetas_, u):
+
+def _uniform_box_1d() -> Model:
+    def summaries(j, thetas_, u, out):
         # summary independent of theta; the marginal of s is exactly U[0,1]
-        return u[:, :1].copy()
+        out[:] = u[:, 0]
+        return out
 
     def pdf(theta0, s0):
         t = _theta_points(theta0, 1)[:, 0]
@@ -253,8 +283,9 @@ def _uniform_box_1d() -> Model:
         prior_spec="U[0,1]",
         summary_spec="U[0,1], independent of theta",
         theta_words=1, summary_words=1,
-        thetas_from_uniforms=thetas,
+        thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
+        coordinates=(SummaryCoordinate(0, slice(1, 2), False),),
         support_diameter=1.0,
         oracle=oracle,
     )
@@ -263,13 +294,11 @@ def _uniform_box_1d() -> Model:
 def _gauss_5d(bound: float = 5.0) -> Model:
     m_dim = 5
 
-    def thetas(u):
-        return truncated_normal_from_uniform(u[:, :1], bound)
-
-    def summaries(thetas_, u):
-        s = truncated_normal_from_uniform(u[:, :m_dim], bound)
-        s[:, 0] += thetas_[:, 0]
-        return s
+    def summaries(j, thetas_, u, out):
+        truncated_normal_from_uniform(u[:, 0], bound, out=out)
+        if j == 0:
+            np.add(out, thetas_[:, 0], out=out)
+        return out
 
     def _tail_factor(s):
         return float(np.prod(_norm_pdf(np.asarray(s, dtype=float)[1:])))
@@ -308,8 +337,12 @@ def _gauss_5d(bound: float = 5.0) -> Model:
         prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
         summary_spec="(theta + eps1, eps2..eps5) with iid truncated N(0,1) eps",
         theta_words=1, summary_words=m_dim,
-        thetas_from_uniforms=thetas,
+        thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
+        # the ancillary entries first: a row far from s0 in them is pruned
+        # before its theta is drawn
+        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2), j == 0)
+                          for j in (1, 2, 3, 4, 0)),
         support_diameter=diameter,
         oracle=_conjugate_oracle(bound, noise_var=1.0, s_index=0),
         analytic=AnalyticJoint(
@@ -324,11 +357,11 @@ def _gauss_5d(bound: float = 5.0) -> Model:
 
 
 def _uniform_ball_1d(radius: float = 0.1) -> Model:
-    def thetas(u):
-        return u[:, :1].copy()
-
-    def summaries(thetas_, u):
-        return thetas_ + radius * (2.0 * u[:, :1] - 1.0)
+    def summaries(j, thetas_, u, out):
+        np.multiply(u[:, 0], 2.0, out=out)
+        np.subtract(out, 1.0, out=out)
+        np.multiply(out, radius, out=out)
+        return np.add(out, thetas_[:, 0], out=out)
 
     def _window(s0):
         s = float(np.asarray(s0, dtype=float).reshape(-1)[0])
@@ -355,8 +388,9 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         prior_spec="U[0,1]",
         summary_spec=f"theta + U[-{radius},{radius}]",
         theta_words=1, summary_words=1,
-        thetas_from_uniforms=thetas,
+        thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
+        coordinates=(SummaryCoordinate(0, slice(1, 2), True),),
         support_diameter=1.0 + 2.0 * radius,
         oracle=oracle,
     )
@@ -367,13 +401,10 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
     the summary is their mean.  No closed-form oracle is attached (the mean
     of truncated normals has none)."""
 
-    def thetas(u):
-        return truncated_normal_from_uniform(u[:, :1], bound)
-
-    def summaries(thetas_, u):
-        noise = truncated_normal_from_uniform(u[:, :n_obs], bound)
-        y = thetas_ + noise
-        return y.mean(axis=1, keepdims=True)
+    def summaries(j, thetas_, u, out):
+        y = truncated_normal_from_uniform(u, bound, out=u)
+        np.add(y, thetas_, out=y)
+        return np.mean(y, axis=1, out=out)
 
     def summary_map(y0):
         y0 = np.asarray(y0, dtype=float).reshape(-1)
@@ -388,8 +419,9 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
         prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
         summary_spec=f"mean of {n_obs} iid theta + truncated N(0,1) observations",
         theta_words=1, summary_words=n_obs,
-        thetas_from_uniforms=thetas,
+        thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
+        coordinates=(SummaryCoordinate(0, slice(1, 1 + n_obs), True),),
         support_diameter=4.0 * bound,
         summary_map=summary_map,
     )

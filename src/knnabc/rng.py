@@ -16,6 +16,7 @@ from scipy.special import ndtr, ndtri
 WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter block
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_EXPONENT_52 = np.uint64(0x4330000000000000)  # the bits of the double 2^52
 _U32_MASK = 0xFFFFFFFF
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
@@ -181,18 +182,29 @@ def _reset_philox(bit_gen: np.random.Philox, key: np.ndarray, counter: int) -> N
     }
 
 
-def uniform01(words: np.ndarray) -> np.ndarray:
+def uniform01(words: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Map uint64 words to doubles strictly inside (0, 1).
 
-    Uses the top 52 bits so the +0.5 offset is exactly representable for
-    every word; 0 and 1 are unreachable, which makes inverse-CDF
-    transforms safe.
+    Uses the top 52 bits, t, so the +0.5 offset is exactly representable
+    for every word; 0 and 1 are unreachable, which makes inverse-CDF
+    transforms safe.  The double with exponent 52 and mantissa t is
+    2^52 + t, so (t + 0.5) 2^-52 comes from integer and float operations
+    that are all exact.  ``in_place`` overwrites ``words`` with the result,
+    returned as a float64 view of the same memory.
     """
-    return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    bits = np.right_shift(words, np.uint64(12), out=words if in_place else None)
+    np.bitwise_or(bits, _EXPONENT_52, out=bits)
+    u = bits.view(np.float64)
+    np.subtract(u, 2.0**52 - 0.5, out=u)
+    return np.multiply(u, 2.0**-52, out=u)
 
 
-def truncated_normal_from_uniform(u: np.ndarray, bound: float) -> np.ndarray:
-    """Standard normal conditioned on [-bound, bound], via inverse CDF."""
+def truncated_normal_from_uniform(u: np.ndarray, bound: float,
+                                  out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal conditioned on [-bound, bound], via inverse CDF;
+    ``out`` (which may be ``u``) receives the result."""
     lo = ndtr(-bound)
     hi = ndtr(bound)
-    return ndtri(lo + u * (hi - lo))
+    out = np.multiply(u, hi - lo, out=out)
+    np.add(out, lo, out=out)
+    return ndtri(out, out=out)

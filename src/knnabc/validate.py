@@ -20,7 +20,6 @@ from .numerics import ols_slope, parallel_map, trapezoid_nd
 from .rng import derive_seed, derive_seeds
 
 _MIN_KS_K = 20
-_BOUND_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -215,10 +214,9 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
 
     Replicate r of pair j simulates the table ``generate_table`` gives for
     the seed derived from (seed, "bound", j, r).  Every replicate's key is
-    derived in one vectorised pass, and the replicates run in blocks of
-    about ``_BOUND_BLOCK_ROWS`` table rows (:func:`core.block_distances`);
-    the mean is taken in replicate order, so the result is the same at any
-    worker count.
+    derived in one vectorised pass, and the replicates run in blocks
+    (:func:`core.kth_distances`); the mean is taken in replicate order, so
+    the result is the same at any worker count.
     """
     order = int(order)
     replicates = int(replicates)
@@ -240,15 +238,7 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
             raise InvalidArgumentError(
                 f"each (N, k) pair needs N >= 2 and 0 <= k <= N-1, got ({n_rows}, {k})")
         keys = core.table_keys(model, derive_seeds(seed, "bound", j, count=replicates))
-        per_block = max(1, _BOUND_BLOCK_ROWS // n_rows)
-
-        def block(start: int, n_rows=n_rows, k=k, keys=keys, per_block=per_block):
-            d2 = core.block_distances(model, keys[start:start + per_block], n_rows, s0)
-            d2.partition(k, axis=1)
-            return d2[:, k].copy()  # a view would keep the whole block alive
-
-        d2_next = np.concatenate(parallel_map(block, range(0, replicates, per_block),
-                                              max_workers))
+        d2_next = core.kth_distances(model, keys, n_rows, s0, k, max_workers)
         moments = np.array([float(v) ** (order / 2) for v in d2_next])
         empirical = float(moments.mean())
         results.append({

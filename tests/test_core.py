@@ -1,7 +1,10 @@
 """Reference table, acceptance rules, restricted sampler, persistence."""
 
+import dataclasses
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,13 +12,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from knnabc import (abc_knn, abc_tolerance, cli, core, generate_table, get_model,
+from knnabc import (abc_knn, abc_tolerance, cli, core, generate_table, get_model, model_ids,
                     percentile_to_k, sample_restricted, simulate_knn)
 from knnabc.cli import validate_config
 from knnabc.core import (_CHUNK_ROWS, ReferenceTable, _nearest, squared_distances,
                          table_from_bytes, table_to_bytes)
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
-from knnabc.rng import derive_key
+from knnabc.rng import derive_key, row_words, uniform01
 
 
 def _table_from_distances(distances, s0=0.0):
@@ -30,6 +33,32 @@ def _sort_oracle(summaries, s0, k):
     d2 = np.sum((summaries - np.asarray(s0, dtype=float)) ** 2, axis=1)
     order = np.lexsort((np.arange(len(d2)), d2))
     return order[:k], d2
+
+
+def _stream_rows(model, key, n):
+    """Rows 0..n-1 of the joint stream with this key, every summary entry
+    of every row computed: the reference that pruning must not change."""
+    need = model.theta_words + model.summary_words
+    u = uniform01(row_words(key, 0, n, 4 * -(-need // 4))[:, :need])
+    thetas = model.thetas_from_uniforms(u[:, :model.theta_words].copy(), np.empty((n, model.p)))
+    summaries = np.empty((n, model.m))
+    for j, columns, uses_theta in model.coordinates:
+        model.summaries_from_uniforms(j, thetas if uses_theta else None,
+                                      u[:, columns].copy(), summaries[:, j])
+    return thetas, summaries
+
+
+def _lattice(model):
+    """``model`` with every summary entry rounded to the 0.25 lattice, so
+    that thousands of rows tie at each distance."""
+    def summaries(j, thetas, u, out):
+        model.summaries_from_uniforms(j, thetas, u, out)
+        np.multiply(out, 4.0, out=out)
+        np.round(out, out=out)
+        return np.divide(out, 4.0, out=out)
+
+    return dataclasses.replace(model, model_id=model.model_id + "_lattice",
+                               summaries_from_uniforms=summaries)
 
 
 def _overhead_bytes(fn, *args):
@@ -113,6 +142,15 @@ class TestGenerateTable:
                                               -0.8829210397542169,
                                               1.0388198313320531,
                                               -0.3220547983437429]
+
+    @pytest.mark.parametrize("model_id", model_ids())
+    def test_rows_match_the_stream_computed_entry_by_entry(self, model_id):
+        model = get_model(model_id)
+        n = _CHUNK_ROWS + 5
+        table = generate_table(model, n, 4, max_workers=2)
+        thetas, summaries = _stream_rows(model, derive_key(4, "table", model_id), n)
+        assert table.thetas.tobytes() == thetas.tobytes()
+        assert table.summaries.tobytes() == summaries.tobytes()
 
     def test_row_content_independent_of_total_rows(self):
         model = get_model("gauss_5d")
@@ -280,27 +318,43 @@ class TestSimulateKnn:
 
     @pytest.mark.parametrize("schedule", ["one_worker", "two_workers", "last_chunk_first"])
     def test_massive_ties_across_chunks_match_table_path(self, monkeypatch, schedule):
-        # summaries rounded to a 0.25 lattice tie thousands of rows at each
-        # distance, so pool cuts and the final selection all break ties
-        joint_rows = core._joint_rows
-
-        def lattice_rows(model, key, start, stop):
-            thetas, summaries = joint_rows(model, key, start, stop)
-            return thetas, np.round(summaries * 4.0) / 4.0
-
-        monkeypatch.setattr(core, "_joint_rows", lattice_rows)
+        # summaries on a 0.25 lattice tie thousands of rows at each
+        # distance, so pool cuts and the final selection all break ties;
+        # at m = 5 with s0 on the lattice every partial sum is exact, so
+        # rows whose partial sum equals tau meet the prune's margin
         workers = 2 if schedule == "two_workers" else 1
         if schedule == "last_chunk_first":
             # a chunk finishing before lower-indexed ones: its rows tied at
             # tau must still beat pooled rows with higher indices
             monkeypatch.setattr(core, "parallel_map",
                                 lambda fn, items, max_workers=1: [fn(i) for i in reversed(items)])
-        model = get_model("gaussian_conjugate_1d")
         n = 3 * _CHUNK_ROWS + 7
-        table = generate_table(model, n, 5)
-        for k in (1, 100, 20_000, n - 1):
-            _assert_same_accepted(simulate_knn(model, n, 5, [0.3], k, max_workers=workers),
-                                  abc_knn(table, [0.3], k))
+        for model_id, s0 in (("gaussian_conjugate_1d", [0.3]),
+                             ("gauss_5d", [1.0, 0.0, 0.25, 0.0, 0.0])):
+            model = _lattice(get_model(model_id))
+            table = generate_table(model, n, 5)
+            for k in (1, 100, 20_000, n - 1):
+                _assert_same_accepted(simulate_knn(model, n, 5, s0, k, max_workers=workers),
+                                      abc_knn(table, s0, k))
+
+    def test_workers_sharing_scratch_and_pool_under_thread_switching(self, monkeypatch):
+        # 8 threads on 64-row chunks, switching every microsecond, take and
+        # return scratch and fill the pool concurrently; a scratch handed to
+        # two chunks at once, or a lost pool update, changes the result
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        model, n, s0 = get_model("gauss_5d"), 20_000, np.full(5, 0.2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = generate_table(model, n, 3, max_workers=8)
+            got = simulate_knn(model, n, 3, s0, 50, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = generate_table(model, n, 3)
+        assert table.thetas.tobytes() == expected.thetas.tobytes()
+        assert table.summaries.tobytes() == expected.summaries.tobytes()
+        _assert_same_accepted(got, abc_knn(expected, s0, 50))
 
     def test_memory_beyond_accepted_set_does_not_grow_with_rows(self):
         model = get_model("gauss_5d")
@@ -368,8 +422,8 @@ class TestRestrictedSampler:
     def test_keeps_first_accepted_rows_of_the_stream(self, where):
         model = get_model("gauss_5d")
         s0, radius, batch, seed = np.full(5, 0.1), 2.0, 1000, 8
-        thetas, summaries = core._joint_rows(model, derive_key(seed, "restricted", "gauss_5d"),
-                                             0, 3 * batch)
+        thetas, summaries = _stream_rows(model, derive_key(seed, "restricted", "gauss_5d"),
+                                         3 * batch)
         inside = np.sum((summaries - s0) ** 2, axis=1) <= radius * radius
         per_batch = np.cumsum(inside.reshape(3, batch).sum(axis=1))
         count = {"first_batch": per_batch[0] - 5, "mid_batch": per_batch[1] - 5,
@@ -384,17 +438,16 @@ class TestRestrictedSampler:
         # need more than the first 2^14-row batch
         model = get_model("gaussian_conjugate_1d")
         s0, radius, count, seed = [1.0], 0.05, 500, 31
-        thetas, summaries = core._joint_rows(model, derive_key(seed, "restricted", model.model_id),
-                                             0, 1 << 16)
+        thetas, summaries = _stream_rows(model, derive_key(seed, "restricted", model.model_id),
+                                         1 << 16)
         inside = np.flatnonzero(np.abs(summaries[:, 0] - 1.0) <= radius)
         needed = inside[count - 1] + 1
         assert needed > 1 << 14
         drawn = []
-        row_words = core.row_words
 
-        def counting(key, start_row, n_rows, words_per_row):
+        def counting(key, start_row, n_rows, *args):
             drawn.append(n_rows)
-            return row_words(key, start_row, n_rows, words_per_row)
+            return row_words(key, start_row, n_rows, *args)
 
         monkeypatch.setattr(core, "row_words", counting)
         got_thetas, got_summaries = sample_restricted(model, s0, radius, count, seed=seed)

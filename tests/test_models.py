@@ -39,6 +39,16 @@ def _uniforms(seed, tag, n, width):
     return uniform01(words[:, :width])
 
 
+def _summaries(model, thetas, u):
+    """Every summary entry of the rows with these thetas and uniforms (one
+    row of ``theta_words + summary_words`` each), one coordinate at a time."""
+    out = np.empty((u.shape[0], model.m))
+    for j, columns, uses_theta in model.coordinates:
+        model.summaries_from_uniforms(j, thetas if uses_theta else None,
+                                      u[:, columns].copy(), out[:, j])
+    return out
+
+
 class TestSamplePrior:
     def test_conjugate_prior_centering(self):
         model = get_model("gaussian_conjugate_1d")
@@ -71,8 +81,8 @@ class TestSamplePrior:
 class TestSimulateSummary:
     def test_conjugate_noise_centering(self):
         model = get_model("gaussian_conjugate_1d")
-        u = _uniforms(201, "sim", 5000, model.summary_words)
-        draws = model.summaries_from_uniforms(np.zeros((5000, 1)), u)[:, 0]
+        u = _uniforms(201, "sim", 5000, model.theta_words + model.summary_words)
+        draws = _summaries(model, np.zeros((5000, 1)), u)[:, 0]
         assert abs(draws.mean()) <= 4.0 / math.sqrt(5000)
 
     def test_uniform_ball_stays_within_radius(self):
@@ -216,8 +226,9 @@ class TestModelInvariants:
     def test_seed_determinism_bitwise(self):
         model = get_model("gauss_5d")
         theta = np.full((1, 1), 0.3)
-        a = model.summaries_from_uniforms(theta, _uniforms(9, "det", 1, model.summary_words))
-        b = model.summaries_from_uniforms(theta, _uniforms(9, "det", 1, model.summary_words))
+        width = model.theta_words + model.summary_words
+        a = _summaries(model, theta, _uniforms(9, "det", 1, width))
+        b = _summaries(model, theta, _uniforms(9, "det", 1, width))
         assert a.shape == (1, 5)
         assert a.tobytes() == b.tobytes()
 

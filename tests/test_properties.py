@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -50,6 +50,10 @@ class TestSelectionProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(_tables())
+    # distinct squared distances whose square roots round to one float
+    @example((ReferenceTable(thetas=np.arange(2.0)[:, None],
+                             summaries=np.array([[9.99999997e-07, 64.0], [0.0, 64.0]]),
+                             seed=0, model_id="prop"), np.zeros(2), 1))
     def test_duality_as_sets(self, case):
         table, s0, k = case
         knn = abc_knn(table, s0, k)
@@ -57,8 +61,10 @@ class TestSelectionProperties:
         # with ties at the cut the tolerance rule may accept extra rows,
         # but never fewer, and always a superset
         assert set(knn.source_indices) <= set(tol.source_indices)
-        d2 = squared_distances(table.summaries, s0)
-        if len(np.unique(d2)) == table.n_rows:
+        # the tolerance rule compares the distances sqrt(d2) with epsilon,
+        # so only distinct distances, not distinct d2, rule out extra rows
+        d = np.sqrt(squared_distances(table.summaries, s0))
+        if len(np.unique(d)) == table.n_rows:
             assert set(knn.source_indices) == set(tol.source_indices)
 
     @settings(max_examples=200, deadline=None)
