@@ -140,7 +140,7 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
     """
     n = words.shape[0]
     tw = model.theta_words
-    u = uniform01(words, in_place=True)
+    u = uniform01(words)
     thetas, summaries, d2 = scratch.thetas, scratch.summaries, scratch.d2
     rows = None       # positions of the rows in play, once some are dropped
     at = slice(0, n)  # index of the rows in play in u and summaries
@@ -157,17 +157,19 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
             summaries[at, j] = entry
         if s0 is None:
             continue
-        if step == model.m - 1:
+        last = step == model.m - 1
+        if last:
             squared_distances(summaries[at], s0, out=d2[:n])
+        if tau == np.inf:
+            continue  # nothing to drop: every row is kept, NaN distances too
+        if last:
             bound = tau
-        elif tau < np.inf:
+        else:
             term = np.subtract(entry, s0[j], out=None if step else d2[:n])
             np.multiply(term, term, out=term)
             if step:
                 np.add(d2[:n], term, out=d2[:n])
             bound = tau * (1.0 + 2 * model.m * 2.0**-52)
-        else:
-            continue
         keep = np.flatnonzero(d2[:n] <= bound)
         if keep.size < n:
             n = keep.size
@@ -226,7 +228,7 @@ def table_keys(model: Model, seeds: np.ndarray) -> np.ndarray:
 
 
 def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0,
-                    scratch: _Scratch | None = None) -> np.ndarray:
+                    scratch: _Scratch) -> np.ndarray:
     """Squared distances to s0 of every row of several equal-size tables.
 
     Row b of the (len(keys), n_rows) result is
@@ -235,16 +237,16 @@ def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0,
     from one Philox call; the uniforms, the model's transforms and the
     distances then run once over the whole block.  A table longer than
     ``_CHUNK_ROWS`` is done one chunk of rows at a time, so the work beyond
-    the result is bounded by one chunk per table.  A caller running many
-    blocks may pass the ``scratch`` (with words) to reuse.
+    the result is bounded by one chunk per table.  Every chunk runs in
+    ``scratch``, which needs words and room for
+    ``len(keys) * min(n_rows, _CHUNK_ROWS)`` rows, so a caller running
+    many blocks reuses one scratch for all of them.
     """
     s0 = _point(s0, model)
     wpr = _words_per_row(model)
     n_tables = len(keys)
     d2 = np.empty((n_tables, n_rows))
     step = min(n_rows, _CHUNK_ROWS)
-    if scratch is None:
-        scratch = _Scratch(model, n_tables * step, words=True)
     words = scratch.words
     for start in range(0, n_rows, step):
         rows = min(step, n_rows - start)
@@ -259,7 +261,7 @@ def kth_distances(model: Model, keys: np.ndarray, n_rows: int, s0, k: int,
                   max_workers: int = 1) -> np.ndarray:
     """Order statistic k (counting from 0) of the squared distances to s0
     of each table whose key is in ``keys``: entry b is row b of
-    ``block_distances(model, keys, n_rows, s0)`` partitioned at k, so the
+    ``block_distances(model, keys, n_rows, s0, ...)`` partitioned at k, so the
     result is the same at any worker count.
 
     The tables run in blocks of about ``_BLOCK_ROWS`` rows, and a worker

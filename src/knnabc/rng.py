@@ -182,25 +182,25 @@ def _reset_philox(bit_gen: np.random.Philox, key: np.ndarray, counter: int) -> N
     }
 
 
-def uniform01(words: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Map uint64 words to doubles strictly inside (0, 1).
+def uniform01(words: np.ndarray) -> np.ndarray:
+    """Map uint64 words to doubles strictly inside (0, 1), in place: the
+    result overwrites ``words`` and is returned as a float64 view of the
+    same memory.
 
     Uses the top 52 bits, t, so the +0.5 offset is exactly representable
     for every word; 0 and 1 are unreachable, which makes inverse-CDF
     transforms safe.  The double with exponent 52 and mantissa t is
     2^52 + t, so (t + 0.5) 2^-52 comes from integer and float operations
-    that are all exact.  ``in_place`` overwrites ``words`` with the result,
-    returned as a float64 view of the same memory.
+    that are all exact.
     """
-    bits = np.right_shift(words, np.uint64(12), out=words if in_place else None)
+    bits = np.right_shift(words, np.uint64(12), out=words)
     np.bitwise_or(bits, _EXPONENT_52, out=bits)
     u = bits.view(np.float64)
     np.subtract(u, 2.0**52 - 0.5, out=u)
     return np.multiply(u, 2.0**-52, out=u)
 
 
-def truncated_normal_from_uniform(u: np.ndarray, bound: float,
-                                  out: np.ndarray | None = None) -> np.ndarray:
+def truncated_normal_from_uniform(u: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
     """Standard normal conditioned on [-bound, bound], via inverse CDF;
     ``out`` (which may be ``u``) receives the result."""
     lo = ndtr(-bound)

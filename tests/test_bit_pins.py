@@ -159,7 +159,8 @@ def _digests(model_id: str) -> dict:
         out[f"knn_{n}"] = _sha(acc.source_indices, acc.distances, acc.ordered_thetas,
                                acc.ordered_summaries, np.float64(acc.radius_next))
         keys = core.table_keys(model, np.arange(SEED, SEED + 3, dtype=np.uint64))
-        out[f"block_{n}"] = _sha(core.block_distances(model, keys, n, s0))
+        scratch = core._Scratch(model, len(keys) * min(n, core._CHUNK_ROWS), words=True)
+        out[f"block_{n}"] = _sha(core.block_distances(model, keys, n, s0, scratch))
     out["restricted"] = _sha(*sample_restricted(model, s0, radius, 100, SEED))
     return out
 

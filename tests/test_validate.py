@@ -221,10 +221,21 @@ class TestBoundCheckBlocks:
         model = get_model(model_id)
         s0 = np.linspace(0.5, -0.5, model.m)
         seeds = np.array([3, 2**40 + 1, 0], dtype=np.uint64)
-        got = core.block_distances(model, core.table_keys(model, seeds), 300, s0)
+        scratch = core._Scratch(model, len(seeds) * min(300, core._CHUNK_ROWS), words=True)
+        got = core.block_distances(model, core.table_keys(model, seeds), 300, s0, scratch)
         expected = [squared_distances(generate_table(model, 300, int(s)).summaries, s0)
                     for s in seeds]
         assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("model_id", ["gaussian_conjugate_1d", "gauss_5d"])
+    def test_every_row_kept_without_a_bound(self, model_id):
+        # with no tau nothing is dropped, so a NaN s0 gives NaN rows, not a short block
+        model = get_model(model_id)
+        s0 = np.full(model.m, np.nan)
+        keys = core.table_keys(model, np.array([5, 6], dtype=np.uint64))
+        scratch = core._Scratch(model, 2 * 40, words=True)
+        got = core.block_distances(model, keys, 40, s0, scratch)
+        assert got.shape == (2, 40) and np.isnan(got).all()
 
     @pytest.mark.parametrize("n_rows, k", [(999, 9), (9999, 99)])
     def test_memory_does_not_grow_with_replicates(self, n_rows, k):
