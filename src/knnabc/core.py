@@ -189,6 +189,16 @@ def _point(s0, model: Model) -> np.ndarray:
     return s0
 
 
+def _search_point(s0, model: Model) -> np.ndarray:
+    """``_point`` for a search for the rows within a bound of s0.  A NaN s0
+    is rejected: its distances fail every d2 <= bound test, so the search
+    would never find a row."""
+    s0 = _point(s0, model)
+    if np.isnan(s0).any():
+        raise InvalidArgumentError("s0 must not contain NaN")
+    return s0
+
+
 def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, visit,
                 s0: np.ndarray | None = None, tau=lambda: np.inf) -> None:
     """Simulate the table of ``n_rows`` rows with this key one chunk at a
@@ -398,10 +408,7 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     """
     n_rows, _, key = _table_stream(model, n_rows, seed)
     k = _check_k(k, n_rows)
-    s0 = _point(s0, model)
-    if np.isnan(s0).any():
-        # NaN distances would fail every d2 <= tau test and empty the pool
-        raise InvalidArgumentError("s0 must not contain NaN")
+    s0 = _search_point(s0, model)
     cap = min(n_rows, 2 * (k + 1) + _CHUNK_ROWS)
     pool_d2 = np.empty(cap)
     pool_index = np.empty(cap, dtype=np.int64)
@@ -488,7 +495,7 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
     seed = _validate_seed(seed)
-    s0 = _point(s0, model)
+    s0 = _search_point(s0, model)
     key = derive_key(seed, "restricted", model.model_id)
 
     thetas = np.empty((count, model.p))

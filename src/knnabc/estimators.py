@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AcceptedSet, ReferenceTable, squared_distances
+from .core import AcceptedSet, ReferenceTable, _check_k, squared_distances
 from .errors import (DegenerateScaleError, EmptyAcceptedSetError,
                      InvalidArgumentError, UndefinedEstimateError)
 from .numerics import trapezoid_nd
@@ -300,10 +300,7 @@ def g_smoothed_nn(table: ReferenceTable, s0, theta0, h: float, k: int,
     k-th nearest summary.  With a naive summary kernel this reproduces
     ``g_hat`` on the k nearest rows (up to rows tied at exactly that
     distance)."""
-    n = table.n_rows
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= N-1 = {n - 1}")
+    k = _check_k(k, table.n_rows)
     d2 = squared_distances(table.summaries, s0)
     d_k = math.sqrt(float(np.partition(d2, k - 1)[k - 1]))
     if d_k == 0.0:
@@ -374,7 +371,10 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
 
     The values are computed axis by axis, not point by point; they equal
     ``g_hat_many`` on ``grid_points(axes)`` up to the order of summation,
-    and the naive kernel's counts are identical."""
+    and the naive kernel's counts are identical.  Both are 0 at the same
+    points for the naive kernel at every p and the Gaussian at p = 1.  At
+    p >= 2 Gaussian values below about 1e-300 can differ: the exp floor
+    applies to each axis's factor here, and the factors multiply."""
     h, centers, scale = _checked_centers(accepted, h, kernel)
     p = centers.shape[1]
     if axes is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -92,8 +93,6 @@ class Model:
     params: Mapping[str, float]
     p: int
     m: int
-    prior_spec: str
-    summary_spec: str
     theta_words: int
     summary_words: int
     thetas_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -130,11 +129,6 @@ def oracle_posterior_pdf(model: Model, theta0, s0) -> float:
 # ---------------------------------------------------------------------------
 # truncated-normal helpers (exact posterior under +/- bound truncation)
 
-def _trunc_conj_window(s: float, bound: float, noise_scale: float = 1.0):
-    """Feasible theta range once both prior and noise are cut at +/- bound."""
-    return max(-bound, s - bound * noise_scale), min(bound, s + bound * noise_scale)
-
-
 def _truncated_normal_moments(mu, sigma, a, b):
     alpha = (a - mu) / sigma
     beta = (b - mu) / sigma
@@ -154,24 +148,22 @@ def _theta_points(theta0, p: int) -> np.ndarray:
     return pts
 
 
-def _conjugate_oracle(bound: float, noise_var: float, s_index: int = 0) -> PosteriorOracle:
-    """Posterior for prior N(0,1) and summary noise N(0, noise_var), both
-    truncated at +/- bound, conditioning on coordinate ``s_index`` of s.
+def _conjugate_oracle(bound: float) -> PosteriorOracle:
+    """Posterior for prior N(0,1) and summary entry s[0] = theta + N(0,1),
+    both truncated at +/- bound.
 
     The truncated-model posterior is the untruncated conjugate normal
-    restricted to the feasible window and renormalized.
+    N(s[0] / 2, 1 / 2) restricted to the feasible window and renormalized.
     """
-    noise_scale = math.sqrt(noise_var)
-    post_var = noise_var / (1.0 + noise_var)
+    sigma = math.sqrt(0.5)
 
     def _window(s0):
-        s = float(np.asarray(s0, dtype=float).reshape(-1)[s_index])
-        mu = s / (1.0 + noise_var)
-        return s, mu, _trunc_conj_window(s, bound, noise_scale)
+        s = float(np.asarray(s0, dtype=float).reshape(-1)[0])
+        # feasible theta range once both prior and noise are cut at +/- bound
+        return s / 2.0, max(-bound, s - bound), min(bound, s + bound)
 
     def pdf(theta0, s0):
-        _, mu, (a, b) = _window(s0)
-        sigma = math.sqrt(post_var)
+        mu, a, b = _window(s0)
         _, _, z = _truncated_normal_moments(mu, sigma, a, b)
         t = _theta_points(theta0, 1)[:, 0]
         dens = _norm_pdf((t - mu) / sigma) / (sigma * z)
@@ -179,13 +171,13 @@ def _conjugate_oracle(bound: float, noise_var: float, s_index: int = 0) -> Poste
         return dens if dens.size > 1 else float(dens[0])
 
     def mean(s0):
-        _, mu, (a, b) = _window(s0)
-        m, _, _ = _truncated_normal_moments(mu, math.sqrt(post_var), a, b)
+        mu, a, b = _window(s0)
+        m, _, _ = _truncated_normal_moments(mu, sigma, a, b)
         return np.array([m])
 
     def variance(s0):
-        _, mu, (a, b) = _window(s0)
-        _, v, _ = _truncated_normal_moments(mu, math.sqrt(post_var), a, b)
+        mu, a, b = _window(s0)
+        _, v, _ = _truncated_normal_moments(mu, sigma, a, b)
         return np.array([[v]])
 
     return PosteriorOracle(pdf=pdf, mean=mean, variance=variance)
@@ -201,47 +193,63 @@ def _thetas_truncated_normal(bound: float):
     return thetas
 
 
-def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
+def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
+    """Prior N(0,1) and summary (theta + eps_1, eps_2, ..., eps_m) with iid
+    N(0,1) eps, every draw truncated to [-bound, bound].  Entries 2..m are
+    ancillary noise: they factor out of the joint density, so the posterior
+    is that of the m = 1 model (``gaussian_conjugate_1d``)."""
+
     def summaries(j, thetas_, u, out):
         truncated_normal_from_uniform(u[:, 0], bound, out=out)
-        return np.add(out, thetas_[:, 0], out=out)
+        if j == 0:
+            np.add(out, thetas_[:, 0], out=out)
+        return out
+
+    def _tail_factor(s):
+        # density of the ancillary entries; 1.0 at m = 1
+        return float(np.prod(_norm_pdf(np.asarray(s, dtype=float)[1:])))
+
+    def _ancillary(s):
+        # their share of a summary Laplacian over the density; 0.0 at m = 1
+        return float(np.sum(np.asarray(s, dtype=float)[1:] ** 2 - 1.0))
 
     def joint_pdf(theta, s):
         t = _theta_points(theta, 1)[:, 0]
-        return _norm_pdf(t) * _norm_pdf(float(s[0]) - t)
+        return _norm_pdf(t) * _norm_pdf(float(s[0]) - t) * _tail_factor(s)
 
     def marginal_pdf(s):
-        return math.exp(-float(s[0]) ** 2 / 4.0) / math.sqrt(4.0 * math.pi)
+        return math.exp(-float(s[0]) ** 2 / 4.0) / math.sqrt(4.0 * math.pi) * _tail_factor(s)
 
     def theta_laplacian(theta, s):
         t = _theta_points(theta, 1)[:, 0]
-        f = joint_pdf(theta, s)
-        return f * ((float(s[0]) - 2.0 * t) ** 2 - 2.0)
+        return joint_pdf(theta, s) * ((float(s[0]) - 2.0 * t) ** 2 - 2.0)
 
     def summary_laplacian(theta, s):
         t = _theta_points(theta, 1)[:, 0]
         f = joint_pdf(theta, s)
-        return f * ((t - float(s[0])) ** 2 - 1.0)
+        return f * (((t - float(s[0])) ** 2 - 1.0) + _ancillary(s))
 
     def marginal_summary_laplacian(s):
         s1 = float(s[0])
-        return marginal_pdf(s) * (s1 * s1 / 4.0 - 0.5)
+        return marginal_pdf(s) * ((s1 * s1 / 4.0 - 0.5) + _ancillary(s))
 
     def marginal_cdf(s):
         return ndtr(np.asarray(s, dtype=float) / math.sqrt(2.0))
 
     return Model(
-        model_id="gaussian_conjugate_1d",
+        model_id=model_id,
         params={"bound": bound},
-        p=1, m=1,
-        prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
-        summary_spec=f"theta + N(0,1) truncated to [-{bound},{bound}]",
-        theta_words=1, summary_words=1,
+        p=1, m=m,
+        theta_words=1, summary_words=m,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
-        coordinates=(SummaryCoordinate(0, slice(1, 2), True),),
-        support_diameter=4.0 * bound,
-        oracle=_conjugate_oracle(bound, noise_var=1.0),
+        # the ancillary entries first: a row far from s0 in them is pruned
+        # before its theta is drawn
+        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2), j == 0)
+                          for j in (*range(1, m), 0)),
+        # support is [-2b, 2b] x [-b, b]^(m-1); diameter of that box
+        support_diameter=math.sqrt((4.0 * bound) ** 2 + (m - 1) * (2.0 * bound) ** 2),
+        oracle=_conjugate_oracle(bound),
         analytic=AnalyticJoint(
             joint_pdf=joint_pdf,
             marginal_pdf=marginal_pdf,
@@ -249,7 +257,7 @@ def _gaussian_conjugate_1d(bound: float = 5.0) -> Model:
             summary_laplacian=summary_laplacian,
             marginal_summary_laplacian=marginal_summary_laplacian,
             theta_halfwidth=2.0 * bound,
-            marginal_cdf=marginal_cdf,
+            marginal_cdf=marginal_cdf if m == 1 else None,
         ),
     )
 
@@ -280,79 +288,12 @@ def _uniform_box_1d() -> Model:
         model_id="uniform_box_1d",
         params={},
         p=1, m=1,
-        prior_spec="U[0,1]",
-        summary_spec="U[0,1], independent of theta",
         theta_words=1, summary_words=1,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
         coordinates=(SummaryCoordinate(0, slice(1, 2), False),),
         support_diameter=1.0,
         oracle=oracle,
-    )
-
-
-def _gauss_5d(bound: float = 5.0) -> Model:
-    m_dim = 5
-
-    def summaries(j, thetas_, u, out):
-        truncated_normal_from_uniform(u[:, 0], bound, out=out)
-        if j == 0:
-            np.add(out, thetas_[:, 0], out=out)
-        return out
-
-    def _tail_factor(s):
-        return float(np.prod(_norm_pdf(np.asarray(s, dtype=float)[1:])))
-
-    def joint_pdf(theta, s):
-        t = _theta_points(theta, 1)[:, 0]
-        return _norm_pdf(t) * _norm_pdf(float(s[0]) - t) * _tail_factor(s)
-
-    def marginal_pdf(s):
-        s1 = float(s[0])
-        return math.exp(-s1 * s1 / 4.0) / math.sqrt(4.0 * math.pi) * _tail_factor(s)
-
-    def theta_laplacian(theta, s):
-        t = _theta_points(theta, 1)[:, 0]
-        return joint_pdf(theta, s) * ((float(s[0]) - 2.0 * t) ** 2 - 2.0)
-
-    def summary_laplacian(theta, s):
-        t = _theta_points(theta, 1)[:, 0]
-        s = np.asarray(s, dtype=float)
-        f = joint_pdf(theta, s)
-        ancillary = float(np.sum(s[1:] ** 2 - 1.0))
-        return f * (((t - s[0]) ** 2 - 1.0) + ancillary)
-
-    def marginal_summary_laplacian(s):
-        s = np.asarray(s, dtype=float)
-        ancillary = float(np.sum(s[1:] ** 2 - 1.0))
-        return marginal_pdf(s) * ((s[0] ** 2 / 4.0 - 0.5) + ancillary)
-
-    # support is [-2b, 2b] x [-b, b]^4; diameter of that box
-    diameter = math.sqrt((4.0 * bound) ** 2 + 4.0 * (2.0 * bound) ** 2)
-
-    return Model(
-        model_id="gauss_5d",
-        params={"bound": bound},
-        p=1, m=m_dim,
-        prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
-        summary_spec="(theta + eps1, eps2..eps5) with iid truncated N(0,1) eps",
-        theta_words=1, summary_words=m_dim,
-        thetas_from_uniforms=_thetas_truncated_normal(bound),
-        summaries_from_uniforms=summaries,
-        # the ancillary entries first: a row far from s0 in them is pruned
-        # before its theta is drawn
-        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2), j == 0)
-                          for j in (1, 2, 3, 4, 0)),
-        support_diameter=diameter,
-        oracle=_conjugate_oracle(bound, noise_var=1.0, s_index=0),
-        analytic=AnalyticJoint(
-            joint_pdf=joint_pdf,
-            marginal_pdf=marginal_pdf,
-            theta_laplacian=theta_laplacian,
-            summary_laplacian=summary_laplacian,
-            marginal_summary_laplacian=marginal_summary_laplacian,
-            theta_halfwidth=2.0 * bound,
-        ),
     )
 
 
@@ -385,8 +326,6 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         model_id="uniform_ball_1d",
         params={"radius": radius},
         p=1, m=1,
-        prior_spec="U[0,1]",
-        summary_spec=f"theta + U[-{radius},{radius}]",
         theta_words=1, summary_words=1,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
@@ -416,8 +355,6 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
         model_id="gaussian_mean_demo",
         params={"n_obs": n_obs, "bound": bound},
         p=1, m=1,
-        prior_spec=f"N(0,1) truncated to [-{bound},{bound}]",
-        summary_spec=f"mean of {n_obs} iid theta + truncated N(0,1) observations",
         theta_words=1, summary_words=n_obs,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
@@ -428,9 +365,9 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
 
 
 _REGISTRY: dict[str, Callable[..., Model]] = {
-    "gaussian_conjugate_1d": _gaussian_conjugate_1d,
+    "gaussian_conjugate_1d": partial(_conjugate, "gaussian_conjugate_1d", 1),
     "uniform_box_1d": _uniform_box_1d,
-    "gauss_5d": _gauss_5d,
+    "gauss_5d": partial(_conjugate, "gauss_5d", 5),
     "uniform_ball_1d": _uniform_ball_1d,
     "gaussian_mean_demo": _gaussian_mean_demo,
 }
@@ -451,7 +388,7 @@ def _check_params(params: dict):
             raise ConfigurationError(f"model.params.{name}: must be an integer >= 1")
 
 
-def get_model(model_id: str, **params) -> Model:
+def get_model(model_id: str, /, **params) -> Model:
     """Build a registered model from its identifier and parameter map."""
     try:
         builder = _REGISTRY[model_id]

@@ -250,22 +250,13 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     return results
 
 
-_PHI_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda thetas: thetas[:, 0],
-    "square": lambda thetas: thetas[:, 0] ** 2,
-    "one": lambda thetas: np.ones(thetas.shape[0]),
+# phi name -> (phi of the (k, p) accepted thetas, its oracle moment from
+# the posterior mean and variance of theta_1)
+_PHI_REGISTRY: dict[str, tuple[Callable, Callable[[float, float], float]]] = {
+    "identity": (lambda thetas: thetas[:, 0], lambda mean, var: mean),
+    "square": (lambda thetas: thetas[:, 0] ** 2, lambda mean, var: var + mean * mean),
+    "one": (lambda thetas: np.ones(thetas.shape[0]), lambda mean, var: 1.0),
 }
-
-
-def _oracle_moment(model: Model, s0, name: str) -> float:
-    mean = float(model.oracle.mean(s0)[0])
-    if name == "identity":
-        return mean
-    if name == "square":
-        return float(model.oracle.variance(s0)[0, 0]) + mean * mean
-    if name == "one":
-        return 1.0
-    raise InvalidArgumentError(f"no oracle moment registered for phi '{name}'")
 
 
 def moment_consistency(model: Model, s0, n_rows: int, k: int,
@@ -281,10 +272,15 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     resolved = []
     for item in phis:
-        if isinstance(item, str):
-            resolved.append((item, _PHI_REGISTRY[item], _oracle_moment(model, s0, item)))
-        else:
+        if not isinstance(item, str):
             resolved.append(tuple(item))
+            continue
+        if item not in _PHI_REGISTRY:
+            raise InvalidArgumentError(
+                f"unknown phi '{item}'; registered: {', '.join(sorted(_PHI_REGISTRY))}")
+        phi, moment = _PHI_REGISTRY[item]
+        value = moment(float(model.oracle.mean(s0)[0]), float(model.oracle.variance(s0)[0, 0]))
+        resolved.append((item, phi, value))
 
     def one(r: int):
         accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "moment", r), s0, k)

@@ -329,7 +329,13 @@ class TestEndToEnd:
          "model.params.radius: must be a finite number > 0"),
         ({"id": "gaussian_mean_demo", "params": {"n_obs": True}},
          "model.params.n_obs: must be an integer >= 1"),
-    ], ids=["bound-nan", "radius-inf", "n_obs-true"])
+        ({"id": "gauss_5d", "params": {"m": 3}},
+         "bad parameters for model 'gauss_5d': "
+         "_conjugate() got multiple values for argument 'm'"),
+        ({"id": "gaussian_conjugate_1d", "params": {"model_id": "x"}},
+         "bad parameters for model 'gaussian_conjugate_1d': "
+         "_conjugate() got multiple values for argument 'model_id'"),
+    ], ids=["bound-nan", "radius-inf", "n_obs-true", "m-not-a-param", "model_id-not-a-param"])
     def test_bad_model_params_are_config_errors(self, tmp_path, capsys, model, message):
         raw = minimal_config(N=200, acceptance={"k": 10}, model=model, s0=[0.5])
         code, out_dir = self._run(tmp_path, "estimate", raw)

@@ -396,6 +396,12 @@ class TestRestrictedSampler:
         d = np.sqrt(np.sum((summaries - s0) ** 2, axis=1))
         assert np.all(d <= 1.5)
 
+    def test_nan_s0_rejected(self):
+        # no row is ever within any radius of a NaN s0: the sampler once
+        # drew its whole 10M-proposal budget and reported an infeasible radius
+        with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN"):
+            sample_restricted(get_model("gaussian_conjugate_1d"), [np.nan], 1.0, 10, seed=1)
+
     def test_infinite_radius_matches_unrestricted_law(self):
         model = get_model("gaussian_conjugate_1d")
         thetas, _ = sample_restricted(model, [0.0], np.inf, 10_000, seed=22)

@@ -227,6 +227,15 @@ class TestSmoothedNN:
                               make_kernel("naive", 1), make_kernel("naive", 1))
         assert value > 0.0
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_out_of_range(self, k):
+        table = ReferenceTable(thetas=np.array([[1.0], [2.0], [3.0]]),
+                               summaries=np.array([[0.0], [1.0], [2.0]]),
+                               seed=0, model_id="synthetic")
+        with pytest.raises(InvalidArgumentError, match="1 <= k <= N-1 = 2"):
+            g_smoothed_nn(table, [0.0], [1.0], 0.2, k,
+                          make_kernel("naive", 1), make_kernel("naive", 1))
+
     def test_gaussian_summary_kernel_downweights_far_rows(self):
         # rows at summary distances 0.0001 and 0.1 with k = 2 (the third
         # row sits far outside and carries negligible weight)
@@ -342,6 +351,17 @@ class TestTensorGridEvaluation:
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert np.any(np.abs(d2 - h * h) <= 1e-12)
         self._assert_matches_dense(_accepted(centers), h, "naive", axes)
+
+    def test_gaussian_support_may_differ_below_1e300_at_p2(self):
+        # each axis's factor, e^-350 and e^-360, is above the exp floor, but
+        # the dense path floors their product's exponent, -710, to 0
+        acc = _accepted(np.zeros((1, 2)))
+        axes = (np.array([math.sqrt(700.0)]), np.array([math.sqrt(720.0)]))
+        kernel = make_kernel("gaussian", 2)
+        grid = estimate_density(acc, 1.0, kernel, axes=axes).values[0]
+        dense = g_hat_many(acc, 1.0, kernel, grid_points(axes))[0]
+        assert dense == 0.0
+        assert grid == pytest.approx(7.1242308e-310, rel=1e-7)
 
 
 class TestGaussianExpFloor:

@@ -239,8 +239,13 @@ class TestRegistry:
             get_model("no_such_model")
 
     def test_bad_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_model("gaussian_conjugate_1d", wrong_param=1)
+        # the two conjugate models share one builder; its model_id and m are
+        # fixed by the registry, not parameters
+        for model_id, params in [("gaussian_conjugate_1d", {"wrong_param": 1}),
+                                 ("gauss_5d", {"m": 3}),
+                                 ("gaussian_conjugate_1d", {"model_id": "x"})]:
+            with pytest.raises(ConfigurationError):
+                get_model(model_id, **params)
 
     @pytest.mark.parametrize("model_id, params", [
         ("gaussian_conjugate_1d", {"bound": math.nan}),

@@ -295,6 +295,11 @@ class TestMomentConsistency:
         assert abs(by_name["identity"]["z_score"]) <= 4.0
         assert abs(by_name["square"]["z_score"]) <= 4.0
 
+    def test_unknown_phi_name_rejected(self):
+        model = get_model("gaussian_conjugate_1d")
+        with pytest.raises(InvalidArgumentError, match="registered: identity, one, square"):
+            moment_consistency(model, [1.0], 500, 30, ["bogus"], 5, seed=94)
+
     def test_custom_phi_triple(self):
         model = get_model("gaussian_conjugate_1d")
         out = moment_consistency(
