@@ -378,7 +378,7 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
             meta={"N": config.n_rows, "seed": config.seed, "s0": s0.tolist(),
                   "model_id": model.model_id})
         emit_csv("density.csv", [f"theta_{j}" for j in range(model.p)] + ["g_hat"],
-                 [*est.grid.T, est.values])
+                 [*estimators.grid_points(est.axes).T, est.values])
         emit_json("density_meta.json", est.meta)
     elif command == "validate":
         _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)

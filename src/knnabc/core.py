@@ -190,12 +190,12 @@ def _point(s0, model: Model) -> np.ndarray:
 
 
 def _search_point(s0, model: Model) -> np.ndarray:
-    """``_point`` for a search for the rows within a bound of s0.  A NaN s0
-    is rejected: its distances fail every d2 <= bound test, so the search
-    would never find a row."""
+    """``_point`` for a search for the rows within a bound of s0.  A NaN or
+    infinite s0 is rejected: every row's distance to it is NaN or infinite,
+    so no row is ever within a finite bound of it."""
     s0 = _point(s0, model)
-    if np.isnan(s0).any():
-        raise InvalidArgumentError("s0 must not contain NaN")
+    if not np.isfinite(s0).all():
+        raise InvalidArgumentError("s0 must not contain NaN or infinite entries")
     return s0
 
 

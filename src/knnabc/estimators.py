@@ -191,7 +191,7 @@ def _gaussian_grid_sums(centers: np.ndarray, h: float, axes) -> np.ndarray:
     k, p = centers.shape
     lead = math.prod(len(a) for a in axes[:-1])
     block = max(1, BLOCK_ENTRIES // (lead + len(axes[-1])))
-    sums = np.zeros((lead, len(axes[-1])))
+    sums = np.empty((lead, len(axes[-1])))
     for lo in range(0, k, block):
         c = centers[lo:lo + block]
 
@@ -203,29 +203,31 @@ def _gaussian_grid_sums(centers: np.ndarray, h: float, axes) -> np.ndarray:
             u *= -0.5
             return _gaussian_exp(u)
 
-        prod = np.ones((1, c.shape[0]))
-        for d in range(p - 1):
+        prod = factor(0) if p > 1 else np.ones((1, c.shape[0]))
+        for d in range(1, p - 1):
             prod = (prod[:, None, :] * factor(d)[None, :, :]).reshape(-1, c.shape[0])
-        sums += np.einsum("rj,gj->rg", prod, factor(p - 1))
+        if lo == 0:
+            np.einsum("rj,gj->rg", prod, factor(p - 1), out=sums)
+        else:
+            sums += np.einsum("rj,gj->rg", prod, factor(p - 1))
     return sums
 
 
 def _ball_grid_counts(centers: np.ndarray, h: float, axes) -> np.ndarray:
     """Number of centres c_j with ||(x - c_j)/h||^2 <= 1 at every point x
-    of a tensor grid, in the layout of :func:`_gaussian_grid_sums`.
+    of a tensor grid, as floats, in the layout of :func:`_gaussian_grid_sums`.
 
     On each row of the grid (its leading coordinates fixed) a centre's ball
-    covers one contiguous run of the sorted last axis.  ``searchsorted``
+    covers one contiguous run of the ascending last axis.  ``searchsorted``
     finds the run from the ball's half-width; its ends are then stepped
     until they agree with the inclusion test of ``g_hat_many``, evaluated
     with the same arithmetic, so the counts are those of the dense path.
     A difference array turns the runs into counts."""
     k, p = centers.shape
-    order = np.argsort(axes[-1], kind="stable")
-    x = axes[-1][order]
+    x = axes[-1]
     g = x.shape[0]
     lead_points = grid_points(axes[:-1]) if p > 1 else np.zeros((1, 0))
-    counts = np.zeros((lead_points.shape[0], g), dtype=np.int64)
+    counts = np.zeros((lead_points.shape[0], g))
     if g == 0:
         return counts
     rows = max(1, BLOCK_ENTRIES // k)
@@ -249,13 +251,11 @@ def _ball_grid_counts(centers: np.ndarray, h: float, axes) -> np.ndarray:
             hi += hi_step
             if not (lo_step.any() or hi_step.any()):
                 break
-        width = (g + 1) * lead.shape[0]
-        edges = (np.bincount(row * (g + 1) + lo, minlength=width)
-                 - np.bincount(row * (g + 1) + hi, minlength=width))
-        counts[r0:r0 + lead.shape[0]] = np.cumsum(edges.reshape(-1, g + 1), axis=1)[:, :g]
-    out = np.empty_like(counts)
-    out[:, order] = counts
-    return out
+        edges = np.zeros((g + 1) * lead.shape[0])
+        np.add.at(edges, row * (g + 1) + lo, 1.0)
+        np.subtract.at(edges, row * (g + 1) + hi, 1.0)
+        np.cumsum(edges.reshape(-1, g + 1)[:, :g], axis=1, out=counts[r0:r0 + lead.shape[0]])
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +329,8 @@ class DensityEstimate:
     """Estimator values on a tensor grid plus the run metadata needed to
     reproduce them."""
 
-    grid: np.ndarray              # (G, p) points, C order over the axes
-    values: np.ndarray            # (G,) nonnegative
-    axes: tuple                   # per-coordinate 1-D grids
+    values: np.ndarray            # (G,) nonnegative, at grid_points(axes)
+    axes: tuple                   # per-coordinate ascending 1-D grids
     meta: dict
 
     def integral(self) -> float:
@@ -347,7 +346,8 @@ def default_grid(accepted: AcceptedSet, h: float, points: int = GRID_POINTS_1D,
     if accepted.k == 0:
         raise EmptyAcceptedSetError("cannot build a grid from an empty accepted set")
     p = accepted.ordered_thetas.shape[1]
-    per_axis = min(points, max(2, int(cap ** (1.0 / p)))) if p > 1 else points
+    root = round(cap ** (1.0 / p))  # r or r + 1, for the largest r with r^p <= cap
+    per_axis = min(points, max(2, root - (root**p > cap))) if p > 1 else points
     lo = accepted.ordered_thetas.min(axis=0) - padding * h
     hi = accepted.ordered_thetas.max(axis=0) + padding * h
     with np.errstate(over="ignore"):  # hi - lo is finite only if both ends are
@@ -382,12 +382,14 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in axes)
     if len(axes) != p:
         raise InvalidArgumentError(f"need {p} grid axes, got {len(axes)}")
+    if any(not np.isfinite(a).all() or np.any(a[1:] < a[:-1]) for a in axes):
+        raise InvalidArgumentError("grid axes must be finite and ascending")
     if kernel.kind == "naive":
-        sums = _ball_grid_counts(centers, h, axes)
+        values = _ball_grid_counts(centers, h, axes)
     else:
-        sums = _gaussian_grid_sums(centers, h, axes)
-    values = (sums * kernel.normalizer * scale).reshape(-1)
-    pts = grid_points(axes)
+        values = _gaussian_grid_sums(centers, h, axes)
+    values *= kernel.normalizer
+    values *= scale
     full_meta = {
         "k": accepted.k,
         "h": float(h),
@@ -397,5 +399,5 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
     }
     if meta:
         full_meta.update(meta)
-    return DensityEstimate(grid=pts, values=values, axes=axes, meta=full_meta)
+    return DensityEstimate(values=values.reshape(-1), axes=axes, meta=full_meta)
 

@@ -395,8 +395,11 @@ def get_model(model_id: str, /, **params) -> Model:
     except KeyError:
         raise ConfigurationError(
             f"unknown model '{model_id}'; available: {', '.join(model_ids())}") from None
+    accepted = builder().params
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"model.params: unknown key(s) {', '.join(unknown)} for model '{model_id}';"
+            f" accepted keys: {', '.join(accepted) or 'none'}")
     _check_params(params)
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad parameters for model '{model_id}': {exc}") from None
+    return builder(**params)

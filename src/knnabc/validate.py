@@ -58,11 +58,6 @@ def _require_oracle(model: Model):
         raise UnsupportedModelError(f"model '{model.model_id}' has no posterior oracle")
 
 
-def _oracle_on_grid(model: Model, pts: np.ndarray, s0) -> np.ndarray:
-    return np.asarray(model.oracle.pdf(pts, np.asarray(s0, dtype=float)),
-                      dtype=float).reshape(-1)
-
-
 def integrated_squared_error(values: np.ndarray, oracle_values: np.ndarray, axes) -> float:
     """Trapezoid integral of (estimate - oracle)^2 on a tensor grid."""
     diff = np.asarray(values, dtype=float) - np.asarray(oracle_values, dtype=float)
@@ -98,7 +93,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
         axes = estimators.default_grid(accepted, h_r, points=grid_points,
                                        padding=grid_padding)
         est = estimators.estimate_density(accepted, h_r, kernel, axes=axes)
-        oracle_vals = _oracle_on_grid(model, est.grid, s0)
+        oracle_vals = np.reshape(model.oracle.pdf(estimators.grid_points(axes), s0), -1)
         return integrated_squared_error(est.values, oracle_vals, axes), h_r
 
     results = parallel_map(one, range(replicates), max_workers)

@@ -1,10 +1,13 @@
-"""Bit pins: sha256 digests of every built-in model's simulated outputs.
+"""Bit pins: sha256 digests of every built-in model's simulated outputs,
+and of density estimates on the grid.
 
 The digests were recorded from a reference build and must never change:
 tables regenerate from (model, seed, N) alone, so any change to the
 simulation kernel that alters one bit of a table, of the k nearest rows,
 of a validation block or of a restricted draw fails here.  The sizes sit
 at the chunk edges (2^15 - 1 and 2^15 + 7 rows) and at the smallest table.
+The grid estimates are those of synthetic accepted sets at p = 1 and 2,
+with both kernels.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from knnabc import core, generate_table, get_model, model_ids, sample_restricted, simulate_knn
+from knnabc.estimators import default_grid, estimate_density, make_kernel
 
 SEED = 20_261_018
 SIZES = (2, (1 << 15) - 1, (1 << 15) + 7)
@@ -168,3 +172,29 @@ def _digests(model_id: str) -> dict:
 @pytest.mark.parametrize("model_id", model_ids())
 def test_outputs_match_recorded_digests(model_id):
     assert _digests(model_id) == PINS[model_id]
+
+
+# (p, k, seed of the thetas, h, default_grid options) per grid case
+_DENSITY_CASES = {
+    "p1": (1, 2000, 71, 0.1, {"points": 4001}),
+    "p2": (2, 110, 72, 0.9, {"cap": 200_000}),
+}
+
+DENSITY_PINS = {
+    "p1-naive": "d016847633e0c1660b57651ba96b55d8dff1d746c3dea33ae8def47ef8d422e3",
+    "p1-gaussian": "40138aabc6ace52d0298554638c07ddde1b0eaa3a9afafe51ea693ad13e275c4",
+    "p2-naive": "555cc16ad114eb4d731b583d56e8b856010c138e23c6894e4b7a4fc6d41a93fb",
+    "p2-gaussian": "f7da79e365ea9e404dce975806e85564dfede7fad097596f279c17fc24b9eb99",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_PINS))
+def test_density_values_match_recorded_digests(case):
+    grid, kind = case.split("-")
+    p, k, seed, h, options = _DENSITY_CASES[grid]
+    acc = core.AcceptedSet(ordered_thetas=np.random.default_rng(seed).normal(0.0, 1.0, (k, p)),
+                           ordered_summaries=np.zeros((k, 1)),
+                           distances=np.linspace(0.01, 0.4, k), radius_next=0.5,
+                           source_indices=np.arange(k, dtype=np.int64))
+    est = estimate_density(acc, h, make_kernel(kind, p), axes=default_grid(acc, h, **options))
+    assert _sha(est.values) == DENSITY_PINS[case]

@@ -330,11 +330,10 @@ class TestEndToEnd:
         ({"id": "gaussian_mean_demo", "params": {"n_obs": True}},
          "model.params.n_obs: must be an integer >= 1"),
         ({"id": "gauss_5d", "params": {"m": 3}},
-         "bad parameters for model 'gauss_5d': "
-         "_conjugate() got multiple values for argument 'm'"),
+         "model.params: unknown key(s) m for model 'gauss_5d'; accepted keys: bound"),
         ({"id": "gaussian_conjugate_1d", "params": {"model_id": "x"}},
-         "bad parameters for model 'gaussian_conjugate_1d': "
-         "_conjugate() got multiple values for argument 'model_id'"),
+         "model.params: unknown key(s) model_id for model 'gaussian_conjugate_1d';"
+         " accepted keys: bound"),
     ], ids=["bound-nan", "radius-inf", "n_obs-true", "m-not-a-param", "model_id-not-a-param"])
     def test_bad_model_params_are_config_errors(self, tmp_path, capsys, model, message):
         raw = minimal_config(N=200, acceptance={"k": 10}, model=model, s0=[0.5])

@@ -402,6 +402,14 @@ class TestRestrictedSampler:
         with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN"):
             sample_restricted(get_model("gaussian_conjugate_1d"), [np.nan], 1.0, 10, seed=1)
 
+    @pytest.mark.parametrize("s0", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_infinite_s0_rejected(self, s0):
+        # no row is ever within a finite radius of an infinite s0: the
+        # sampler once drew its whole 10M-proposal budget before raising
+        # InfeasibleRadiusError
+        with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
+            sample_restricted(get_model("gaussian_conjugate_1d"), [s0], 1.0, 10, seed=1)
+
     def test_infinite_radius_matches_unrestricted_law(self):
         model = get_model("gaussian_conjugate_1d")
         thetas, _ = sample_restricted(model, [0.0], np.inf, 10_000, seed=22)

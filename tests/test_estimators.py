@@ -300,6 +300,40 @@ class TestDensityEstimate:
         axes = default_grid(acc, 0.5)
         assert len(axes) == 2
         assert len(axes[0]) * len(axes[1]) <= 100_000
+        # each axis gets the largest r with r^p <= cap, also when cap is a
+        # perfect p-th power, where int(cap ** (1/p)) once gave r - 1
+        for p, cap, per_axis in ((2, 100_000, 316), (2, 200_000, 447), (3, 125, 5),
+                                 (3, 10**6, 100)):
+            acc = _accepted(gen.normal(0, 1, (10, p)))
+            assert [len(a) for a in default_grid(acc, 0.5, cap=cap)] == [per_axis] * p
+
+    @pytest.mark.parametrize("axis", [np.array([1.0, 0.0, -1.0]), np.array([0.0, np.nan, 1.0]),
+                                      np.array([np.nan]), np.array([-np.inf, 0.0, np.inf])],
+                             ids=["descending", "nan", "only-nan", "infinite"])
+    @pytest.mark.parametrize("kind", ["naive", "gaussian"])
+    def test_axes_must_be_ascending(self, kind, axis):
+        acc = _accepted(np.zeros((3, 2)))
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            estimate_density(acc, 1.0, make_kernel(kind, 2), axes=(np.linspace(-1, 1, 5), axis))
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            estimate_density(acc, 1.0, make_kernel(kind, 2), axes=(axis, np.linspace(-1, 1, 5)))
+
+    @pytest.mark.parametrize("kind, k", [("naive", 60), ("gaussian", 110)])
+    def test_p2_grid_peak_memory(self, kind, k):
+        # a criterion-3-shaped estimate on the 447 x 447 grid holds its
+        # values and small per-axis temporaries, not a (G, p) point list
+        acc = _accepted(np.random.default_rng(23).normal(0, 1, (k, 2)))
+        kernel = make_kernel(kind, 2)
+        axes = default_grid(acc, 1.0, cap=200_000)
+        assert [len(a) for a in axes] == [447, 447]
+        estimate_density(acc, 1.0, kernel, axes=axes)
+        tracemalloc.start()
+        try:
+            values = estimate_density(acc, 1.0, kernel, axes=axes).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * values.nbytes
 
     def test_csv_export_header(self, tmp_path):
         config = validate_config(json.dumps({
@@ -312,7 +346,7 @@ class TestDensityEstimate:
         cells = np.array([[float(v) for v in line.split(b",")] for line in lines[1:-1]])
         acc = abc_knn(generate_table(get_model("gaussian_conjugate_1d"), 200, 4), [0.5], 20)
         est = estimate_density(acc, 0.5, make_kernel("gaussian", 1), axes=default_grid(acc, 0.5))
-        assert np.array_equal(cells, np.column_stack([est.grid, est.values]))
+        assert np.array_equal(cells, np.column_stack([grid_points(est.axes), est.values]))
 
 
 class TestTensorGridEvaluation:
