@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfeasibleRadiusError, InvalidArgumentError
 from .models import Model
 from .numerics import parallel_map, round_half_up
-from .rng import derive_key, derive_keys, row_words, uniform01
+from .rng import derive_key, derive_keys, row_words, uniform01, word_bins
 
 _CHUNK_ROWS = 1 << 15
 _BLOCK_ROWS = 1 << 13  # table rows per block of validation tables
@@ -89,12 +89,16 @@ class _Scratch:
     """One worker's buffers for chunks of up to ``rows`` rows, reused for
     every chunk it simulates, so that a chunk allocates little beyond its
     Philox words; ``words`` holds a block's words gathered from many
-    tables."""
+    tables.  The thetas, summaries and distances share one buffer, whose
+    (p + m + 1, rows) ``columns`` the bounds pass uses before any of them
+    holds a value."""
 
     def __init__(self, model: Model, rows: int, words: bool = False):
-        self.thetas = np.empty((rows, model.p))
-        self.summaries = np.empty((rows, model.m))
-        self.d2 = np.empty(rows)
+        p, m = model.p, model.m
+        self.columns = np.empty((p + m + 1, rows))
+        self.thetas = self.columns[:p].reshape(rows, p)
+        self.summaries = self.columns[p:p + m].reshape(rows, m)
+        self.d2 = self.columns[p + m]
         self.words = np.empty((rows, _words_per_row(model)), dtype=np.uint64) if words else None
         self.bit_gen = np.random.Philox(0)  # reset to each key and counter by row_words
 
@@ -118,67 +122,100 @@ class _ScratchPool:
         self._spare.append(scratch)
 
 
+def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.ndarray,
+                   tau: float) -> np.ndarray | None:
+    """Positions of the rows of ``words`` whose squared distance to s0 may
+    be at most tau, from the bins of their words alone (None when no row
+    is ruled out).
+
+    Along ``model.coordinates``, each summary entry's bounds
+    (``model.summary_bounds``) give its distance to s0's entry from below,
+    and a row is dropped once the sum of their squares exceeds
+    tau * (1 + 2m 2^-52).  Rounding is monotone, so each rounded term is at
+    most the exact test's own rounded square of that entry; the two float
+    sums of m nonnegative terms are each within about m 2^-53 of their
+    exact values, so a dropped row's computed squared distance exceeds
+    tau.  The bounds live in ``scratch.columns``, one column each, and an
+    added ``gather`` takes one more column while it runs.
+    """
+    lo, hi, binned, *rest = scratch.columns
+    lb = rest[0] if rest else lo  # p = m = 1: the one entry's square is the sum
+    limit = tau * (1.0 + 2 * model.m * 2.0**-52)
+    rows = None  # positions of the rows in play, once some are dropped
+    n = words.shape[0]
+
+    def bins(column):
+        col = words[:, column]
+        if rows is not None:
+            col = np.take(col, rows, out=binned[:n].view(np.uint64), mode="clip")
+        return word_bins(col, binned[:n].view(np.int64))
+
+    def gather(column, table, add=False):
+        at = bins(column)
+        for bound, values in zip((lo[:n], hi[:n]), table):
+            if add:
+                np.add(bound, np.take(values, at, mode="clip"), out=bound)
+            else:
+                np.take(values, at, out=bound, mode="clip")
+
+    for step, (j, _) in enumerate(model.coordinates):
+        gap, other = lo[:n], hi[:n]
+        model.summary_bounds(j, gather, gap, other)
+        # the distance from s0[j] to [lo, hi], squared
+        np.subtract(gap, s0[j], out=gap)
+        np.subtract(s0[j], other, out=other)
+        np.maximum(gap, other, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        if step:
+            np.multiply(gap, gap, out=gap)
+            np.add(lb[:n], gap, out=lb[:n])
+        else:
+            np.multiply(gap, gap, out=lb[:n])
+        keep = np.flatnonzero(lb[:n] <= limit)
+        if keep.size < n:
+            n = keep.size
+            lb[:n] = lb[keep]
+            rows = keep if rows is None else rows[keep]
+    return rows
+
+
 def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
                    s0: np.ndarray | None = None, tau: float = np.inf):
     """Simulate the joint rows whose Philox words are ``words`` into
     ``scratch``, keeping those with squared distance at most ``tau`` to
-    ``s0`` (every row without s0).  ``words`` is overwritten.
+    ``s0`` (every row without s0).  ``words`` may be overwritten.
 
     Returns (rows, thetas, summaries, d2) of the rows kept, in order: their
     positions in ``words`` (None when every row is kept), their values and
-    their squared distances (None without s0).  The summary entries are
-    computed in the model's coordinate order.  After each entry but the
-    last, the rows whose partial squared distance exceeds
-    tau * (1 + 2m 2^-52) are dropped before their other entries and their
-    thetas are computed.  A float sum of m nonnegative terms is within
-    about (m - 1) 2^-53 of the exact sum, so a dropped row's squared
-    distance exceeds tau whatever order it is summed in.  After the last
-    entry the test is d2 <= tau, on the ``squared_distances`` of the full
-    rows; for m = 1 it is the only step.  A kept row gets the same
-    elementwise operations as if it had been simulated alone, so its
-    values do not depend on the rows dropped.
+    their squared distances (None without s0).  Once tau is finite, a
+    bounds pass on the raw words (``_bounds_filter``) first drops most rows
+    beyond it, before their uniforms and inverse CDF are computed; the
+    test of the rows left is d2 <= tau, on the ``squared_distances`` of
+    their summaries.  A kept row gets the same elementwise operations as if
+    it had been simulated alone, so its values do not depend on the rows
+    dropped.
     """
-    n = words.shape[0]
-    tw = model.theta_words
-    u = uniform01(words)
-    thetas, summaries, d2 = scratch.thetas, scratch.summaries, scratch.d2
-    rows = None       # positions of the rows in play, once some are dropped
-    at = slice(0, n)  # index of the rows in play in u and summaries
-    have_thetas = False
-    for step, (j, columns, uses_theta) in enumerate(model.coordinates):
-        if uses_theta and not have_thetas:
-            model.thetas_from_uniforms(u[at, :tw], thetas[:n])
-            have_thetas = True
-        # until rows are dropped, the entry goes straight into summaries
-        entry = summaries[at, j] if rows is None else np.empty(n)
-        model.summaries_from_uniforms(j, thetas[:n] if have_thetas else None,
-                                      u[at, columns], entry)
+    rows = None
+    if s0 is not None and tau != np.inf:
+        rows = _bounds_filter(model, words, scratch, s0, tau)
         if rows is not None:
-            summaries[at, j] = entry
-        if s0 is None:
-            continue
-        last = step == model.m - 1
-        if last:
-            squared_distances(summaries[at], s0, out=d2[:n])
-        if tau == np.inf:
-            continue  # nothing to drop: every row is kept, NaN distances too
-        if last:
-            bound = tau
-        else:
-            term = np.subtract(entry, s0[j], out=None if step else d2[:n])
-            np.multiply(term, term, out=term)
-            if step:
-                np.add(d2[:n], term, out=d2[:n])
-            bound = tau * (1.0 + 2 * model.m * 2.0**-52)
-        keep = np.flatnonzero(d2[:n] <= bound)
+            words = words[rows]
+    n = words.shape[0]
+    u = uniform01(words)
+    thetas, summaries, d2 = scratch.thetas[:n], scratch.summaries[:n], scratch.d2[:n]
+    model.thetas_from_uniforms(u[:, :model.theta_words], thetas)
+    for j, columns in model.coordinates:
+        model.summaries_from_uniforms(j, thetas, u[:, columns], summaries[:, j])
+    if s0 is None:
+        return rows, thetas, summaries, None
+    squared_distances(summaries, s0, out=d2)
+    if tau != np.inf:  # else every row is kept, NaN distances too
+        keep = np.flatnonzero(d2 <= tau)
         if keep.size < n:
             n = keep.size
-            d2[:n] = d2[keep]
-            thetas[:n] = thetas[keep]
-            rows = at = keep if rows is None else rows[keep]
-    if not have_thetas:
-        model.thetas_from_uniforms(u[at, :tw], thetas[:n])
-    return rows, thetas[:n], summaries[at], None if s0 is None else d2[:n]
+            d2[:n], thetas[:n], summaries[:n] = d2[keep], thetas[keep], summaries[keep]
+            rows = keep if rows is None else rows[keep]
+    return rows, thetas[:n], summaries[:n], d2[:n]
 
 
 def _point(s0, model: Model) -> np.ndarray:
@@ -401,8 +438,8 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     lowers tau.  Rows beyond those k+1 can neither be accepted nor be
     d_(k+1), so the pool never holds more than 2(k+1) rows plus one chunk,
     and the cuts cost amortised O(N).  Once tau is finite, a chunk drops
-    most rows beyond it before their last summary entries are drawn (see
-    ``_simulate_rows``).  A chunk may read tau just before a cut lowers
+    most rows beyond it from their words' bins, before their inverse CDF
+    (see ``_simulate_rows``).  A chunk may read tau just before a cut lowers
     it; that adds a superset, so the result is the same at any worker
     count and in any order of completion.
     """
@@ -485,8 +522,8 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     Accepted rows are taken in stream order, so the output does not depend
     on batch sizes.  Batches hold ``batch_rows`` rows until a row is
     accepted; later ones are sized from the acceptance rate seen so far.
-    Each batch drops most rows outside the ball before their last summary
-    entries are drawn (see ``_simulate_rows``).
+    Each batch drops most rows outside the ball from their words' bins,
+    before their inverse CDF (see ``_simulate_rows``).
     """
     radius = float(radius)
     if not radius > 0.0:

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigurationError, InvalidArgumentError, UnsupportedModelError
 from .numerics import is_finite
-from .rng import truncated_normal_from_uniform
+from .rng import truncated_normal_bins, truncated_normal_from_uniform, uniform_bins
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -64,13 +64,11 @@ class AnalyticJoint:
 
 
 class SummaryCoordinate(NamedTuple):
-    """Entry ``index`` of the summary, computed from the uniforms in
-    ``columns`` of its row (whose first ``theta_words`` are theta's) and,
-    when ``uses_theta``, from theta."""
+    """Entry ``index`` of the summary, computed from theta and the uniforms
+    in ``columns`` of its row (whose first ``theta_words`` are theta's)."""
 
     index: int
     columns: slice
-    uses_theta: bool
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,16 @@ class Model:
     the (n, p) thetas from their (n, theta_words) uniforms, and
     ``summaries_from_uniforms(j, thetas, u, out)`` writes summary entry j
     into the (n,) ``out`` from the uniforms of the columns its coordinate
-    lists (``thetas`` may be None for a coordinate that does not use
-    theta).  Both may overwrite ``u`` and act on each row alone.  ``coordinates``
-    lists every summary entry once, in the order the simulator computes
-    them: those that do not use theta come first.
+    lists.  Both may overwrite ``u`` and act on each row alone.
+
+    ``summary_bounds(j, gather, lo, hi)`` writes into the (n,) ``lo`` and
+    ``hi`` bounds on summary entry j of n rows, as computed, from the bins
+    of their words alone (``rng.word_bins``).  ``gather(c, table)`` puts
+    the (lo, hi) pair of bin tables at each row's bin of word column c
+    into ``lo`` and ``hi``, and ``gather(c, table, add=True)`` adds them.
+    Bounds that follow the summary's own operations on the table entries
+    hold by monotone rounding.  ``coordinates`` lists every summary entry
+    once, in the order the bounds are tried on a row.
     """
 
     model_id: str
@@ -97,6 +101,7 @@ class Model:
     summary_words: int
     thetas_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     summaries_from_uniforms: Callable = field(repr=False)
+    summary_bounds: Callable = field(repr=False)
     coordinates: tuple[SummaryCoordinate, ...]
     support_diameter: Optional[float] = None
     oracle: Optional[PosteriorOracle] = field(default=None, repr=False)
@@ -205,6 +210,12 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
             np.add(out, thetas_[:, 0], out=out)
         return out
 
+    def summary_bounds(j, gather, lo, hi):
+        table = truncated_normal_bins(bound)
+        gather(j + 1, table)
+        if j == 0:
+            gather(0, table, add=True)
+
     def _tail_factor(s):
         # density of the ancillary entries; 1.0 at m = 1
         return float(np.prod(_norm_pdf(np.asarray(s, dtype=float)[1:])))
@@ -243,9 +254,10 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
         theta_words=1, summary_words=m,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
-        # the ancillary entries first: a row far from s0 in them is pruned
-        # before its theta is drawn
-        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2), j == 0)
+        summary_bounds=summary_bounds,
+        # the ancillary entries first: their bounds read one word, entry 0's
+        # two, and a row far from s0 in them is dropped before entry 0
+        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2))
                           for j in (*range(1, m), 0)),
         # support is [-2b, 2b] x [-b, b]^(m-1); diameter of that box
         support_diameter=math.sqrt((4.0 * bound) ** 2 + (m - 1) * (2.0 * bound) ** 2),
@@ -274,6 +286,9 @@ def _uniform_box_1d() -> Model:
         out[:] = u[:, 0]
         return out
 
+    def summary_bounds(j, gather, lo, hi):
+        gather(1, uniform_bins())
+
     def pdf(theta0, s0):
         t = _theta_points(theta0, 1)[:, 0]
         dens = np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0)
@@ -291,7 +306,8 @@ def _uniform_box_1d() -> Model:
         theta_words=1, summary_words=1,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
-        coordinates=(SummaryCoordinate(0, slice(1, 2), False),),
+        summary_bounds=summary_bounds,
+        coordinates=(SummaryCoordinate(0, slice(1, 2)),),
         support_diameter=1.0,
         oracle=oracle,
     )
@@ -303,6 +319,15 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         np.subtract(out, 1.0, out=out)
         np.multiply(out, radius, out=out)
         return np.add(out, thetas_[:, 0], out=out)
+
+    def summary_bounds(j, gather, lo, hi):
+        # the same steps on the bounds: each is increasing, as radius > 0
+        gather(1, uniform_bins())
+        for bound in (lo, hi):
+            np.multiply(bound, 2.0, out=bound)
+            np.subtract(bound, 1.0, out=bound)
+            np.multiply(bound, radius, out=bound)
+        gather(0, uniform_bins(), add=True)
 
     def _window(s0):
         s = float(np.asarray(s0, dtype=float).reshape(-1)[0])
@@ -329,7 +354,8 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         theta_words=1, summary_words=1,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
-        coordinates=(SummaryCoordinate(0, slice(1, 2), True),),
+        summary_bounds=summary_bounds,
+        coordinates=(SummaryCoordinate(0, slice(1, 2)),),
         support_diameter=1.0 + 2.0 * radius,
         oracle=oracle,
     )
@@ -345,6 +371,22 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
         np.add(y, thetas_, out=y)
         return np.mean(y, axis=1, out=out)
 
+    def summary_bounds(j, gather, lo, hi):
+        table = truncated_normal_bins(bound)
+        for column in range(1, 1 + n_obs):
+            gather(column, table, add=column > 1)
+        np.divide(lo, n_obs, out=lo)
+        np.divide(hi, n_obs, out=hi)
+        gather(0, table, add=True)
+        # The mean sums the n_obs draws plus theta in numpy's order, while
+        # these bounds sum the draws in column order and add theta once.
+        # With every |draw| <= B, the computed mean and these bounds are
+        # within (3 n_obs + 4) B 2^-53 of the exact values they follow, so
+        # the bounds are widened by more than that.
+        slack = (n_obs + 2) * 2.0**-51 * max(-table[0].min(), table[1].max())
+        np.subtract(lo, slack, out=lo)
+        np.add(hi, slack, out=hi)
+
     def summary_map(y0):
         y0 = np.asarray(y0, dtype=float).reshape(-1)
         if y0.size != n_obs:
@@ -358,7 +400,8 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
         theta_words=1, summary_words=n_obs,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
-        coordinates=(SummaryCoordinate(0, slice(1, 1 + n_obs), True),),
+        summary_bounds=summary_bounds,
+        coordinates=(SummaryCoordinate(0, slice(1, 1 + n_obs)),),
         support_diameter=4.0 * bound,
         summary_map=summary_map,
     )

@@ -9,6 +9,7 @@ bit-identical no matter how the work is chunked or how many workers run.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -18,6 +19,13 @@ WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter block
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _EXPONENT_52 = np.uint64(0x4330000000000000)  # the bits of the double 2^52
 _U32_MASK = 0xFFFFFFFF
+
+# a word's top BIN_BITS bits fix its uniform01 to one of 2^BIN_BITS bins
+BIN_BITS = 12
+_BIN_SHIFT = np.uint64(64 - BIN_BITS)
+# a bin table entry is widened by this share of its magnitude, or of 1 if
+# that is larger: far beyond ndtri's relative error of about 1e-16
+_BIN_MARGIN = 2.0**-30
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
 _POOL_SIZE = 4
@@ -208,3 +216,43 @@ def truncated_normal_from_uniform(u: np.ndarray, bound: float, out: np.ndarray) 
     out = np.multiply(u, hi - lo, out=out)
     np.add(out, lo, out=out)
     return ndtri(out, out=out)
+
+
+def word_bins(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The bin of each word's ``uniform01``, its top ``BIN_BITS`` bits, into
+    the int64 array ``out`` (which may share the words' memory)."""
+    np.right_shift(words, _BIN_SHIFT, out=out.view(np.uint64))
+    return out
+
+
+def _frozen(*arrays) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def uniform_bins() -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and the largest ``uniform01`` of the words in each bin,
+    exactly: a bin's words share their top bits, and ``uniform01`` is
+    monotone in the word."""
+    words = np.arange(1 << BIN_BITS, dtype=np.uint64) << _BIN_SHIFT
+    top = words | np.uint64((1 << (64 - BIN_BITS)) - 1)
+    return _frozen(uniform01(words), uniform01(top))
+
+
+@lru_cache(maxsize=16)
+def truncated_normal_bins(bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on ``truncated_normal_from_uniform(u, bound)`` over each bin's
+    uniforms u, built on first use for each bound.
+
+    The steps before ``ndtri`` are monotone in u, and ``ndtri`` is within
+    about 1e-16 of its increasing exact value, so its results over a bin
+    lie within that of its values at the bin's two edges.  Each entry is
+    widened by ``_BIN_MARGIN`` times its magnitude (at least 1).
+    """
+    lo, hi = (truncated_normal_from_uniform(u, bound, out=np.empty_like(u))
+              for u in uniform_bins())
+    np.subtract(lo, _BIN_MARGIN * np.maximum(np.abs(lo), 1.0), out=lo)
+    np.add(hi, _BIN_MARGIN * np.maximum(np.abs(hi), 1.0), out=hi)
+    return _frozen(lo, hi)

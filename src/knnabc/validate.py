@@ -140,6 +140,60 @@ def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.Kern
         reports=tuple(reports))
 
 
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sided two-sample KS statistic, in the steps of
+    ``scipy.stats.ks_2samp``, bit for bit."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gaps = (np.searchsorted(a, both, side="right") / a.size
+            - np.searchsorted(b, both, side="right") / b.size)
+    below = np.clip(-gaps[np.argmin(gaps)], 0, 1)
+    above = gaps[np.argmax(gaps)]
+    return float(below if below > above else above)
+
+
+def _ks_pvalues(statistics: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """``ks_2samp(..., method="asymp")``'s two-sided p-values of samples of
+    sizes n1 and n2 with these statistics, bit for bit: the KS null law is
+    evaluated once per distinct statistic, in one vectorised call."""
+    # scipy.stats is slow to import and only this test needs it, so the CLI
+    # loads it for `validate prop1` alone
+    from scipy.stats import kstwo
+    distinct, index = np.unique(statistics, return_inverse=True)
+    n = np.round(float(n1) * float(n2) / (float(n1) + float(n2)))
+    return np.clip(kstwo.sf(distinct, n), 0, 1)[index]
+
+
+def _check_law_test(model: Model, k: int, oracle_draws: int,
+                    oracle_kind: str) -> tuple[int, int]:
+    """The checked (k, oracle_draws) of a conditional-law test."""
+    k, oracle_draws = int(k), int(oracle_draws)
+    if model.p != 1:
+        raise InvalidArgumentError("the KS comparison is implemented for p = 1 models")
+    if k < _MIN_KS_K:
+        raise InvalidArgumentError(
+            f"k must be >= {_MIN_KS_K}; a {k}-point sample has no KS power")
+    if oracle_draws < 1:
+        raise InvalidArgumentError("oracle_draws must be >= 1")
+    if oracle_kind not in ("restricted", "unrestricted"):
+        raise InvalidArgumentError("oracle_kind must be 'restricted' or 'unrestricted'")
+    return k, oracle_draws
+
+
+def _law_statistic(model: Model, s0, n_rows: int, k: int, oracle_draws: int, seed: int,
+                   oracle_kind: str) -> float:
+    """The KS statistic of one conditional-law test (its arguments checked)."""
+    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "prop1-table"), s0, k)
+    if oracle_kind == "restricted":
+        oracle_thetas, _ = core.sample_restricted(
+            model, s0, accepted.radius_next, oracle_draws, derive_seed(seed, "prop1-oracle"))
+    else:
+        aux = core.generate_table(model, max(2, oracle_draws), derive_seed(seed, "prop1-null"))
+        oracle_thetas = aux.thetas[:oracle_draws]
+    return _ks_statistic(accepted.ordered_thetas[:, 0], oracle_thetas[:, 0])
+
+
 def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: int,
                          seed: int, oracle_kind: str = "restricted") -> tuple[float, float]:
     """Two-sample KS test of the accepted thetas against fresh draws from
@@ -149,30 +203,12 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
     set's law is an iid sample from the restricted density only
     conditionally on that radius.  ``oracle_kind="unrestricted"``
     substitutes plain prior draws (a deliberate negative control).
-    Returns (statistic, asymptotic p-value).
+    Returns (statistic, asymptotic p-value), those of
+    ``scipy.stats.ks_2samp(..., method="asymp")``.
     """
-    if model.p != 1:
-        raise InvalidArgumentError("the KS comparison is implemented for p = 1 models")
-    k = int(k)
-    if k < _MIN_KS_K:
-        raise InvalidArgumentError(
-            f"k must be >= {_MIN_KS_K}; a {k}-point sample has no KS power")
-    if oracle_kind not in ("restricted", "unrestricted"):
-        raise InvalidArgumentError("oracle_kind must be 'restricted' or 'unrestricted'")
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "prop1-table"), s0, k)
-    if oracle_kind == "restricted":
-        oracle_thetas, _ = core.sample_restricted(
-            model, s0, accepted.radius_next, oracle_draws, derive_seed(seed, "prop1-oracle"))
-    else:
-        aux = core.generate_table(model, max(2, int(oracle_draws)),
-                                  derive_seed(seed, "prop1-null"))
-        oracle_thetas = aux.thetas[:oracle_draws]
-    # scipy.stats is slow to import and only this test needs it, so the CLI
-    # loads it for `validate prop1` alone
-    from scipy.stats import ks_2samp
-    result = ks_2samp(accepted.ordered_thetas[:, 0], oracle_thetas[:, 0], method="asymp")
-    return float(result.statistic), float(result.pvalue)
+    k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
+    statistic = _law_statistic(model, s0, n_rows, k, oracle_draws, seed, oracle_kind)
+    return statistic, float(_ks_pvalues(np.array([statistic]), k, oracle_draws)[0])
 
 
 def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
@@ -180,17 +216,20 @@ def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
                       oracle_kind: str = "restricted", level: float = 0.05,
                       max_workers: int = 1) -> dict:
     """Repeat the conditional-law test over independent runs and report the
-    rejection fraction at the given level."""
+    rejection fraction at the given level.  Run r's p-value is that of
+    ``conditional_law_test`` with the seed derived from (seed, "prop1-run",
+    r); the null law is evaluated once, for all the runs' statistics."""
     runs = int(runs)
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
+    k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
 
-    def one(r: int):
-        return conditional_law_test(model, s0, n_rows, k, oracle_draws,
-                                    derive_seed(seed, "prop1-run", r), oracle_kind)
+    def one(r: int) -> float:
+        return _law_statistic(model, s0, n_rows, k, oracle_draws,
+                              derive_seed(seed, "prop1-run", r), oracle_kind)
 
-    results = parallel_map(one, range(runs), max_workers)
-    p_values = np.array([pv for _, pv in results])
+    p_values = _ks_pvalues(np.array(parallel_map(one, range(runs), max_workers)),
+                           k, oracle_draws)
     return {
         "runs": runs,
         "level": float(level),
@@ -264,6 +303,9 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
     "one") or (name, callable, oracle_value) triples.
     """
     _require_oracle(model)
+    replicates = int(replicates)
+    if replicates < 2:
+        raise InvalidArgumentError("replicates must be >= 2")
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     resolved = []
     for item in phis:
@@ -281,7 +323,7 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
         accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "moment", r), s0, k)
         return [estimators.posterior_functional(accepted, fn) for _, fn, _ in resolved]
 
-    rows = np.array(parallel_map(one, range(int(replicates)), max_workers))
+    rows = np.array(parallel_map(one, range(replicates), max_workers))
     out = []
     for col, (name, _, oracle_value) in enumerate(resolved):
         values = rows[:, col]

@@ -7,7 +7,8 @@ simulation kernel that alters one bit of a table, of the k nearest rows,
 of a validation block or of a restricted draw fails here.  The sizes sit
 at the chunk edges (2^15 - 1 and 2^15 + 7 rows) and at the smallest table.
 The grid estimates are those of synthetic accepted sets at p = 1 and 2,
-with both kernels.
+with both kernels.  The last pins are ``prop1_calibration``'s p-values,
+for both oracle kinds.
 """
 
 import hashlib
@@ -15,7 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from knnabc import core, generate_table, get_model, model_ids, sample_restricted, simulate_knn
+from knnabc import (core, generate_table, get_model, model_ids, prop1_calibration,
+                    sample_restricted, simulate_knn)
 from knnabc.estimators import default_grid, estimate_density, make_kernel
 
 SEED = 20_261_018
@@ -198,3 +200,16 @@ def test_density_values_match_recorded_digests(case):
                            source_indices=np.arange(k, dtype=np.int64))
     est = estimate_density(acc, h, make_kernel(kind, p), axes=default_grid(acc, h, **options))
     assert _sha(est.values) == DENSITY_PINS[case]
+
+
+PROP1_PINS = {
+    "restricted": "66518d8520ef609c361b6e6ffa3322fc4dee8f3618b05fb3a0ad2db17fbc8e4d",
+    "unrestricted": "2ff7cfcc9318e9c187900097468167f9ceeb41df7ab5020fea4ebc7bd6f97ca5",
+}
+
+
+@pytest.mark.parametrize("oracle_kind", sorted(PROP1_PINS))
+def test_prop1_p_values_match_recorded_digests(oracle_kind):
+    result = prop1_calibration(get_model("gaussian_conjugate_1d"), [0.5], 2000, 50, 30, 500,
+                               SEED, oracle_kind=oracle_kind, max_workers=2)
+    assert _sha(result["p_values"]) == PROP1_PINS[oracle_kind]

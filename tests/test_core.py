@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
@@ -42,23 +44,31 @@ def _stream_rows(model, key, n):
     u = uniform01(row_words(key, 0, n, 4 * -(-need // 4))[:, :need])
     thetas = model.thetas_from_uniforms(u[:, :model.theta_words].copy(), np.empty((n, model.p)))
     summaries = np.empty((n, model.m))
-    for j, columns, uses_theta in model.coordinates:
-        model.summaries_from_uniforms(j, thetas if uses_theta else None,
-                                      u[:, columns].copy(), summaries[:, j])
+    for j, columns in model.coordinates:
+        model.summaries_from_uniforms(j, thetas, u[:, columns].copy(), summaries[:, j])
     return thetas, summaries
+
+
+def _to_lattice(values):
+    np.multiply(values, 4.0, out=values)
+    np.round(values, out=values)
+    return np.divide(values, 4.0, out=values)
 
 
 def _lattice(model):
     """``model`` with every summary entry rounded to the 0.25 lattice, so
-    that thousands of rows tie at each distance."""
+    that thousands of rows tie at each distance.  Rounding is monotone, so
+    the rounded bounds bound the rounded entries."""
     def summaries(j, thetas, u, out):
-        model.summaries_from_uniforms(j, thetas, u, out)
-        np.multiply(out, 4.0, out=out)
-        np.round(out, out=out)
-        return np.divide(out, 4.0, out=out)
+        return _to_lattice(model.summaries_from_uniforms(j, thetas, u, out))
+
+    def bounds(j, gather, lo, hi):
+        model.summary_bounds(j, gather, lo, hi)
+        _to_lattice(lo)
+        _to_lattice(hi)
 
     return dataclasses.replace(model, model_id=model.model_id + "_lattice",
-                               summaries_from_uniforms=summaries)
+                               summaries_from_uniforms=summaries, summary_bounds=bounds)
 
 
 def _overhead_bytes(fn, *args):
@@ -363,6 +373,22 @@ class TestSimulateKnn:
         large = _overhead_bytes(simulate_knn, model, 16 * _CHUNK_ROWS, 3, s0, 500)
         assert large - small <= _OVERHEAD_GROWTH_BYTES
 
+    @pytest.mark.parametrize("k", [100, 1000])
+    def test_bounds_pass_adds_no_memory_to_a_chunk(self, k):
+        # gaussian_mean_demo bounds each row from 11 words.  The work beyond
+        # the accepted set is one chunk's Philox words, the candidate pool,
+        # the scratch's thetas, summaries and distances, and one more
+        # chunk-long column (the first chunk's row numbers); the bounds pass
+        # must fit in that, one column at a time
+        model, s0 = get_model("gaussian_mean_demo"), [0.3]
+        simulate_knn(model, 4 * _CHUNK_ROWS, 3, s0, k)  # builds the bin tables once
+        cap = 2 * (k + 1) + _CHUNK_ROWS
+        allowed = (_CHUNK_ROWS * core._words_per_row(model) * 8
+                   + cap * 8 * (1 + 1 + model.p + model.m)
+                   + _CHUNK_ROWS * 8 * (model.p + model.m + 2)
+                   + (1 << 16))
+        assert _overhead_bytes(simulate_knn, model, 4 * _CHUNK_ROWS, 3, s0, k) <= allowed
+
     @pytest.mark.parametrize("k", [0, 10, 11])
     def test_k_out_of_range(self, k):
         with pytest.raises(InvalidArgumentError, match="1 <= k <= N-1 = 9"):
@@ -371,6 +397,60 @@ class TestSimulateKnn:
     def test_nan_s0_rejected(self):
         with pytest.raises(InvalidArgumentError):
             simulate_knn(get_model("uniform_box_1d"), 10, 1, [np.nan], 3)
+
+
+_FILTER_MODELS = model_ids() + ("gaussian_conjugate_1d_lattice", "gauss_5d_lattice")
+
+
+def _filter_model(name):
+    base = name.removesuffix("_lattice")
+    return get_model(base) if base == name else _lattice(get_model(base))
+
+
+class TestBoundsFilter:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(_FILTER_MODELS), seed=st.integers(0, 2**32),
+           row=st.integers(0, 499), shift=st.sampled_from([0.0, 0.25, -1e-9, 0.1, -2.0]),
+           rank=st.integers(-1, 499))
+    def test_keeps_every_row_the_exact_test_keeps(self, name, seed, row, shift, rank):
+        # s0 at or near a row, and tau one of the rows' squared distances
+        # (or 0), so rows tie with tau and the lattice models tie in bulk
+        model, n = _filter_model(name), 500
+        key = derive_key(seed, "filter")
+        scratch = core._Scratch(model, n)
+
+        def words():
+            return row_words(key, 0, n, core._words_per_row(model))
+
+        _, thetas, summaries, _ = core._simulate_rows(model, words(), scratch)
+        thetas, s0 = thetas.copy(), summaries[row].copy()
+        s0[0] += shift
+        *_, d2 = core._simulate_rows(model, words(), scratch, s0)
+        summaries, d2 = summaries.copy(), d2.copy()
+        tau = 0.0 if rank < 0 else float(np.sort(d2)[rank])
+        exact = np.flatnonzero(d2 <= tau)
+
+        candidates = core._bounds_filter(model, words(), scratch, s0, tau)
+        assert np.isin(exact, np.arange(n) if candidates is None else candidates).all()
+        rows, got_thetas, got_summaries, got_d2 = core._simulate_rows(
+            model, words(), scratch, s0, tau)
+        assert np.array_equal(np.arange(n) if rows is None else rows, exact)
+        assert got_thetas.tobytes() == thetas[exact].tobytes()
+        assert got_summaries.tobytes() == summaries[exact].tobytes()
+        assert got_d2.tobytes() == d2[exact].tobytes()
+
+    @pytest.mark.parametrize("model_id", model_ids())
+    def test_keeps_few_rows_beyond_the_exact_ones(self, model_id):
+        # tau at the 1 % quantile: the bins rule out nearly every other row
+        model, n = get_model(model_id), 1 << 14
+        key = derive_key(7, "filter")
+        scratch = core._Scratch(model, n)
+        words = row_words(key, 0, n, core._words_per_row(model))
+        s0 = core._simulate_rows(model, words.copy(), scratch)[2][0].copy()
+        *_, d2 = core._simulate_rows(model, words.copy(), scratch, s0)
+        tau = float(np.sort(d2)[n // 100])
+        rows = core._bounds_filter(model, words, scratch, s0, tau)
+        assert rows is not None and rows.size <= 2 * (n // 100)
 
 
 class TestPercentile:

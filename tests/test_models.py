@@ -43,9 +43,8 @@ def _summaries(model, thetas, u):
     """Every summary entry of the rows with these thetas and uniforms (one
     row of ``theta_words + summary_words`` each), one coordinate at a time."""
     out = np.empty((u.shape[0], model.m))
-    for j, columns, uses_theta in model.coordinates:
-        model.summaries_from_uniforms(j, thetas if uses_theta else None,
-                                      u[:, columns].copy(), out[:, j])
+    for j, columns in model.coordinates:
+        model.summaries_from_uniforms(j, thetas, u[:, columns].copy(), out[:, j])
     return out
 
 

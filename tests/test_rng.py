@@ -137,3 +137,41 @@ class TestPhiloxReuse:
         rng._reset_philox(bit_gen, key, counter)
         assert np.array_equal(bit_gen.random_raw(12),
                               np.random.Philox(key=key, counter=counter).random_raw(12))
+
+
+def _bin_words(offsets: np.ndarray) -> np.ndarray:
+    """Words at these offsets (as uint64) within every bin, one row per bin."""
+    starts = np.arange(1 << rng.BIN_BITS, dtype=np.uint64) << np.uint64(64 - rng.BIN_BITS)
+    return starts[:, None] + offsets.astype(np.uint64)[None, :]
+
+
+class TestBinTables:
+    # a uniform01 ulp is 2^12 in the word; the edges and 4 ulps inside them
+    _EDGE_OFFSETS = np.concatenate([np.arange(5) << 12,
+                                    (1 << 52) - 1 - (np.arange(5) << 12)]).astype(np.uint64)
+
+    def test_word_bins_are_the_top_bits(self):
+        words = _bin_words(self._EDGE_OFFSETS)
+        bins = rng.word_bins(words, np.empty(words.shape, dtype=np.int64))
+        assert np.array_equal(bins, np.repeat(np.arange(1 << rng.BIN_BITS), words.shape[1])
+                              .reshape(words.shape))
+
+    def test_uniform_bins_are_the_edge_uniforms(self):
+        lo, hi = rng.uniform_bins()
+        words = _bin_words(np.array([0, (1 << 52) - 1]))
+        u = rng.uniform01(words)
+        assert lo.tobytes() == u[:, 0].tobytes() and hi.tobytes() == u[:, 1].tobytes()
+        assert not lo.flags.writeable and not hi.flags.writeable
+
+    @pytest.mark.parametrize("bound", [0.1, 1.0, 5.0, 40.0])
+    def test_truncated_normal_bins_bound_every_uniform_of_their_bin(self, bound):
+        lo, hi = rng.truncated_normal_bins(bound)
+        assert rng.truncated_normal_bins(bound) is rng.truncated_normal_bins(bound)
+        # the edges, 4 ulps inside them, and 25 random words a bin (10^5 in all)
+        interior = np.random.default_rng(int(bound * 10)).integers(
+            0, 1 << 52, size=(1 << rng.BIN_BITS, 25), dtype=np.uint64)
+        words = np.concatenate([_bin_words(self._EDGE_OFFSETS),
+                                _bin_words(np.zeros(1)) + interior], axis=1)
+        u = rng.uniform01(words)
+        x = rng.truncated_normal_from_uniform(u, bound, np.empty_like(u))
+        assert np.all(lo[:, None] <= x) and np.all(x <= hi[:, None])

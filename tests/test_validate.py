@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from knnabc import (bound_check, conditional_law_test, core, generate_table, get_model,
-                    mise_estimate, moment_consistency, prop1_calibration, rate_experiment)
+                    mise_estimate, moment_consistency, prop1_calibration, rate_experiment,
+                    validate)
 from knnabc.core import squared_distances
 from knnabc.errors import InvalidArgumentError, KnnAbcError, UnsupportedModelError
 from knnabc.estimators import make_kernel
@@ -142,6 +143,41 @@ class TestConditionalLaw:
                                  oracle_draws=400, seed=73,
                                  oracle_kind="unrestricted")
         assert null["rejection_fraction"] >= 0.5
+
+    @pytest.mark.parametrize("oracle_kind", ["restricted", "unrestricted"])
+    @pytest.mark.parametrize("oracle_draws", [0, -3])
+    def test_oracle_draws_below_one_rejected(self, oracle_kind, oracle_draws):
+        model = get_model("gaussian_conjugate_1d")
+        with pytest.raises(InvalidArgumentError, match="oracle_draws must be >= 1"):
+            conditional_law_test(model, [1.0], 500, 30, oracle_draws, seed=75,
+                                 oracle_kind=oracle_kind)
+        with pytest.raises(InvalidArgumentError, match="oracle_draws must be >= 1"):
+            prop1_calibration(model, [1.0], 500, 30, runs=3, oracle_draws=oracle_draws,
+                              seed=75, oracle_kind=oracle_kind)
+
+    @pytest.mark.parametrize("sizes", [(40, 400), (50, 500), (400, 40), (25, 1), (7, 7)])
+    def test_statistic_and_p_value_match_scipy_bit_for_bit(self, sizes):
+        from scipy.stats import ks_2samp
+        generator = np.random.default_rng(sum(sizes))
+        for trial in range(20):
+            a = generator.normal(size=sizes[0])
+            b = generator.normal(0.3 * (trial % 3), size=sizes[1])
+            if trial % 2:  # rounded samples tie within and across the two
+                a, b = np.round(a, 1), np.round(b, 1)
+            expected = ks_2samp(a, b, method="asymp")
+            statistic = validate._ks_statistic(a, b)
+            assert np.float64(statistic).tobytes() == np.float64(expected.statistic).tobytes()
+            p_value = validate._ks_pvalues(np.array([statistic, 0.5, statistic]), *sizes)
+            assert p_value[0].tobytes() == np.float64(expected.pvalue).tobytes()
+            assert p_value[2] == p_value[0]
+
+    def test_calibration_p_values_are_the_single_tests(self):
+        model = get_model("gaussian_conjugate_1d")
+        calib = prop1_calibration(model, [1.0], 1000, 40, runs=6, oracle_draws=300, seed=76,
+                                  max_workers=2)
+        singles = [conditional_law_test(model, [1.0], 1000, 40, 300,
+                                        derive_seed(76, "prop1-run", r))[1] for r in range(6)]
+        assert calib["p_values"].tobytes() == np.array(singles).tobytes()
 
     def test_requires_univariate_parameter(self):
         # restriction is on p, not m: the 5-summary model still has p = 1
@@ -294,6 +330,12 @@ class TestMomentConsistency:
         assert by_name["square"]["oracle_value"] == pytest.approx(0.75, abs=1e-6)
         assert abs(by_name["identity"]["z_score"]) <= 4.0
         assert abs(by_name["square"]["z_score"]) <= 4.0
+
+    @pytest.mark.parametrize("replicates", [0, 1])
+    def test_replicates_below_two_rejected(self, replicates):
+        model = get_model("gaussian_conjugate_1d")
+        with pytest.raises(InvalidArgumentError, match="replicates must be >= 2"):
+            moment_consistency(model, [1.0], 500, 30, ["identity"], replicates, seed=95)
 
     def test_unknown_phi_name_rejected(self):
         model = get_model("gaussian_conjugate_1d")
