@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 
 from .core import (AcceptedSet, ReferenceTable, abc_knn, abc_tolerance,
                    generate_table, percentile_to_k, sample_restricted, simulate_knn)
-from .estimators import (DensityEstimate, KernelSpec, estimate_density, g_hat,
-                         g_rosenblatt, g_smoothed_nn, make_kernel,
+from .estimators import (DensityEstimate, KernelSpec, estimate_density, make_kernel,
                          posterior_functional, unit_ball_volume)
-from .models import (Model, PosteriorOracle, get_model, model_ids,
-                     oracle_posterior_pdf)
+from .models import Model, PosteriorOracle, get_model, model_ids
 from .tuning import (Schedule, TheoreticalQuantities, distance_moment_bound,
                      mise_prediction, mise_rate_quantities, resolve_schedule,
                      schedule)
@@ -30,10 +28,9 @@ __all__ = [
     "PosteriorOracle", "RateReport", "ReferenceTable", "Schedule",
     "TheoreticalQuantities", "__version__", "abc_knn", "abc_tolerance",
     "bound_check", "conditional_law_test", "distance_moment_bound",
-    "estimate_density", "g_hat", "g_rosenblatt", "g_smoothed_nn",
-    "generate_table", "get_model", "make_kernel", "mise_estimate", "mise_prediction",
-    "mise_rate_quantities", "model_ids", "moment_consistency",
-    "oracle_posterior_pdf", "percentile_to_k", "posterior_functional",
+    "estimate_density", "generate_table", "get_model", "make_kernel",
+    "mise_estimate", "mise_prediction", "mise_rate_quantities", "model_ids",
+    "moment_consistency", "percentile_to_k", "posterior_functional",
     "prop1_calibration", "rate_experiment", "resolve_schedule",
     "sample_restricted", "schedule", "simulate_knn", "unit_ball_volume",
 ]

@@ -531,6 +531,8 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     count = int(count)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
+    if batch_rows < 1:
+        raise InvalidArgumentError("batch_rows must be >= 1")
     seed = _validate_seed(seed)
     s0 = _search_point(s0, model)
     key = derive_key(seed, "restricted", model.model_id)
@@ -585,13 +587,25 @@ def table_to_bytes(table: ReferenceTable) -> bytes:
 
 
 def table_from_bytes(blob: bytes) -> ReferenceTable:
+    """Read the layout :func:`table_to_bytes` writes; the blob must be
+    exactly header + model id + 8 N (p + m) bytes long."""
+    if len(blob) < _HEADER.size:
+        raise InvalidArgumentError(
+            f"not a reference-table file ({len(blob)} bytes, shorter than its header)")
     magic, version, n, p, m, seed, id_len = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC:
         raise InvalidArgumentError("not a reference-table file (bad magic)")
     if version != _VERSION:
         raise InvalidArgumentError(f"unsupported table file version {version}")
+    expected = _HEADER.size + id_len + 8 * n * (p + m)
+    if len(blob) != expected:
+        raise InvalidArgumentError(
+            f"reference-table file is {len(blob)} bytes; its header gives {expected}")
     off = _HEADER.size
-    model_id = blob[off:off + id_len].decode("utf-8")
+    try:
+        model_id = blob[off:off + id_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise InvalidArgumentError("reference-table file: model id is not UTF-8") from None
     off += id_len
     cols = np.frombuffer(blob, dtype="<f8", count=n * (p + m), offset=off)
     cols = cols.reshape(p + m, n)

@@ -32,18 +32,6 @@ class EmptyAcceptedSetError(KnnAbcError):
     """An estimator was given an accepted set with zero rows."""
 
 
-class UndefinedEstimateError(KnnAbcError):
-    """A ratio-form estimate has a zero denominator.
-
-    Raised instead of silently returning 0 or NaN so the failure mode of
-    double-kernel estimators stays observable.
-    """
-
-
-class DegenerateScaleError(KnnAbcError):
-    """A data-driven smoothing scale collapsed to zero."""
-
-
 class InfeasibleRadiusError(KnnAbcError):
     """The restricted sampler's acceptance probability is numerically zero
     over the probe budget."""

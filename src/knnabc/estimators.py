@@ -1,15 +1,10 @@
-"""Kernels and the conditional posterior-density estimators.
+"""Kernels and the conditional posterior-density estimator.
 
-Three estimators live here:
-
-* ``g_hat`` smooths only the accepted (nearest-neighbor) thetas with a
-  kernel on R^p -- no ratio, no denominator that can vanish;
-* ``g_rosenblatt`` is the classical double-kernel ratio with fixed
-  bandwidths in both theta and s;
-* ``g_smoothed_nn`` is the same ratio with the s-scale set adaptively to
-  the distance of the k-th nearest summary.
-
-``posterior_functional`` averages a bounded map over the accepted thetas.
+``g_hat_many`` smooths only the accepted (nearest-neighbor) thetas with a
+kernel on R^p -- no ratio, no denominator that can vanish -- at a list of
+points; ``estimate_density`` evaluates the same estimate on a tensor grid,
+axis by axis.  ``posterior_functional`` averages a bounded map over the
+accepted thetas.
 """
 
 from __future__ import annotations
@@ -21,9 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AcceptedSet, ReferenceTable, _check_k, squared_distances
-from .errors import (DegenerateScaleError, EmptyAcceptedSetError,
-                     InvalidArgumentError, UndefinedEstimateError)
+from .core import AcceptedSet
+from .errors import EmptyAcceptedSetError, InvalidArgumentError
 from .numerics import trapezoid_nd
 
 KERNEL_KINDS = ("naive", "gaussian")
@@ -154,17 +148,11 @@ def _checked_centers(accepted: AcceptedSet, h: float, kernel: KernelSpec):
     return h, centers, scale
 
 
-def g_hat(accepted: AcceptedSet, h: float, kernel: KernelSpec, theta0) -> float:
-    """Density estimate at theta0 from the accepted thetas:
-    mean_j K((theta0 - Theta_(j)) / h) / h^p."""
-    value = g_hat_many(accepted, h, kernel, np.asarray(theta0, dtype=float).reshape(1, -1))
-    return float(value[0])
-
-
 def g_hat_many(accepted: AcceptedSet, h: float, kernel: KernelSpec,
                points: np.ndarray) -> np.ndarray:
-    """Vectorized ``g_hat`` over points of shape (G, p), in blocks of
-    about BLOCK_ENTRIES (point, centre) pairs whatever k is."""
+    """Density estimate mean_j K((x - Theta_(j)) / h) / h^p from the
+    accepted thetas at each point x of ``points``, shape (G, p), in blocks
+    of about BLOCK_ENTRIES (point, centre) pairs whatever k is."""
     h, centers, scale = _checked_centers(accepted, h, kernel)
     p = centers.shape[1]
     points = np.asarray(points, dtype=float)
@@ -258,56 +246,6 @@ def _ball_grid_counts(centers: np.ndarray, h: float, axes) -> np.ndarray:
     return counts
 
 
-# ---------------------------------------------------------------------------
-# double-kernel competitors
-
-def _summary_weights(table: ReferenceTable, s0, delta: float,
-                     kernel_s: KernelSpec) -> np.ndarray:
-    if kernel_s.dim != table.summaries.shape[1]:
-        raise InvalidArgumentError("summary kernel dimension does not match the table")
-    sq = squared_distances(table.summaries, s0) / (delta * delta)
-    return _kernel_values(kernel_s, sq)
-
-
-def g_rosenblatt(table: ReferenceTable, s0, theta0, h: float, delta: float,
-                 kernel_theta: KernelSpec, kernel_summary: KernelSpec) -> float:
-    """Double-kernel ratio estimate with fixed bandwidths h (theta) and
-    delta (summary).  Raises UndefinedEstimateError when every summary
-    weight vanishes -- the zero denominator is a real failure mode of this
-    estimator and is never silently mapped to 0.
-    """
-    h = float(h)
-    delta = float(delta)
-    if not (h > 0.0 and delta > 0.0):
-        raise InvalidArgumentError("bandwidths h and delta must be > 0")
-    weights = _summary_weights(table, s0, delta, kernel_summary)
-    wsum = float(weights.sum())
-    if wsum == 0.0:
-        raise UndefinedEstimateError(
-            f"no summary mass within the delta={delta!r} window around s0")
-    theta0 = np.asarray(theta0, dtype=float).reshape(1, -1)
-    p = table.thetas.shape[1]
-    if kernel_theta.dim != p or theta0.shape[1] != p:
-        raise InvalidArgumentError("theta kernel / point dimension mismatch")
-    sq = _points_sq_dist(theta0, table.thetas, h)[0]
-    num = float(np.dot(weights, _kernel_values(kernel_theta, sq)))
-    return num / (h**p * wsum)
-
-
-def g_smoothed_nn(table: ReferenceTable, s0, theta0, h: float, k: int,
-                  kernel_theta: KernelSpec, kernel_summary: KernelSpec) -> float:
-    """Rosenblatt form with the summary scale set to the distance of the
-    k-th nearest summary.  With a naive summary kernel this reproduces
-    ``g_hat`` on the k nearest rows (up to rows tied at exactly that
-    distance)."""
-    k = _check_k(k, table.n_rows)
-    d2 = squared_distances(table.summaries, s0)
-    d_k = math.sqrt(float(np.partition(d2, k - 1)[k - 1]))
-    if d_k == 0.0:
-        raise DegenerateScaleError("k-th neighbor distance is zero; no usable scale")
-    return g_rosenblatt(table, s0, theta0, h, d_k, kernel_theta, kernel_summary)
-
-
 def posterior_functional(accepted: AcceptedSet, phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Plain average of phi over the accepted thetas.
 
@@ -366,8 +304,8 @@ def grid_points(axes) -> np.ndarray:
 
 def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
                      axes=None, meta: Optional[dict] = None) -> DensityEstimate:
-    """Evaluate ``g_hat`` on a tensor grid (the default grid if none is
-    given) and package the result.
+    """Evaluate the estimate of :func:`g_hat_many` on a tensor grid (the
+    default grid if none is given) and package the result.
 
     The values are computed axis by axis, not point by point; they equal
     ``g_hat_many`` on ``grid_points(axes)`` up to the order of summation,

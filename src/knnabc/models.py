@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigurationError, InvalidArgumentError, UnsupportedModelError
+from .errors import ConfigurationError, InvalidArgumentError
 from .numerics import is_finite
 from .rng import truncated_normal_bins, truncated_normal_from_uniform, uniform_bins
 
@@ -113,22 +113,6 @@ class Model:
             raise InvalidArgumentError("model dimensions p and m must be >= 1")
         if sorted(c.index for c in self.coordinates) != list(range(self.m)):
             raise InvalidArgumentError("coordinates must list each summary entry once")
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-def oracle_posterior_pdf(model: Model, theta0, s0) -> float:
-    """Exact posterior density g(theta0 | s0) at the single point theta0,
-    for oracle-bearing models."""
-    if model.oracle is None:
-        raise UnsupportedModelError(f"model '{model.model_id}' has no posterior oracle")
-    value = np.asarray(model.oracle.pdf(np.asarray(theta0, dtype=float),
-                                        np.asarray(s0, dtype=float)))
-    if value.size != 1:
-        raise InvalidArgumentError(
-            f"theta0 must be one point, got {value.size}; use model.oracle.pdf for several")
-    return float(value.item())
 
 
 # ---------------------------------------------------------------------------

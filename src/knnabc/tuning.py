@@ -24,8 +24,6 @@ from .estimators import KernelSpec, kernel_second_moment, kernel_square_integral
 from .models import Model
 from .numerics import adaptive_trapezoid, round_half_up
 
-REGIMES = ("m_le_3", "m_eq_4", "m_gt_4")
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -262,15 +262,15 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     results = []
     for j, (n_rows, k) in enumerate(Ns_ks):
         n_rows, k = int(n_rows), int(k)
+        if n_rows < 2 or not 0 <= k <= n_rows - 1:
+            raise InvalidArgumentError(
+                f"each (N, k) pair needs N >= 2 and 0 <= k <= N-1, got ({n_rows}, {k})")
         try:
             bound = tuning.distance_moment_bound(model.m, k, n_rows, xi0, L_diam, order)
         except BoundHypothesisError as exc:
             results.append({"N": n_rows, "k": k, "tested": False,
                             "reason": str(exc), "holds": None})
             continue
-        if n_rows < 2 or not 0 <= k <= n_rows - 1:
-            raise InvalidArgumentError(
-                f"each (N, k) pair needs N >= 2 and 0 <= k <= N-1, got ({n_rows}, {k})")
         keys = core.table_keys(model, derive_seeds(seed, "bound", j, count=replicates))
         d2_next = core.kth_distances(model, keys, n_rows, s0, k, max_workers)
         moments = np.array([float(v) ** (order / 2) for v in d2_next])

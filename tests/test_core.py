@@ -490,6 +490,13 @@ class TestRestrictedSampler:
         with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
             sample_restricted(get_model("gaussian_conjugate_1d"), [s0], 1.0, 10, seed=1)
 
+    @pytest.mark.parametrize("batch_rows", [0, -4])
+    def test_batch_rows_must_be_positive(self, batch_rows):
+        # with no rows a batch can never fill the output, so the loop would not end
+        with pytest.raises(InvalidArgumentError, match="batch_rows must be >= 1"):
+            sample_restricted(get_model("gaussian_conjugate_1d"), [1.0], 1.0, 10, seed=1,
+                              batch_rows=batch_rows)
+
     def test_infinite_radius_matches_unrestricted_law(self):
         model = get_model("gaussian_conjugate_1d")
         thetas, _ = sample_restricted(model, [0.0], np.inf, 10_000, seed=22)
@@ -588,3 +595,9 @@ class TestPersistence:
     def test_bad_magic_rejected(self):
         with pytest.raises(InvalidArgumentError):
             table_from_bytes(b"XXXX" + bytes(64))
+        # the length must be header + id_len + 8 N (p + m) exactly
+        blob = table_to_bytes(generate_table(get_model("gauss_5d"), 16, 99))
+        bad_id = blob[:34] + b"\xff" + blob[35:]
+        for bad in (blob[:10], blob[:-8], blob + b"\0", bad_id):
+            with pytest.raises(InvalidArgumentError, match="reference-table file"):
+                table_from_bytes(bad)

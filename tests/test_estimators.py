@@ -1,4 +1,4 @@
-"""Kernels, the accepted-set estimator, and the double-kernel competitors."""
+"""Kernels and the accepted-set estimator."""
 
 import json
 import math
@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from knnabc import (abc_knn, cli, estimators, g_hat, g_rosenblatt, g_smoothed_nn,
-                    get_model, generate_table, make_kernel, posterior_functional,
-                    unit_ball_volume)
+from knnabc import (abc_knn, cli, estimators, get_model, generate_table, make_kernel,
+                    posterior_functional, unit_ball_volume)
 from knnabc.cli import validate_config
-from knnabc.core import AcceptedSet, ReferenceTable
-from knnabc.errors import (DegenerateScaleError, EmptyAcceptedSetError,
-                           InvalidArgumentError, UndefinedEstimateError)
+from knnabc.core import AcceptedSet
+from knnabc.errors import EmptyAcceptedSetError, InvalidArgumentError
 from knnabc.estimators import (BLOCK_ENTRIES, EXP_FLOOR, _gaussian_exp, default_grid,
                                estimate_density, g_hat_many, grid_points,
                                kernel_second_moment, kernel_square_integral)
@@ -33,9 +31,14 @@ def _accepted(thetas, radius_next=1.0):
                        source_indices=np.arange(k, dtype=np.int64))
 
 
+def _estimate_at(accepted, h, kernel, theta0):
+    """The estimate at the one point theta0."""
+    return float(g_hat_many(accepted, h, kernel, np.asarray(theta0, dtype=float)[None, :])[0])
+
+
 def _kernel_at(kernel, u):
-    """K(u): g_hat with one accepted row at the origin and h = 1."""
-    return g_hat(_accepted(np.zeros((1, kernel.dim))), 1.0, kernel, u)
+    """K(u): the estimate with one accepted row at the origin and h = 1."""
+    return _estimate_at(_accepted(np.zeros((1, kernel.dim))), 1.0, kernel, u)
 
 
 class TestUnitBallVolume:
@@ -106,12 +109,12 @@ class TestKernels:
 class TestGHat:
     def test_single_centered_point(self):
         acc = _accepted([0.7])
-        value = g_hat(acc, 0.5, make_kernel("naive", 1), [0.7])
+        value = _estimate_at(acc, 0.5, make_kernel("naive", 1), [0.7])
         assert value == pytest.approx(1.0)  # 1 / (0.5 * V_1)
 
     def test_two_point_gaussian(self):
         acc = _accepted([0.0, 1.0])
-        value = g_hat(acc, 1.0, make_kernel("gaussian", 1), [0.0])
+        value = _estimate_at(acc, 1.0, make_kernel("gaussian", 1), [0.0])
         expected = 0.5 * (math.exp(0.0) + math.exp(-0.5)) / math.sqrt(2 * math.pi)
         assert value == pytest.approx(expected)
         assert value == pytest.approx(0.32046, abs=5e-6)
@@ -131,25 +134,25 @@ class TestGHat:
                             distances=np.zeros(0), radius_next=0.1,
                             source_indices=np.zeros(0, dtype=np.int64))
         with pytest.raises(EmptyAcceptedSetError):
-            g_hat(empty, 0.5, make_kernel("naive", 1), [0.0])
+            _estimate_at(empty, 0.5, make_kernel("naive", 1), [0.0])
 
     def test_translation_equivariance(self):
         gen = np.random.default_rng(8)
         thetas = gen.normal(0, 1, 25)
         kernel = make_kernel("gaussian", 1)
         for shift in (-3.0, 0.125, 11.0):
-            base = g_hat(_accepted(thetas), 0.4, kernel, [0.3])
-            moved = g_hat(_accepted(thetas + shift), 0.4, kernel, [0.3 + shift])
+            base = _estimate_at(_accepted(thetas), 0.4, kernel, [0.3])
+            moved = _estimate_at(_accepted(thetas + shift), 0.4, kernel, [0.3 + shift])
             assert moved == pytest.approx(base, rel=1e-12)
 
     def test_bandwidth_kernel_rescaling_identity(self):
-        # sum of c^p K(c u) values at bandwidth c*h reproduces g_hat at h
+        # sum of c^p K(c u) values at bandwidth c*h reproduces the estimate at h
         gen = np.random.default_rng(9)
         thetas = gen.normal(0, 1, 30)
         c, h, theta0 = 2.0, 0.37, 0.2
         for kind in ("naive", "gaussian"):
             kernel = make_kernel(kind, 1)
-            direct = g_hat(_accepted(thetas), h, kernel, [theta0])
+            direct = _estimate_at(_accepted(thetas), h, kernel, [theta0])
             hp = c * h
             scaled_vals = [c * _kernel_at(kernel, [c * (theta0 - t) / hp]) for t in thetas]
             manual = float(np.mean(scaled_vals)) / hp
@@ -175,86 +178,6 @@ class TestBandwidthNormaliser:
         kernel = make_kernel("naive", p)
         value = g_hat_many(acc, h, kernel, np.zeros((1, p)))[0]
         assert value == 3 * kernel.normalizer * (1.0 / (3 * h**p))
-
-
-class TestRosenblatt:
-    def _table(self, thetas, summaries):
-        t = np.asarray(thetas, dtype=float)[:, None]
-        s = np.asarray(summaries, dtype=float)[:, None]
-        return ReferenceTable(thetas=t, summaries=s, seed=0, model_id="synthetic")
-
-    def test_wide_window_reduces_to_plain_kde(self):
-        gen = np.random.default_rng(12)
-        thetas = gen.normal(0, 1, 50)
-        summaries = gen.normal(0, 1, 50)
-        table = self._table(thetas, summaries)
-        naive = make_kernel("naive", 1)
-        h, theta0 = 0.4, 0.1
-        wide = abs(summaries).max() + 1.0
-        value = g_rosenblatt(table, [0.0], [theta0], h, wide, naive, naive)
-        kde = np.mean([_kernel_at(naive, [(theta0 - t) / h]) for t in thetas]) / h
-        assert value == pytest.approx(kde, rel=1e-12)
-
-    def test_empty_window_is_undefined_not_zero(self):
-        table = self._table([0.1, 0.9], [5.0, -5.0])
-        with pytest.raises(UndefinedEstimateError):
-            g_rosenblatt(table, [0.0], [0.5], 0.2, 0.01,
-                         make_kernel("naive", 1), make_kernel("naive", 1))
-
-    def test_one_row_window(self):
-        # one row inside the summary window, one far outside
-        table = self._table([0.3, 40.0], [0.0, 100.0])
-        value = g_rosenblatt(table, [0.0], [0.3], 0.2, 1.0,
-                             make_kernel("naive", 1), make_kernel("naive", 1))
-        assert value == pytest.approx(2.5)  # 1 / (0.2 * V_1)
-
-
-class TestSmoothedNN:
-    def test_naive_summary_kernel_matches_g_hat(self):
-        model = get_model("gaussian_conjugate_1d")
-        table = generate_table(model, 2000, 31)
-        k, h, s0, theta0 = 80, 0.25, [1.0], [0.4]
-        accepted = abc_knn(table, s0, k)
-        naive = make_kernel("naive", 1)
-        smoothed = g_smoothed_nn(table, s0, theta0, h, k, naive, naive)
-        plain = g_hat(accepted, h, naive, theta0)
-        assert smoothed == pytest.approx(plain, rel=1e-12)
-
-    def test_k_equals_n_minus_one(self):
-        model = get_model("uniform_box_1d")
-        table = generate_table(model, 50, 32)
-        value = g_smoothed_nn(table, [0.5], [0.5], 0.3, 49,
-                              make_kernel("naive", 1), make_kernel("naive", 1))
-        assert value > 0.0
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_k_out_of_range(self, k):
-        table = ReferenceTable(thetas=np.array([[1.0], [2.0], [3.0]]),
-                               summaries=np.array([[0.0], [1.0], [2.0]]),
-                               seed=0, model_id="synthetic")
-        with pytest.raises(InvalidArgumentError, match="1 <= k <= N-1 = 2"):
-            g_smoothed_nn(table, [0.0], [1.0], 0.2, k,
-                          make_kernel("naive", 1), make_kernel("naive", 1))
-
-    def test_gaussian_summary_kernel_downweights_far_rows(self):
-        # rows at summary distances 0.0001 and 0.1 with k = 2 (the third
-        # row sits far outside and carries negligible weight)
-        table = ReferenceTable(thetas=np.array([[10.0], [-10.0], [0.0]]),
-                               summaries=np.array([[0.0001], [0.1], [50.0]]),
-                               seed=0, model_id="synthetic")
-        gauss = make_kernel("gaussian", 1)
-        h = 0.5
-        near = g_smoothed_nn(table, [0.0], [10.0], h, 2, gauss, gauss)
-        far = g_smoothed_nn(table, [0.0], [-10.0], h, 2, gauss, gauss)
-        assert near > far
-
-    def test_degenerate_scale(self):
-        table = ReferenceTable(thetas=np.array([[1.0], [2.0]]),
-                               summaries=np.array([[0.0], [3.0]]),
-                               seed=0, model_id="synthetic")
-        with pytest.raises(DegenerateScaleError):
-            g_smoothed_nn(table, [0.0], [1.0], 0.2, 1,
-                          make_kernel("naive", 1), make_kernel("naive", 1))
 
 
 class TestPosteriorFunctional:

@@ -7,9 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from knnabc import abc_knn, generate_table, get_model, oracle_posterior_pdf
-from knnabc.errors import (ConfigurationError, InvalidArgumentError,
-                           UnsupportedModelError)
+from knnabc import abc_knn, generate_table, get_model
+from knnabc.errors import ConfigurationError, InvalidArgumentError
 from knnabc.rng import derive_key, row_words, uniform01
 
 BOUND = 5.0
@@ -114,10 +113,10 @@ class TestPosteriorOracle:
         def numeric_pdf(t0):
             return trunc_noise_pdf(s0 - t0) * trunc_prior_pdf(t0) / norm
 
-        assert oracle_posterior_pdf(model, 0.5, [s0]) == pytest.approx(
+        assert model.oracle.pdf(0.5, [s0]) == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-6)
         for t0 in (-0.5, 0.0, 0.5, 1.2):
-            assert oracle_posterior_pdf(model, t0, [s0]) == pytest.approx(
+            assert model.oracle.pdf(t0, [s0]) == pytest.approx(
                 numeric_pdf(t0), rel=1e-9, abs=1e-12)
 
     def test_posterior_mean_symmetry_at_zero(self):
@@ -129,27 +128,14 @@ class TestPosteriorOracle:
         five = get_model("gauss_5d")
         s0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         for t0 in (-1.0, 0.25, 0.5, 2.0):
-            assert oracle_posterior_pdf(five, t0, s0) == pytest.approx(
-                oracle_posterior_pdf(conj, t0, [1.0]), rel=1e-12)
+            assert five.oracle.pdf(t0, s0) == pytest.approx(
+                conj.oracle.pdf(t0, [1.0]), rel=1e-12)
         # cross-check by quadrature of the 5-d joint over theta
         tail = float(np.prod(phi(s0[1:]) / TRUNC_MASS))
         norm, _ = quad(lambda t: trunc_noise_pdf(1.0 - t) * trunc_prior_pdf(t) * tail,
                        -BOUND, BOUND)
         val = trunc_noise_pdf(1.0 - 0.5) * trunc_prior_pdf(0.5) * tail / norm
-        assert oracle_posterior_pdf(five, 0.5, s0) == pytest.approx(val, rel=1e-9)
-
-    def test_several_points_raise(self):
-        model = get_model("gaussian_conjugate_1d")
-        single = oracle_posterior_pdf(model, 0.0, [1.0])
-        assert oracle_posterior_pdf(model, [0.0], [1.0]) == single
-        assert oracle_posterior_pdf(model, [[0.0]], [1.0]) == single
-        with pytest.raises(InvalidArgumentError, match="one point"):
-            oracle_posterior_pdf(model, [0.0, 3.0], [1.0])
-
-    def test_missing_oracle_raises(self):
-        demo = get_model("gaussian_mean_demo")
-        with pytest.raises(UnsupportedModelError):
-            oracle_posterior_pdf(demo, 0.0, [0.0])
+        assert five.oracle.pdf(0.5, s0) == pytest.approx(val, rel=1e-9)
 
 
 class TestModelInvariants:
@@ -184,7 +170,7 @@ class TestModelInvariants:
         for theta0, s0 in [(0.5, 1.0), (-0.3, 0.2), (1.5, -1.0)]:
             fbar, _ = quad(lambda t: trunc_noise_pdf(s0 - t) * trunc_prior_pdf(t),
                            -BOUND, BOUND, epsabs=1e-13, epsrel=1e-12)
-            lhs = oracle_posterior_pdf(model, theta0, [s0]) * fbar
+            lhs = model.oracle.pdf(theta0, [s0]) * fbar
             rhs = trunc_noise_pdf(s0 - theta0) * trunc_prior_pdf(theta0)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -192,7 +178,7 @@ class TestModelInvariants:
         model = get_model("uniform_box_1d")
         # summary independent of theta: fbar = 1 on [0,1], posterior = prior
         for theta0, s0 in [(0.3, 0.6), (0.9, 0.1)]:
-            lhs = oracle_posterior_pdf(model, theta0, [s0]) * 1.0
+            lhs = model.oracle.pdf(theta0, [s0]) * 1.0
             assert lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_bayes_identity_for_five_summary_model(self):
@@ -202,7 +188,7 @@ class TestModelInvariants:
         for theta0 in (-0.2, 0.4, 1.0):
             fbar, _ = quad(lambda t: trunc_noise_pdf(s0[0] - t) * trunc_prior_pdf(t)
                            * tail, -BOUND, BOUND, epsabs=1e-14, epsrel=1e-12)
-            lhs = oracle_posterior_pdf(model, theta0, s0) * fbar
+            lhs = model.oracle.pdf(theta0, s0) * fbar
             rhs = trunc_noise_pdf(s0[0] - theta0) * trunc_prior_pdf(theta0) * tail
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -211,7 +197,7 @@ class TestModelInvariants:
         for theta0, s0 in [(0.5, 0.55), (0.02, 0.05), (0.93, 0.99)]:
             fbar = (min(1.0, s0 + 0.1) - max(0.0, s0 - 0.1)) / 0.2
             rhs = (1.0 / 0.2 if abs(s0 - theta0) <= 0.1 else 0.0) * 1.0
-            lhs = oracle_posterior_pdf(model, theta0, [s0]) * fbar
+            lhs = model.oracle.pdf(theta0, [s0]) * fbar
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_compact_support_diameter(self):

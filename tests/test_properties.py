@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from knnabc import (abc_knn, abc_tolerance, distance_moment_bound, estimators,
-                    g_hat, generate_table, get_model, make_kernel, model_ids,
+                    generate_table, get_model, make_kernel, model_ids,
                     percentile_to_k, simulate_knn, unit_ball_volume)
 from knnabc.core import _CHUNK_ROWS, AcceptedSet, ReferenceTable, squared_distances
 
@@ -121,13 +121,13 @@ class TestKernelProperties:
     def test_nonnegative_and_symmetric(self, kind, dim, coords):
         u = np.resize(np.asarray(coords, dtype=float), dim)
         kernel = make_kernel(kind, dim)
-        # one accepted row at the origin and h = 1: g_hat is K(u)
+        # one accepted row at the origin and h = 1: the estimate at u is K(u)
         origin = AcceptedSet(ordered_thetas=np.zeros((1, dim)),
                              ordered_summaries=np.zeros((1, 1)), distances=np.zeros(1),
                              radius_next=1.0, source_indices=np.zeros(1, dtype=np.int64))
-        value = g_hat(origin, 1.0, kernel, u)
+        value, mirrored = estimators.g_hat_many(origin, 1.0, kernel, np.stack([u, -u]))
         assert value >= 0.0
-        assert value == g_hat(origin, 1.0, kernel, -u)
+        assert value == mirrored
         assert value <= kernel.normalizer  # the mode sits at the origin
 
     @settings(max_examples=100, deadline=None)

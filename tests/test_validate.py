@@ -74,7 +74,8 @@ class TestPointwiseConsistency:
         # squared error of the estimate at a fixed theta0, averaged over
         # replicate seeds, falls along the N ladder (one inversion within
         # one MC standard error tolerated)
-        from knnabc import abc_knn, g_hat, generate_table
+        from knnabc import abc_knn, generate_table
+        from knnabc.estimators import g_hat_many
         from knnabc.rng import derive_seed
         from knnabc.tuning import resolve_schedule, schedule
         model = get_model("gaussian_conjugate_1d")
@@ -90,7 +91,7 @@ class TestPointwiseConsistency:
                 table = generate_table(model, n, derive_seed(600, "pw", n, r))
                 acc = abc_knn(table, s0, k)
                 h = float(np.std(acc.ordered_thetas, ddof=1)) * n**h_exp
-                sq.append((g_hat(acc, h, kernel, [theta0]) - target) ** 2)
+                sq.append((g_hat_many(acc, h, kernel, np.array([[theta0]]))[0] - target) ** 2)
             sq = np.array(sq)
             means.append(sq.mean())
             errs.append(sq.std(ddof=1) / math.sqrt(len(sq)))
@@ -300,7 +301,9 @@ class TestBoundCheckBlocks:
                           replicates=20, seed=1)
         assert got[0]["empirical_moment"] == _bound_reference(model, [0.5], 999, 0, 2, 20, 1, 0)
 
-    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (10, 10), (10, -1)])
+    # (1, 5) and (100, 200) also fail the bound hypothesis at xi0 = L = 1:
+    # the pair is checked first, so they raise instead of reading untested
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (10, 10), (10, -1), (1, 5), (100, 200)])
     def test_pair_outside_the_table_raises(self, pair):
         with pytest.raises(InvalidArgumentError, match="0 <= k <= N-1"):
             bound_check(get_model("uniform_box_1d"), [0.5], [pair], xi0=1.0,
