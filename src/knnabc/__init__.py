@@ -11,6 +11,36 @@ conjugate posteriors.
 
 __version__ = "0.1.0"
 
+import importlib.util
+import sys
+
+import numpy
+
+
+def _defer_numpy_submodules():
+    """Register numpy.f2py, numpy.testing and numpy.ma as lazy modules.
+
+    scipy.special's array-API shim runs ``from numpy import *``, and
+    numpy's ``__all__`` names these submodules, so the star-import would
+    execute them although neither knnabc nor scipy.special uses them.  A
+    lazy module is bound unexecuted and loads on its first attribute
+    access.  Python 3.11's LazyLoader is not thread-safe on that first
+    access; no knnabc worker thread touches these modules.
+    """
+    for name in ("numpy.f2py", "numpy.testing", "numpy.ma"):
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name.rpartition(".")[2], module)
+
+
+# before any module of the package imports scipy
+_defer_numpy_submodules()
+
 from .core import (AcceptedSet, ReferenceTable, abc_knn, abc_tolerance,
                    generate_table, percentile_to_k, sample_restricted, simulate_knn)
 from .estimators import (DensityEstimate, KernelSpec, estimate_density, make_kernel,

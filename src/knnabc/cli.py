@@ -282,6 +282,8 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
             for pair in pairs)
         if not ok:
             errors.append(f"{path}.pairs: must be an array of [N, k] integer pairs")
+        elif any(n < 2 or not 0 <= k <= n - 1 for n, k in pairs):
+            errors.append(f"{path}.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1")
         order = block.get("order", 2)
         if order not in (2, 4):
             errors.append(f"{path}.order: must be 2 or 4")

@@ -33,9 +33,9 @@ def _norm_pdf(x):
 class PosteriorOracle:
     """Closed-form posterior g(theta | s0) for a conjugate test model.
 
-    ``pdf`` accepts theta0 of shape (G, p) or (p,) and returns matching
-    densities; ``mean`` and ``variance`` return a (p,) vector and a (p, p)
-    matrix.
+    ``pdf`` accepts theta0 of shape (G, p) or (p,) and returns the (G,)
+    densities, G = 1 for one point; ``mean`` and ``variance`` return a
+    (p,) vector and a (p, p) matrix.
     """
 
     pdf: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
@@ -157,7 +157,7 @@ def _conjugate_oracle(bound: float) -> PosteriorOracle:
         t = _theta_points(theta0, 1)[:, 0]
         dens = _norm_pdf((t - mu) / sigma) / (sigma * z)
         dens = np.where((t >= a) & (t <= b), dens, 0.0)
-        return dens if dens.size > 1 else float(dens[0])
+        return dens
 
     def mean(s0):
         mu, a, b = _window(s0)
@@ -276,7 +276,7 @@ def _uniform_box_1d() -> Model:
     def pdf(theta0, s0):
         t = _theta_points(theta0, 1)[:, 0]
         dens = np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0)
-        return dens if dens.size > 1 else float(dens[0])
+        return dens
 
     oracle = PosteriorOracle(
         pdf=pdf,
@@ -324,7 +324,7 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         a, b = _window(s0)
         t = _theta_points(theta0, 1)[:, 0]
         dens = np.where((t >= a) & (t <= b), 1.0 / (b - a), 0.0)
-        return dens if dens.size > 1 else float(dens[0])
+        return dens
 
     oracle = PosteriorOracle(
         pdf=pdf,

@@ -93,7 +93,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
         axes = estimators.default_grid(accepted, h_r, points=grid_points,
                                        padding=grid_padding)
         est = estimators.estimate_density(accepted, h_r, kernel, axes=axes)
-        oracle_vals = np.reshape(model.oracle.pdf(estimators.grid_points(axes), s0), -1)
+        oracle_vals = model.oracle.pdf(estimators.grid_points(axes), s0)
         return integrated_squared_error(est.values, oracle_vals, axes), h_r
 
     results = parallel_map(one, range(replicates), max_workers)

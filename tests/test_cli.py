@@ -342,15 +342,29 @@ class TestEndToEnd:
         assert json.loads(capsys.readouterr().err)["messages"] == [message]
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("phis", [[["identity"]], [{"a": 1}]], ids=["list", "object"])
-    def test_non_string_phis_are_config_errors(self, tmp_path, capsys, phis):
-        raw = minimal_config(N=500, acceptance={"k": 20})
-        raw["validate"] = {"moments": {"phis": phis, "replicates": 5}}
-        code, out_dir = self._run(tmp_path, "validate moments", raw)
+    @pytest.mark.parametrize("block, contents, message", [
+        ("moments", {"phis": [["identity"]], "replicates": 5},
+         "validate.moments.phis: must be a non-empty array from ['identity', 'one', 'square']"),
+        ("moments", {"phis": [{"a": 1}], "replicates": 5},
+         "validate.moments.phis: must be a non-empty array from ['identity', 'one', 'square']"),
+        # each pair must fit its table: N >= 2 and 0 <= k <= N-1
+        ("bounds", {"pairs": [[999, 9], [100, 200]], "replicates": 5, "xi0": 1.0, "L": 1.0},
+         "validate.bounds.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1"),
+        ("bounds", {"pairs": [[1, 0]], "replicates": 5, "xi0": 1.0, "L": 1.0},
+         "validate.bounds.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1"),
+        ("bounds", {"pairs": [[999, -1]], "replicates": 5, "xi0": 1.0, "L": 1.0},
+         "validate.bounds.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1"),
+    ], ids=["phis-list", "phis-object", "bounds-k-beyond-table", "bounds-n-below-2",
+            "bounds-negative-k"])
+    def test_bad_validate_values_are_config_errors(self, tmp_path, capsys, block, contents,
+                                                   message):
+        raw = minimal_config(N=500, acceptance={"k": 20}, model={"id": "uniform_box_1d"},
+                             s0=[0.5])
+        raw["validate"] = {block: contents}
+        code, out_dir = self._run(tmp_path, f"validate {block}", raw)
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
-        assert err["messages"] == [
-            "validate.moments.phis: must be a non-empty array from ['identity', 'one', 'square']"]
+        assert err["messages"] == [message]
         assert not out_dir.exists()
 
     def test_runtime_error_exit(self, tmp_path, capsys):
@@ -523,11 +537,53 @@ class TestWriteCsv:
         assert not (tmp_path / "t.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+# After `import knnabc.cli`, and again after an in-process `abc estimate`
+# and `abc sample`, each module is absent or a lazy module not yet executed.
+# type() does not load a lazy module; an attribute access would.
+_UNLOADED_PROBE = """
+import json, sys, types
+import knnabc.cli
+
+def unloaded():
+    return NAME not in sys.modules or type(sys.modules[NAME]) is not types.ModuleType
+
+after_import = unloaded()
+config, out = sys.argv[1:]
+for command in ("estimate", "sample"):
+    assert knnabc.cli.main([command, "--config", config, "--out", out]) == 0
+print(json.dumps([after_import, unloaded()]))
+"""
+# numpy.ma imported before knnabc keeps its module object
+_IMPORTED_FIRST_PROBE = """
+import json, sys
+import numpy.ma
+first = sys.modules["numpy.ma"]
+import numpy, knnabc.cli
+print(json.dumps([sys.modules["numpy.ma"] is first, numpy.ma is first]))
+"""
+# the deferred modules still work when used
+_USE_PROBE = """
+import json
+import knnabc.cli
+import numpy
+numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 2])
+masked = numpy.ma.masked_array([1.0, 2.0, 4.0], mask=[False, True, False])
+print(json.dumps([float(masked.sum()), int(masked.count())]))
+"""
+
+
+@pytest.mark.parametrize("probe, expected", [
+    *(pytest.param(_UNLOADED_PROBE.replace("NAME", repr(name)), [True, True], id=name)
+      for name in ("scipy.stats", "numpy.f2py", "numpy.testing", "numpy.ma")),
+    pytest.param(_IMPORTED_FIRST_PROBE, [True, True], id="numpy.ma-imported-first"),
+    pytest.param(_USE_PROBE, [5.0, 2], id="numpy-testing-and-ma-used"),
+])
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, probe, expected):
     src = str(Path(knnabc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    probe = "import sys, knnabc.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(minimal_config(N=2000, acceptance={"k": 50})))
+    result = subprocess.run([sys.executable, "-c", probe, str(config), str(tmp_path / "out")],
+                            env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(result.stdout.splitlines()[-1]) == expected

@@ -137,6 +137,22 @@ class TestPosteriorOracle:
         val = trunc_noise_pdf(1.0 - 0.5) * trunc_prior_pdf(0.5) * tail / norm
         assert five.oracle.pdf(0.5, s0) == pytest.approx(val, rel=1e-9)
 
+    @pytest.mark.parametrize("model_id", ["gaussian_conjugate_1d", "gauss_5d",
+                                          "uniform_box_1d", "uniform_ball_1d"])
+    def test_pdf_returns_one_density_per_point(self, model_id):
+        model = get_model(model_id)
+        s0 = np.full(model.m, 0.5)
+        # 1.2 lies outside the uniform models' support, 0.5 inside every one
+        points = np.array([[0.45], [0.5], [1.2]])
+        many = model.oracle.pdf(points, s0)
+        assert type(many) is np.ndarray and many.shape == (3,)
+        assert many[1] > 0.0
+        for i, point in enumerate(points):
+            for theta0 in (point[None, :], point, float(point[0])):
+                one = model.oracle.pdf(theta0, s0)
+                assert type(one) is np.ndarray and one.shape == (1,)
+                assert one[0] == many[i]
+
 
 class TestModelInvariants:
     @pytest.mark.parametrize("model_id", ["gaussian_conjugate_1d", "uniform_box_1d",
@@ -155,7 +171,7 @@ class TestModelInvariants:
                 s0 = gen.normal(0, 1.2, 1)
             # hint the quadrature at the (possibly narrow) support window
             hint = sorted({-7.0, 8.0, float(s0[0]) - 0.11, float(s0[0]) + 0.11, 0.0, 1.0})
-            total, err = quad(lambda t: float(model.oracle.pdf(np.array([[t]]), s0)),
+            total, err = quad(lambda t: model.oracle.pdf(np.array([[t]]), s0)[0],
                               -7.0, 8.0, limit=400, points=[v for v in hint if -7 < v < 8])
             assert total == pytest.approx(1.0, abs=1e-6)
 
