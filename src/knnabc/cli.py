@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__, core, estimators, tuning, validate
-from .errors import ConfigurationError, KnnAbcError
+from .errors import ConfigurationError, KnnAbcError, UnsupportedModelError
 from .fileio import atomic_write_bytes, jsonify, write_csv, write_json
 from .models import Model, get_model, model_ids
 from .numerics import is_finite
@@ -383,7 +383,12 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
                  [*estimators.grid_points(est.axes).T, est.values])
         emit_json("density_meta.json", est.meta)
     elif command == "validate":
-        _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
+        try:
+            _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
+        except UnsupportedModelError as exc:
+            # the model comes from the config, so a command it cannot run is
+            # a config error
+            raise ConfigurationError([f"model.id: {exc}"]) from None
     else:
         raise ConfigurationError([f"unknown command '{command}'"])
 
@@ -421,6 +426,9 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
                   [r.mise_stderr for r in report.reports]])
     elif sub == "prop1":
         k = _k_for(config)
+        if k < validate._MIN_KS_K:
+            raise ConfigurationError(
+                [f"acceptance: validate prop1 needs k >= {validate._MIN_KS_K}, got k = {k}"])
         kind = "unrestricted" if block.get("negative_control") else "restricted"
         result = validate.prop1_calibration(
             model, s0, config.n_rows, k, block["runs"], block["oracle_draws"],
@@ -503,7 +511,7 @@ def main(argv=None) -> int:
     if args.command == "schedule":
         try:
             k, h = tuning.schedule(args.m, args.p, args.N, args.ck, args.ch)
-            sched = tuning.resolve_schedule(args.m, args.p, args.ck, args.ch)
+            sched = tuning.resolve_schedule(args.m, args.p)
         except KnnAbcError as exc:
             print(_error_json("config", exc), file=sys.stderr)
             return EXIT_CONFIG

@@ -507,20 +507,24 @@ def percentile_to_k(n_rows: int, alpha: float) -> int:
     return max(1, min(n_rows - 1, round_half_up(alpha * n_rows)))
 
 
-def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
-                      batch_rows: int = 1 << 14,
-                      probe_budget: int = 10_000_000):
+# the restricted sampler's largest batch, and the proposals it draws
+# before an acceptance rate below 1e-12 declares the radius infeasible
+_BATCH_ROWS = 1 << 14
+_PROBE_BUDGET = 10_000_000
+
+
+def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
     """Draw ``count`` iid pairs from the joint density restricted to the
     cylinder {(theta, s): ||s - s0|| <= radius}.
 
     Proposals come from the unrestricted joint (a dedicated substream of
     ``seed``) and survive iff the summary lands in the ball, which yields
     the restriction exactly.  If the empirical acceptance rate over at
-    least ``probe_budget`` proposals falls below 1e-12 the radius is
+    least ``_PROBE_BUDGET`` proposals falls below 1e-12 the radius is
     declared infeasible.
 
     Accepted rows are taken in stream order, so the output does not depend
-    on batch sizes.  Batches hold ``batch_rows`` rows until a row is
+    on batch sizes.  Batches hold ``_BATCH_ROWS`` rows until a row is
     accepted; later ones are sized from the acceptance rate seen so far.
     Each batch drops most rows outside the ball from their words' bins,
     before their inverse CDF (see ``_simulate_rows``).
@@ -531,19 +535,17 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
     count = int(count)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    if batch_rows < 1:
-        raise InvalidArgumentError("batch_rows must be >= 1")
     seed = _validate_seed(seed)
     s0 = _search_point(s0, model)
     key = derive_key(seed, "restricted", model.model_id)
 
     thetas = np.empty((count, model.p))
     summaries = np.empty((count, model.m))
-    scratch = _Scratch(model, batch_rows)
+    scratch = _Scratch(model, _BATCH_ROWS)
     wpr = _words_per_row(model)
     kept = 0
     drawn = 0
-    rows = batch_rows
+    rows = _BATCH_ROWS
     r2 = radius * radius
     while kept < count:
         words = row_words(key, drawn, rows, wpr, scratch.bit_gen)
@@ -553,14 +555,14 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
         thetas[kept:kept + accepted] = batch_thetas[:accepted]
         summaries[kept:kept + accepted] = batch_summaries[:accepted]
         kept += accepted
-        if kept < count and drawn >= probe_budget and kept / drawn < 1e-12:
+        if kept < count and drawn >= _PROBE_BUDGET and kept / drawn < 1e-12:
             raise InfeasibleRadiusError(
                 f"acceptance rate below 1e-12 after {drawn} proposals "
                 f"(radius={radius!r}, s0={s0.tolist()})")
         if kept:
             # size the next batch from the acceptance rate so far, with a
             # margin so that one more batch usually suffices
-            rows = min(batch_rows, math.ceil(1.2 * (count - kept) * drawn / kept) + 64)
+            rows = min(_BATCH_ROWS, math.ceil(1.2 * (count - kept) * drawn / kept) + 64)
     return thetas, summaries
 
 

@@ -50,14 +50,10 @@ class KernelSpec:
     dim: int
     normalizer: float
 
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise InvalidArgumentError(f"kernel kind must be one of {KERNEL_KINDS}")
-        if self.dim < 1:
-            raise InvalidArgumentError("kernel dimension must be >= 1")
-
 
 def make_kernel(kind: str, dim: int) -> KernelSpec:
+    if dim < 1:
+        raise InvalidArgumentError("kernel dimension must be >= 1")
     if kind == "naive":
         return KernelSpec(kind=kind, dim=dim, normalizer=1.0 / unit_ball_volume(dim))
     if kind == "gaussian":

@@ -45,10 +45,6 @@ def jsonify(obj):
     return obj
 
 
-def dumps_json(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _umask() -> int:
     # os.umask can only be read by setting it; no other thread of this
     # program creates files, so the brief swap is not observed.
@@ -77,12 +73,10 @@ def atomic_write_bytes(path, data: bytes) -> Path:
     return path
 
 
-def atomic_write_text(path, text: str) -> Path:
-    return atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_json(path, obj) -> Path:
-    return atomic_write_text(path, dumps_json(obj))
+    """``obj`` as indented JSON with sorted keys (see :func:`jsonify`)."""
+    text = json.dumps(jsonify(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # rows formatted per chunk; bounds the temporary cell tuple and string

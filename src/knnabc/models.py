@@ -59,7 +59,7 @@ class AnalyticJoint:
     theta_laplacian: Callable = field(repr=False)
     summary_laplacian: Callable = field(repr=False)
     marginal_summary_laplacian: Callable = field(repr=False)
-    theta_halfwidth: float = 10.0
+    theta_halfwidth: float
     marginal_cdf: Optional[Callable] = field(default=None, repr=False)
 
 

@@ -40,20 +40,20 @@ def trapezoid_nd(values: np.ndarray, axes) -> float:
     return float(vals)
 
 
-def adaptive_trapezoid(fn, a: float, b: float, rtol: float = 1e-6,
-                       n0: int = 129, max_doublings: int = 16) -> float:
+def adaptive_trapezoid(fn, a: float, b: float, rtol: float = 1e-6) -> float:
     """Adaptive trapezoid quadrature of a vectorized function on [a, b].
 
-    Doubles the panel count until successive estimates agree to ``rtol``
-    relative (or an absolute floor for integrals near zero).
+    Starts from 129 points and doubles the panel count, at most 16 times,
+    until successive estimates agree to ``rtol`` relative (or an absolute
+    floor for integrals near zero).
     """
     if b <= a:
         raise InvalidArgumentError("integration interval is empty")
-    x = np.linspace(a, b, n0)
+    n = 129
+    x = np.linspace(a, b, n)
     y = np.asarray(fn(x), dtype=float)
     est = np.trapezoid(y, x)
-    n = n0
-    for _ in range(max_doublings):
+    for _ in range(16):
         mid = 0.5 * (x[:-1] + x[1:])
         y_mid = np.asarray(fn(mid), dtype=float)
         # refined trapezoid: half the old estimate plus the midpoint layer

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -32,16 +31,14 @@ class Schedule:
     regime: str
     k_exponent: Fraction
     h_exponent: Fraction
-    c_k: float = 1.0
-    c_h: float = 1.0
 
 
-def resolve_schedule(m: int, p: int, c_k: float = 1.0, c_h: float = 1.0) -> Schedule:
+def resolve_schedule(m: int, p: int) -> Schedule:
+    """The regime and the exponents of N in k and h for summary dimension
+    m and parameter dimension p."""
     m, p = int(m), int(p)
     if m < 1 or p < 1:
         raise InvalidArgumentError("dimensions m and p must be >= 1")
-    if not (c_k > 0 and c_h > 0):
-        raise InvalidArgumentError("multipliers c_k and c_h must be > 0")
     if m > 4:
         regime = "m_gt_4"
         k_exp = Fraction(p + 4, m + p + 4)
@@ -51,15 +48,18 @@ def resolve_schedule(m: int, p: int, c_k: float = 1.0, c_h: float = 1.0) -> Sche
         regime = "m_eq_4" if m == 4 else "m_le_3"
         k_exp = Fraction(p + 4, p + 8)
         h_exp = Fraction(-1, p + 8)
-    return Schedule(regime=regime, k_exponent=k_exp, h_exponent=h_exp, c_k=c_k, c_h=c_h)
+    return Schedule(regime=regime, k_exponent=k_exp, h_exponent=h_exp)
 
 
 def schedule(m: int, p: int, n_rows: int, c_k: float = 1.0, c_h: float = 1.0) -> tuple[int, float]:
-    """Concrete (k, h) for a table of n_rows rows."""
+    """Concrete (k, h) for a table of n_rows rows: the multipliers c_k and
+    c_h times the schedule powers of N, k clamped into [1, N-1]."""
     n_rows = int(n_rows)
     if n_rows < 2:
         raise InvalidArgumentError("n_rows must be >= 2")
-    sched = resolve_schedule(m, p, c_k, c_h)
+    if not (c_k > 0 and c_h > 0):
+        raise InvalidArgumentError("multipliers c_k and c_h must be > 0")
+    sched = resolve_schedule(m, p)
     k = round_half_up(c_k * n_rows ** float(sched.k_exponent))
     k = max(1, min(n_rows - 1, k))
     h = c_h * n_rows ** float(sched.h_exponent)
@@ -78,11 +78,11 @@ def auto_bandwidth(thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
 # ---------------------------------------------------------------------------
 # local mass ratio xi0
 
-def xi0_from_marginal_cdf(marginal_cdf, s0: float, L_diam: float,
-                          grid: int = 4096) -> float:
-    """Deterministic xi0 for m = 1 models with a closed-form marginal CDF."""
+def xi0_from_marginal_cdf(marginal_cdf, s0: float, L_diam: float) -> float:
+    """Deterministic xi0 for m = 1 models with a closed-form marginal CDF:
+    the least ball mass over radius, on 4096 radii from L * 1e-9 to L."""
     s0 = float(np.asarray(s0, dtype=float).reshape(-1)[0])
-    deltas = np.geomspace(L_diam * 1e-9, L_diam, grid)
+    deltas = np.geomspace(L_diam * 1e-9, L_diam, 4096)
     mass = np.asarray(marginal_cdf(s0 + deltas)) - np.asarray(marginal_cdf(s0 - deltas))
     return float((mass / deltas).min())
 
@@ -134,15 +134,15 @@ class TheoreticalQuantities:
     p: int
 
 
-def mise_rate_quantities(model: Model, s0, kernel: KernelSpec,
-                         xi0: Optional[float] = None,
-                         rtol: float = 1e-6) -> TheoreticalQuantities:
+def mise_rate_quantities(model: Model, s0, kernel: KernelSpec) -> TheoreticalQuantities:
     """Compute the curvature functionals Phi_1..Phi_3 by adaptive trapezoid
-    quadrature of the analytic joint density's second derivatives.
+    quadrature of the analytic joint density's second derivatives, and xi0
+    from the marginal CDF (:func:`xi0_from_marginal_cdf`).
 
     phi_1 folds the kernel's second moment into the theta-Laplacian;
     phi_2 and phi_3 are the summary-Laplacians of the joint and marginal
-    scaled by 1/(2m+4).  Requires a model with analytic derivatives.
+    scaled by 1/(2m+4).  Requires a p = 1 model with analytic derivatives
+    and a closed-form marginal CDF.
     """
     if model.analytic is None:
         raise UnsupportedModelError(
@@ -152,17 +152,13 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec,
     if model.p != 1:
         raise UnsupportedModelError("quadrature of the rate constants is implemented for p = 1")
     analytic = model.analytic
+    if analytic.marginal_cdf is None:
+        raise UnsupportedModelError(
+            f"model '{model.model_id}' has no closed-form marginal CDF to compute xi0 from")
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     if s0.shape[0] != model.m:
         raise InvalidArgumentError(f"s0 must have dimension m={model.m}")
-
-    if xi0 is None:
-        if analytic.marginal_cdf is None or model.m != 1:
-            raise InvalidArgumentError(
-                "xi0 must be supplied for models without a closed-form marginal CDF")
-        if model.support_diameter is None:
-            raise InvalidArgumentError("model has no compact support diameter")
-        xi0 = xi0_from_marginal_cdf(analytic.marginal_cdf, s0, model.support_diameter)
+    xi0 = xi0_from_marginal_cdf(analytic.marginal_cdf, s0, model.support_diameter)
 
     mu2 = kernel_second_moment(kernel)
     fbar = float(analytic.marginal_pdf(s0))
@@ -181,22 +177,21 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec,
         return phi2 * fbar - phi3 * analytic.joint_pdf(pts, s0)
 
     half = analytic.theta_halfwidth
-    big_phi1 = adaptive_trapezoid(lambda t: phi1(t) ** 2, -half, half, rtol) / fbar**2
-    big_phi2 = adaptive_trapezoid(lambda t: bracket(t) ** 2, -half, half, rtol) / fbar**4
-    big_phi3 = 2.0 * adaptive_trapezoid(lambda t: phi1(t) * bracket(t), -half, half, rtol) / fbar**3
+    big_phi1 = adaptive_trapezoid(lambda t: phi1(t) ** 2, -half, half) / fbar**2
+    big_phi2 = adaptive_trapezoid(lambda t: bracket(t) ** 2, -half, half) / fbar**4
+    big_phi3 = 2.0 * adaptive_trapezoid(lambda t: phi1(t) * bracket(t), -half, half) / fbar**3
 
     return TheoreticalQuantities(
-        xi0=float(xi0),
-        L_diam=float(model.support_diameter) if model.support_diameter else float("nan"),
+        xi0=xi0,
+        L_diam=float(model.support_diameter),
         Phi1=big_phi1, Phi2=big_phi2, Phi3=big_phi3,
         kernel_sq_integral=kernel_square_integral(kernel),
         m=model.m, p=model.p,
     )
 
 
-def mise_prediction(tq: TheoreticalQuantities, m: int, p: int, n_rows: int,
-                    k: int, h: float) -> float:
-    """Leading-order MISE prediction:
+def mise_prediction(tq: TheoreticalQuantities, n_rows: int, k: int, h: float) -> float:
+    """Leading-order MISE prediction at the quantities' (m, p):
     Phi1*h^4 + Phi2*(4th-moment term) + Phi3*h^2*(2nd-moment term) + intK^2/(k h^p).
 
     The moment terms are the plug-in bounds of
@@ -205,28 +200,21 @@ def mise_prediction(tq: TheoreticalQuantities, m: int, p: int, n_rows: int,
     :func:`mise_prediction_exact_moments` for the same display with
     externally supplied moments.
     """
-    if m != tq.m or p != tq.p:
-        raise InvalidArgumentError("dimensions disagree with the quantities' provenance")
-    d2_term = distance_moment_bound(m, k, n_rows, tq.xi0, tq.L_diam, order=2)
-    d4_term = distance_moment_bound(m, k, n_rows, tq.xi0, tq.L_diam, order=4)
-    return _mise_display(tq, k, h, p, d2_term, d4_term)
+    return mise_prediction_exact_moments(
+        tq, k, h,
+        distance_moment_bound(tq.m, k, n_rows, tq.xi0, tq.L_diam, order=2),
+        distance_moment_bound(tq.m, k, n_rows, tq.xi0, tq.L_diam, order=4))
 
 
-def mise_prediction_exact_moments(tq: TheoreticalQuantities, m: int, p: int,
-                                  k: int, h: float,
+def mise_prediction_exact_moments(tq: TheoreticalQuantities, k: int, h: float,
                                   d2_moment: float, d4_moment: float) -> float:
-    """Same leading-order display with true (or estimated) values of
-    E[d_(k+1)^2] and E[d_(k+1)^4] in place of the plug-in bounds."""
-    if m != tq.m or p != tq.p:
-        raise InvalidArgumentError("dimensions disagree with the quantities' provenance")
-    return _mise_display(tq, k, h, p, d2_moment, d4_moment)
-
-
-def _mise_display(tq, k, h, p, d2_term, d4_term):
+    """Same leading-order display at the quantities' p, with true (or
+    estimated) values of E[d_(k+1)^2] and E[d_(k+1)^4] in place of the
+    plug-in bounds."""
     h = float(h)
     if not (h > 0 and k >= 1):
         raise InvalidArgumentError("need h > 0 and k >= 1")
     return (tq.Phi1 * h**4
-            + tq.Phi2 * d4_term
-            + tq.Phi3 * h**2 * d2_term
-            + tq.kernel_sq_integral / (k * h**p))
+            + tq.Phi2 * d4_moment
+            + tq.Phi3 * h**2 * d2_moment
+            + tq.kernel_sq_integral / (k * h**tq.p))

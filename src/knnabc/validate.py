@@ -20,6 +20,7 @@ from .numerics import ols_slope, parallel_map, trapezoid_nd
 from .rng import derive_seed, derive_seeds
 
 _MIN_KS_K = 20
+_PROP1_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,9 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
 
 def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
                       oracle_draws: int, seed: int,
-                      oracle_kind: str = "restricted", level: float = 0.05,
-                      max_workers: int = 1) -> dict:
+                      oracle_kind: str = "restricted", max_workers: int = 1) -> dict:
     """Repeat the conditional-law test over independent runs and report the
-    rejection fraction at the given level.  Run r's p-value is that of
+    rejection fraction at the 5 % level.  Run r's p-value is that of
     ``conditional_law_test`` with the seed derived from (seed, "prop1-run",
     r); the null law is evaluated once, for all the runs' statistics."""
     runs = int(runs)
@@ -232,10 +232,10 @@ def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
                            k, oracle_draws)
     return {
         "runs": runs,
-        "level": float(level),
+        "level": _PROP1_LEVEL,
         "oracle_kind": oracle_kind,
         "p_values": p_values,
-        "rejection_fraction": float((p_values < level).mean()),
+        "rejection_fraction": float((p_values < _PROP1_LEVEL).mean()),
     }
 
 

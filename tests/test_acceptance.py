@@ -234,7 +234,7 @@ def test_criterion_09a_mise_prediction_factor():
     k, _ = schedule(1, 1, n)
     empirical = mise_estimate(model, [1.0], n, k, "auto", kernel, 50, seed=6000)
     tq = mise_rate_quantities(model, [1.0], kernel)
-    predicted = mise_prediction(tq, 1, 1, n, k, empirical.h_mean)
+    predicted = mise_prediction(tq, n, k, empirical.h_mean)
     elapsed = done()
     ratio = predicted / empirical.mise_mean
     ok = tq.Phi2 >= 0.0 and tq.Phi3 >= 0.0 and predicted >= empirical.mise_mean
@@ -281,7 +281,7 @@ def test_criterion_09c_display_with_true_moments():
         value = float(np.partition(squared_distances(table.summaries, [1.0]), k)[k])
         d2s.append(value)
         d4s.append(value * value)
-    predicted = mise_prediction_exact_moments(tq, 1, 1, k, empirical.h_mean,
+    predicted = mise_prediction_exact_moments(tq, k, empirical.h_mean,
                                               float(np.mean(d2s)), float(np.mean(d4s)))
     elapsed = done()
     ratio = predicted / empirical.mise_mean

@@ -367,6 +367,26 @@ class TestEndToEnd:
         assert err["messages"] == [message]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sub, model_id, contents, message", [
+        # a KS test of fewer than 20 accepted rows has no power
+        ("prop1", "uniform_box_1d", {"runs": 3, "oracle_draws": 100},
+         "acceptance: validate prop1 needs k >= 20, got k = 5"),
+        ("mise", "gaussian_mean_demo", {"replicates": 2},
+         "model.id: model 'gaussian_mean_demo' has no posterior oracle"),
+        ("rates", "gaussian_mean_demo", {"Ns": [100, 200, 400], "replicates": 2},
+         "model.id: model 'gaussian_mean_demo' has no posterior oracle"),
+        ("moments", "gaussian_mean_demo", {"replicates": 2},
+         "model.id: model 'gaussian_mean_demo' has no posterior oracle"),
+    ], ids=["prop1-k-below-20", "mise-no-oracle", "rates-no-oracle", "moments-no-oracle"])
+    def test_what_a_validate_command_needs_is_a_config_error(self, tmp_path, capsys, sub,
+                                                             model_id, contents, message):
+        raw = minimal_config(N=500, acceptance={"k": 5}, model={"id": model_id}, s0=[0.5])
+        raw["validate"] = {sub: contents}
+        code, out_dir = self._run(tmp_path, f"validate {sub}", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [message]
+        assert not out_dir.exists()
+
     def test_runtime_error_exit(self, tmp_path, capsys):
         # zero-width tolerance accepts nothing: a runtime failure, not a 0
         raw = minimal_config(N=100, acceptance={"epsilon": 0.0})

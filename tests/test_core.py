@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.special import ndtr
+from scipy.stats import ks_2samp, kstest
 
 from knnabc import (abc_knn, abc_tolerance, cli, core, generate_table, get_model, model_ids,
                     percentile_to_k, sample_restricted, simulate_knn)
@@ -21,6 +22,18 @@ from knnabc.core import (_CHUNK_ROWS, ReferenceTable, _nearest, squared_distance
                          table_from_bytes, table_to_bytes)
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
 from knnabc.rng import derive_key, row_words, uniform01
+
+
+def _restricted_cdf(s0: float, radius: float):
+    """The CDF of theta given |s - s0| <= radius on gaussian_conjugate_1d
+    (Proposition 1's g_r), truncation to [-5, 5] included:
+    g_r(theta) is proportional to
+    phi(theta) [Phi(min(s0 + r - theta, 5)) - Phi(max(s0 - r - theta, -5))]+,
+    integrated by cumulative trapezoid on 200 001 points."""
+    t = np.linspace(-5.0, 5.0, 200_001)
+    ball = ndtr(np.minimum(s0 + radius - t, 5.0)) - ndtr(np.maximum(s0 - radius - t, -5.0))
+    cdf = cumulative_trapezoid(np.exp(-0.5 * t * t) * np.maximum(ball, 0.0), t, initial=0.0)
+    return lambda x: np.interp(x, t, cdf / cdf[-1])
 
 
 def _table_from_distances(distances, s0=0.0):
@@ -490,13 +503,6 @@ class TestRestrictedSampler:
         with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
             sample_restricted(get_model("gaussian_conjugate_1d"), [s0], 1.0, 10, seed=1)
 
-    @pytest.mark.parametrize("batch_rows", [0, -4])
-    def test_batch_rows_must_be_positive(self, batch_rows):
-        # with no rows a batch can never fill the output, so the loop would not end
-        with pytest.raises(InvalidArgumentError, match="batch_rows must be >= 1"):
-            sample_restricted(get_model("gaussian_conjugate_1d"), [1.0], 1.0, 10, seed=1,
-                              batch_rows=batch_rows)
-
     def test_infinite_radius_matches_unrestricted_law(self):
         model = get_model("gaussian_conjugate_1d")
         thetas, _ = sample_restricted(model, [0.0], np.inf, 10_000, seed=22)
@@ -514,13 +520,31 @@ class TestRestrictedSampler:
         assert 0.98 <= summaries.mean() <= 1.02
         assert summaries.mean() == pytest.approx(target, abs=0.002)
 
-    def test_infeasible_radius_raises(self):
+    def test_infeasible_radius_raises(self, monkeypatch):
         model = get_model("uniform_box_1d")
+        monkeypatch.setattr(core, "_PROBE_BUDGET", 100_000)
         with pytest.raises(InfeasibleRadiusError):
-            sample_restricted(model, [50.0], 0.1, 10, seed=25, probe_budget=100_000)
+            sample_restricted(model, [50.0], 0.1, 10, seed=25)
+
+    @pytest.mark.parametrize("s0, radius, seed", [
+        (1.0, 0.05, 60), (1.0, 0.5, 61), (1.0, 2.0, 62),
+        (3.0, 0.05, 63), (3.0, 0.5, 64), (3.0, 2.0, 65)])
+    def test_matches_exact_restricted_law(self, s0, radius, seed):
+        thetas, _ = sample_restricted(get_model("gaussian_conjugate_1d"), [s0], radius, 5000,
+                                      seed=seed)
+        assert kstest(thetas[:, 0], _restricted_cdf(s0, radius)).pvalue > 0.01
+
+    def test_exact_law_check_sees_a_wrong_ball(self):
+        # the check above has power: the same draws fail against a ball
+        # moved by 0.1, or widened by 30 %
+        model = get_model("gaussian_conjugate_1d")
+        near, _ = sample_restricted(model, [1.0], 0.05, 5000, seed=60)
+        wide, _ = sample_restricted(model, [1.0], 2.0, 5000, seed=62)
+        assert kstest(near[:, 0], _restricted_cdf(1.1, 0.05)).pvalue < 0.01
+        assert kstest(wide[:, 0], _restricted_cdf(1.0, 2.6)).pvalue < 0.01
 
     @pytest.mark.parametrize("where", ["first_batch", "mid_batch", "batch_end"])
-    def test_keeps_first_accepted_rows_of_the_stream(self, where):
+    def test_keeps_first_accepted_rows_of_the_stream(self, where, monkeypatch):
         model = get_model("gauss_5d")
         s0, radius, batch, seed = np.full(5, 0.1), 2.0, 1000, 8
         thetas, summaries = _stream_rows(model, derive_key(seed, "restricted", "gauss_5d"),
@@ -529,8 +553,8 @@ class TestRestrictedSampler:
         per_batch = np.cumsum(inside.reshape(3, batch).sum(axis=1))
         count = {"first_batch": per_batch[0] - 5, "mid_batch": per_batch[1] - 5,
                  "batch_end": per_batch[1]}[where]
-        got_thetas, got_summaries = sample_restricted(model, s0, radius, count, seed=seed,
-                                                      batch_rows=batch)
+        monkeypatch.setattr(core, "_BATCH_ROWS", batch)
+        got_thetas, got_summaries = sample_restricted(model, s0, radius, count, seed=seed)
         assert got_thetas.tobytes() == thetas[inside][:count].tobytes()
         assert got_summaries.tobytes() == summaries[inside][:count].tobytes()
 
@@ -558,7 +582,8 @@ class TestRestrictedSampler:
         assert drawn[0] == 1 << 14 and max(drawn[1:]) < 1 << 14
         assert needed <= sum(drawn) < 1.3 * needed
         for batch in (1000, 1 << 16):
-            other = sample_restricted(model, s0, radius, count, seed=seed, batch_rows=batch)
+            monkeypatch.setattr(core, "_BATCH_ROWS", batch)
+            other = sample_restricted(model, s0, radius, count, seed=seed)
             assert other[0].tobytes() == got_thetas.tobytes()
 
     def test_deterministic(self):

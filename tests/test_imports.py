@@ -1,6 +1,8 @@
-"""Every package module uses each name it imports (``__init__`` re-exports)."""
+"""Every package module uses each name it imports (``__init__`` re-exports),
+and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,19 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):
+    # perfbench/tracer.py wraps knnabc functions by module and name; a name
+    # renamed or deleted in knnabc stops `perfbench/run.py --trace 1` with an
+    # AttributeError
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert patched and all(getattr(owner, attr) is not original
+                               for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

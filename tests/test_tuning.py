@@ -65,7 +65,7 @@ class TestSchedule:
 
     def test_bad_multipliers(self):
         with pytest.raises(InvalidArgumentError):
-            resolve_schedule(1, 1, c_k=0.0)
+            schedule(1, 1, 100, c_k=0.0)
 
 
 class TestAutoBandwidth:
@@ -173,6 +173,12 @@ class TestRateQuantities:
             mise_rate_quantities(get_model("uniform_box_1d"), [0.5],
                                     make_kernel("gaussian", 1))
 
+    def test_model_without_marginal_cdf(self):
+        # gauss_5d has analytic derivatives but no marginal CDF to take xi0 from
+        with pytest.raises(UnsupportedModelError, match="no closed-form marginal CDF"):
+            mise_rate_quantities(get_model("gauss_5d"), [1.0, 0.0, 0.0, 0.0, 0.0],
+                                 make_kernel("gaussian", 1))
+
 
 class TestMisePrediction:
     def _tq(self, **overrides):
@@ -184,7 +190,7 @@ class TestMisePrediction:
     def test_variance_only(self):
         tq = self._tq(Phi1=0.0, Phi2=0.0, Phi3=0.0)
         k, h = 100, 0.2
-        assert mise_prediction(tq, 1, 1, 10**5, k, h) == pytest.approx(
+        assert mise_prediction(tq, 10**5, k, h) == pytest.approx(
             0.2821 / (k * h), rel=1e-12)
 
     def test_h_bias_terms_vanish_as_h_shrinks(self):
@@ -193,7 +199,7 @@ class TestMisePrediction:
         d4 = distance_moment_bound(1, k, n, 1.0, 1.0, order=4)
         h = 1e-6
         expected = tq.Phi2 * d4 + tq.kernel_sq_integral / (k * h)
-        assert mise_prediction(tq, 1, 1, n, k, h) == pytest.approx(expected, rel=1e-9)
+        assert mise_prediction(tq, n, k, h) == pytest.approx(expected, rel=1e-9)
 
     def test_regime_dispatch_uses_log_forms(self):
         # m=2 pairs the plain 4th-moment term with the log 2nd-moment term
@@ -203,16 +209,12 @@ class TestMisePrediction:
         d4_plain = distance_moment_bound(2, k, n, 1.0, 1.0, order=4)
         expected = (tq.Phi1 * h**4 + tq.Phi2 * d4_plain
                     + tq.Phi3 * h**2 * d2_log + tq.kernel_sq_integral / (k * h))
-        assert mise_prediction(tq, 2, 1, n, k, h) == pytest.approx(expected, rel=1e-12)
+        assert mise_prediction(tq, n, k, h) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_moment_variant(self):
         tq = self._tq()
-        value = mise_prediction_exact_moments(tq, 1, 1, 100, 0.2,
+        value = mise_prediction_exact_moments(tq, 100, 0.2,
                                               d2_moment=1e-4, d4_moment=1e-8)
         expected = (0.3 * 0.2**4 + 0.005 * 1e-8 + 0.05 * 0.04 * 1e-4
                     + 0.2821 / (100 * 0.2))
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_guard(self):
-        with pytest.raises(InvalidArgumentError):
-            mise_prediction(self._tq(), 2, 1, 10**4, 10, 0.1)
