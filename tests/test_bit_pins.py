@@ -7,16 +7,19 @@ simulation kernel that alters one bit of a table, of the k nearest rows,
 of a validation block or of a restricted draw fails here.  The sizes sit
 at the chunk edges (2^15 - 1 and 2^15 + 7 rows) and at the smallest table.
 The grid estimates are those of synthetic accepted sets at p = 1 and 2,
-with both kernels.  The last pins are ``prop1_calibration``'s p-values,
-for both oracle kinds.
+with both kernels.  The ``prop1_calibration`` pins are its p-values, for both oracle kinds.
+The last pins are the ``table.bin`` and ``table.csv`` files ``abc sample``
+writes, at the smallest table and at three chunks plus 17 rows.
 """
 
 import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
 
-from knnabc import (core, generate_table, get_model, model_ids, prop1_calibration,
+from knnabc import (cli, core, generate_table, get_model, model_ids, prop1_calibration,
                     sample_restricted, simulate_knn)
 from knnabc.estimators import default_grid, estimate_density, make_kernel
 
@@ -213,3 +216,98 @@ def test_prop1_p_values_match_recorded_digests(oracle_kind):
     result = prop1_calibration(get_model("gaussian_conjugate_1d"), [0.5], 2000, 50, 30, 500,
                                SEED, oracle_kind=oracle_kind, max_workers=2)
     assert _sha(result["p_values"]) == PROP1_PINS[oracle_kind]
+
+
+# abc sample's files at the smallest table and across three chunk edges
+SAMPLE_SIZES = (2, 3 * core._CHUNK_ROWS + 17)
+
+SAMPLE_PINS = {
+    "gauss_5d": {
+        "bin_2":
+            "ae2aa7a961745acb67d49f73fe3724d4ec12233f42359e122f477c192161c36c",
+        "csv_2":
+            "0987c74b755764197a2c7864f445188f522ae2dbe19f4fbc53e5767cf5d6fc76",
+        "bin_98321":
+            "273cf49a25355fbdb208a28dc208e21fadd6c78aa3eafe20f275e718c184116d",
+        "csv_98321":
+            "10e018bac0deebf607937a891682b01f4d109f736c1dba0c9c8edb9094b64211",
+    },
+    "gaussian_conjugate_1d": {
+        "bin_2":
+            "6509684292188b76c9a5ea630633e214786d122dff99339967168d60c7a3fc02",
+        "csv_2":
+            "82fc33ece26d0ce3c1457b3bc3a3ad55ebe5c4499821247db4bbe1370e16dad7",
+        "bin_98321":
+            "56ff1d0f5bbf1a329713e1f0f7e56dfe2501abd46856842677f618f2e1a3834b",
+        "csv_98321":
+            "af05ac5a8a42b7cc4a848955ff111247fd53291b609c4afa0407621a9310a142",
+    },
+    "gaussian_mean_demo": {
+        "bin_2":
+            "abbdbe160590595bcfbcb5ff14545e4f01178c042ac149f9fa6a153830fee15b",
+        "csv_2":
+            "5b89f087348e27c950488fbee4efb34ee6b2dd028fcd3e8bd1075ae3db4c933a",
+        "bin_98321":
+            "a424505b5a226fa362272f56e1709314894f897f75ca246e4f6ae67aacb9a719",
+        "csv_98321":
+            "15e4c29c4dbba05199f45dad472d0c0e35f0cb072705b18cb999e6bc63287ff3",
+    },
+    "uniform_ball_1d": {
+        "bin_2":
+            "66dbf4d50e8bf9ae4b9435417f6e9512a984e7c527dbb37a7eeabe3456908575",
+        "csv_2":
+            "1a7fbbff83a0814227af83968911dcf6038c967ae9fda070c5016dff414f76ae",
+        "bin_98321":
+            "bd2f296171db3d8279ba5eb138587a88878837c2c6c4951127278e48e7f6e26d",
+        "csv_98321":
+            "4f143f237da4ccba04222fa73e9519d341b872ce799560c6645def5e67676e53",
+    },
+    "uniform_box_1d": {
+        "bin_2":
+            "1a6d20a3b8abf76cd318edf98065dafb63ed661d89ec41f39b44115cc019f153",
+        "csv_2":
+            "28f01b21be119634bb45c3394a961dd092d05f11ef2118c55901dc86a3530eb3",
+        "bin_98321":
+            "2443d278c62e4447e10659a5917ccc4e17364fa1522158833c367ef7afb1aafe",
+        "csv_98321":
+            "acd26a715cb9c42869e3a582cf69734617622e88fd9146c6c7eeaba258a8f786",
+    },
+}
+
+
+def _sample_files(tmp_path, model_id: str, n_rows: int, threads: int) -> dict:
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schema": "abc-config/1", "model": {"id": model_id}, "N": n_rows, "seed": SEED,
+        "acceptance": {"k": 1}, "s0": _SETTINGS[model_id][0]}), encoding="utf-8")
+    out = tmp_path / f"out_{n_rows}"
+    argv = ["sample", "--config", str(config), "--out", str(out), "--threads", str(threads)]
+    assert cli.main(argv) == 0
+    return {name: (out / name).read_bytes() for name in ("table.bin", "table.csv")}
+
+
+def _table_csv(table) -> bytes:
+    """The table as one ``%`` over a repeated ``%.17g`` row template: the
+    text ``write_csv`` gave when it held the whole table."""
+    columns = [*table.thetas.T, *table.summaries.T]
+    header = ([f"theta_{j}" for j in range(table.thetas.shape[1])]
+              + [f"s_{j}" for j in range(table.summaries.shape[1])])
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(col.tolist() for col in columns))))
+    return (",".join(header) + "\r\n" + row * table.n_rows % cells).encode("ascii")
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("model_id", model_ids())
+def test_sample_files_match_recorded_digests_and_in_memory_writers(model_id, threads,
+                                                                  tmp_path):
+    model = get_model(model_id)
+    digests = {}
+    for n in SAMPLE_SIZES:
+        files = _sample_files(tmp_path, model_id, n, threads)
+        table = generate_table(model, n, SEED)
+        assert files["table.bin"] == core.table_to_bytes(table)
+        assert files["table.csv"] == _table_csv(table)
+        digests.update({f"{name[6:]}_{n}": hashlib.sha256(blob).hexdigest()
+                        for name, blob in files.items()})
+    assert digests == SAMPLE_PINS[model_id]
