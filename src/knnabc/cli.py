@@ -22,8 +22,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__, core, estimators, tuning, validate
-from .errors import ConfigurationError, KnnAbcError, UnsupportedModelError
-from .fileio import atomic_write_bytes, jsonify, write_csv, write_json
+from .errors import (ConfigurationError, InvalidArgumentError, KnnAbcError,
+                     UnsupportedModelError)
+from .fileio import (atomic_files, atomic_write_bytes, csv_header, json_bytes,
+                     jsonify, write_csv, write_csv_rows)
 from .models import Model, get_model, model_ids
 from .numerics import is_finite
 
@@ -310,7 +312,10 @@ def _resolve_s0(config: RunConfig, model: Model) -> np.ndarray:
     if model.summary_map is None:
         raise ConfigurationError(
             [f"y0: model '{model.model_id}' takes no raw data; give s0 instead"])
-    return model.summary_map(np.asarray(config.y0, dtype=float))
+    try:
+        return model.summary_map(np.asarray(config.y0, dtype=float))
+    except InvalidArgumentError as exc:
+        raise ConfigurationError([f"y0: {exc}"]) from None
 
 
 def _k_for(config: RunConfig) -> int:
@@ -343,17 +348,19 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         summary["outputs"].append(str(path))
 
     def emit_json(name, obj):
-        path = write_json(out_dir / name, obj)
+        path = atomic_write_bytes(out_dir / name, json_bytes(obj))
         summary["outputs"].append(str(path))
 
     if command == "sample":
-        table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
-        path = atomic_write_bytes(out_dir / "table.bin", core.table_to_bytes(table))
-        summary["outputs"].append(str(path))
-        p, m = table.thetas.shape[1], table.summaries.shape[1]
-        emit_csv("table.csv",
-                 [f"theta_{j}" for j in range(p)] + [f"s_{j}" for j in range(m)],
-                 [*table.thetas.T, *table.summaries.T])
+        paths = out_dir / "table.bin", out_dir / "table.csv"
+        with atomic_files(*paths) as (table_bin, table_csv):
+            table_csv.write(csv_header([f"theta_{j}" for j in range(model.p)]
+                                       + [f"s_{j}" for j in range(model.m)]))
+            core.write_table(
+                model, config.n_rows, config.seed, table_bin,
+                lambda thetas, summaries: write_csv_rows(table_csv, [*thetas.T, *summaries.T]),
+                max_workers=threads)
+        summary["outputs"].extend(map(str, paths))
     elif command == "estimate":
         if config.acceptance_mode == "epsilon":
             summary["epsilon"] = float(config.acceptance_value)

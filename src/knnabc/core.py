@@ -8,11 +8,13 @@ via partial selection; ``simulate_knn`` gives the same result while
 simulating, without holding the table; ``block_distances`` gives the
 distances of many equal-size tables at once, for validation replicates.
 ``abc_tolerance`` keeps everything within a fixed radius.  ``sample_restricted`` draws from the
-joint density restricted to the ball cylinder via rejection.
+joint density restricted to the ball cylinder via rejection.  ``write_table``
+writes a table's binary layout one chunk at a time.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import threading
@@ -574,18 +576,74 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQIIQ H")  # magic, version, N, p, m, seed, len(model_id)
 
 
+def _table_header(n_rows: int, p: int, m: int, seed: int, model_id: str) -> bytes:
+    """The header and model id that open a table's binary layout."""
+    model_id = model_id.encode("utf-8")
+    return _HEADER.pack(_MAGIC, _VERSION, n_rows, p, m, seed, len(model_id)) + model_id
+
+
+def _write_rows(fh, offset: int, n_rows: int, start: int, thetas: np.ndarray,
+                summaries: np.ndarray) -> None:
+    """Write rows ``start``.. of an ``n_rows``-row table into their places
+    in its column layout, which begins ``offset`` bytes into ``fh``."""
+    for j, column in enumerate((*thetas.T, *summaries.T)):
+        fh.seek(offset + 8 * (j * n_rows + start))
+        fh.write(np.ascontiguousarray(column, dtype="<f8"))
+
+
 def table_to_bytes(table: ReferenceTable) -> bytes:
     """Binary column layout: header, then each theta column and each summary
     column as little-endian float64."""
-    model_id = table.model_id.encode("utf-8")
-    parts = [_HEADER.pack(_MAGIC, _VERSION, table.n_rows,
-                          table.thetas.shape[1], table.summaries.shape[1],
-                          table.seed, len(model_id)), model_id]
-    for j in range(table.thetas.shape[1]):
-        parts.append(np.ascontiguousarray(table.thetas[:, j], dtype="<f8").tobytes())
-    for j in range(table.summaries.shape[1]):
-        parts.append(np.ascontiguousarray(table.summaries[:, j], dtype="<f8").tobytes())
-    return b"".join(parts)
+    header = _table_header(table.n_rows, table.thetas.shape[1], table.summaries.shape[1],
+                           table.seed, table.model_id)
+    buf = io.BytesIO(header)
+    _write_rows(buf, len(header), table.n_rows, 0, table.thetas, table.summaries)
+    return buf.getvalue()
+
+
+def write_table(model: Model, n_rows: int, seed: int, fh, write_chunk,
+                max_workers: int = 1) -> None:
+    """Write ``table_to_bytes(generate_table(model, n_rows, seed))`` to the
+    empty, seekable binary file ``fh`` without holding the table, and call
+    ``write_chunk(thetas, summaries)`` with each chunk's rows, in row order.
+
+    The chunks are simulated as ``generate_table`` simulates them.  Each
+    waits for every earlier chunk to be written, then writes its columns at
+    their offsets, so the file is the same at any ``max_workers`` and the
+    run holds at most one chunk per worker.  When a chunk fails, the chunks
+    still waiting write nothing, and the error is raised.
+    """
+    n_rows, seed, key = _table_stream(model, n_rows, seed)
+    header = _table_header(n_rows, model.p, model.m, seed, model.model_id)
+    fh.write(header)
+    wpr = _words_per_row(model)
+    pool = _ScratchPool(model, min(_CHUNK_ROWS, n_rows))
+    turn = threading.Condition()
+    written, failed = 0, False  # rows written so far; whether a chunk failed
+
+    def write(start: int) -> None:
+        nonlocal written, failed
+        try:
+            with pool.take() as scratch:
+                words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr,
+                                  scratch.bit_gen)
+                _, thetas, summaries, _ = _simulate_rows(model, words, scratch)
+                with turn:
+                    turn.wait_for(lambda: written == start or failed)
+                    if failed:
+                        return
+                    _write_rows(fh, len(header), n_rows, start, thetas, summaries)
+                    write_chunk(thetas, summaries)
+                    written += thetas.shape[0]
+                    turn.notify_all()
+        except BaseException:
+            # release the chunks waiting for this one
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    parallel_map(write, range(0, n_rows, _CHUNK_ROWS), max_workers)
 
 
 def table_from_bytes(blob: bytes) -> ReferenceTable:

@@ -1,12 +1,16 @@
 """Config validation, CLI round trips, atomic outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnabc
-from knnabc import cli, estimators, fileio
+from knnabc import cli, core, estimators, fileio, get_model
 from knnabc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig,
                         validate_config)
 from knnabc.errors import ConfigurationError, InvalidArgumentError
@@ -248,6 +252,16 @@ class TestEndToEnd:
         assert code == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary["s0"] == [pytest.approx(1.0)]
+
+    def test_demo_raw_data_of_wrong_length_is_config_error(self, tmp_path, capsys):
+        raw = minimal_config(N=500, acceptance={"k": 5}, model={"id": "gaussian_mean_demo"})
+        del raw["s0"]
+        raw["y0"] = [1.0, 0.5]
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [
+            "y0: demo model expects raw data of length 10"]
+        assert not out_dir.exists()
 
     def test_validate_moments_report(self, tmp_path, capsys):
         raw = minimal_config(N=2000, acceptance={"k": 60})
@@ -482,14 +496,14 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(RuntimeError):
-            fileio.write_json(target, {"a": 1})
+            fileio.atomic_write_bytes(target, fileio.json_bytes({"a": 1}))
         monkeypatch.setattr(os, "replace", real_replace)
         assert not target.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_existing_target_unharmed_by_failed_overwrite(self, tmp_path, monkeypatch):
         target = tmp_path / "x.json"
-        fileio.write_json(target, {"a": 1})
+        fileio.atomic_write_bytes(target, fileio.json_bytes({"a": 1}))
         before = target.read_bytes()
 
         def exploding_fsync(fd):
@@ -497,14 +511,12 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(OSError):
-            fileio.write_json(target, {"a": 2})
+            fileio.atomic_write_bytes(target, fileio.json_bytes({"a": 2}))
         assert target.read_bytes() == before
 
-    def test_json_handles_nonfinite_and_numpy(self, tmp_path):
-        path = fileio.write_json(tmp_path / "y.json",
-                                 {"inf": float("inf"), "arr": np.array([1.5, 2.5]),
-                                  "i": np.int64(3)})
-        back = json.loads(path.read_text())
+    def test_json_handles_nonfinite_and_numpy(self):
+        back = json.loads(fileio.json_bytes({"inf": float("inf"), "arr": np.array([1.5, 2.5]),
+                                             "i": np.int64(3)}))
         assert back == {"inf": "inf", "arr": [1.5, 2.5], "i": 3}
 
     def test_outputs_follow_umask(self, tmp_path):
@@ -556,6 +568,76 @@ class TestWriteCsv:
             fileio.write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3), np.zeros(3)])
         assert not (tmp_path / "t.csv").exists()
 
+
+def _main_in_thread(argv, timeout=120.0):
+    """``cli.main(argv)`` on a thread that must end within ``timeout``
+    seconds, so that a chunk left waiting for its turn fails the test."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(cli.main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "abc sample did not finish"
+    return result[0]
+
+
+class TestStreamedSample:
+    """``abc sample`` writes its files one chunk at a time, in row order."""
+
+    def _argv(self, tmp_path, raw, threads, out="out"):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        return ["sample", "--config", str(config), "--out", str(tmp_path / out),
+                "--threads", str(threads)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_n(self, tmp_path, threads):
+        # the run holds one chunk per worker and that chunk's CSV text; a
+        # run that held its table held 10 more MB per 2^15 rows
+        def peak(n_rows):
+            config = validate_config(json.dumps(minimal_config(
+                N=n_rows, acceptance={"k": 1}, model={"id": "gauss_5d"},
+                s0=[1.0, 0.0, 0.0, 0.0, 0.0])))
+            tracemalloc.start()
+            try:
+                cli.run(config, "sample", tmp_path / str(n_rows), threads=threads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 17) - peak(1 << 16) < 4 << 20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_chunk_leaves_no_output(self, tmp_path, capsys, monkeypatch, threads):
+        model = get_model("gaussian_conjugate_1d")
+        calls = itertools.count()
+
+        def thetas_from_uniforms(u, out):
+            if next(calls) == 1:
+                raise InvalidArgumentError("the second chunk fails")
+            return model.thetas_from_uniforms(u, out)
+
+        monkeypatch.setattr(cli, "get_model", lambda *args, **kwargs: dataclasses.replace(
+            model, thetas_from_uniforms=thetas_from_uniforms))
+        raw = minimal_config(N=4 * core._CHUNK_ROWS + 3, acceptance={"k": 1})
+        assert _main_in_thread(self._argv(tmp_path, raw, threads)) == EXIT_RUNTIME
+        assert json.loads(capsys.readouterr().err)["message"] == "the second chunk fails"
+        assert list((tmp_path / "out").glob("*")) == []
+
+    def test_more_workers_than_cores_write_the_same_bytes(self, tmp_path, capsys,
+                                                          monkeypatch):
+        raw = minimal_config(N=8 * core._CHUNK_ROWS + 5, acceptance={"k": 1},
+                             model={"id": "uniform_box_1d"}, s0=[0.5])
+        assert _main_in_thread(self._argv(tmp_path, raw, 1, out="one")) == EXIT_OK
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _main_in_thread(self._argv(tmp_path, raw, 8, out="eight")) == EXIT_OK
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("table.bin", "table.csv"):
+            assert (tmp_path / "eight" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes()
 
 # After `import knnabc.cli`, and again after an in-process `abc estimate`
 # and `abc sample`, each module is absent or a lazy module not yet executed.
