@@ -544,7 +544,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(_error_json("config", exc), file=sys.stderr)
         return EXIT_CONFIG
-    except KnnAbcError as exc:
+    except (KnnAbcError, OSError) as exc:
+        # OSError: an output that cannot be written (a path through a
+        # file, a full disk); the config file's own errors are config errors
         print(_error_json("runtime", exc), file=sys.stderr)
         return EXIT_RUNTIME
     print(json.dumps(jsonify(summary), sort_keys=True))

@@ -7,9 +7,10 @@ summaries by squared distance with index tie-breaking, in expected O(N)
 via partial selection; ``simulate_knn`` gives the same result while
 simulating, without holding the table; ``block_distances`` gives the
 distances of many equal-size tables at once, for validation replicates.
-``abc_tolerance`` keeps everything within a fixed radius.  ``sample_restricted`` draws from the
-joint density restricted to the ball cylinder via rejection.  ``write_table``
-writes a table's binary layout one chunk at a time.
+``abc_tolerance`` keeps everything within a fixed radius.  ``sample_restricted``
+draws from the joint density restricted to the ball cylinder via rejection.
+``write_table`` writes a table's binary layout one chunk at a time.  Worker
+threads only simulate a table's chunks; the caller visits them in order.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from __future__ import annotations
 import io
 import math
 import struct
-import threading
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleRadiusError, InvalidArgumentError
 from .models import Model
-from .numerics import parallel_map, round_half_up
+from .numerics import ordered_map, parallel_map, round_half_up
 from .rng import derive_key, derive_keys, row_words, uniform01, word_bins
 
 _CHUNK_ROWS = 1 << 15
@@ -106,22 +106,19 @@ class _Scratch:
 
 
 class _ScratchPool:
-    """The scratch of one call's workers.  A worker takes spare scratch, or
-    makes its own, and gives it back when its piece of work is done, so
-    there is never more scratch than work in flight."""
+    """Spare scratch for one call: ``take`` reuses or makes one, and ``give``
+    returns it once its result is used; never more than work in flight."""
 
     def __init__(self, model: Model, rows: int, words: bool = False):
         self._args = model, rows, words
-        self._spare = []  # list.pop and list.append are atomic, so workers can share it
+        self._spare = []  # list.pop and list.append are atomic, so threads can share it
+        self.give = self._spare.append
 
-    @contextmanager
-    def take(self):
+    def take(self) -> _Scratch:
         try:
-            scratch = self._spare.pop()
+            return self._spare.pop()
         except IndexError:
-            scratch = _Scratch(*self._args)
-        yield scratch
-        self._spare.append(scratch)
+            return _Scratch(*self._args)
 
 
 def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.ndarray,
@@ -220,19 +217,19 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
     return rows, thetas[:n], summaries[:n], d2[:n]
 
 
-def _point(s0, model: Model) -> np.ndarray:
-    """s0 as a float vector of the model's summary dimension m."""
+def _point(s0, m: int) -> np.ndarray:
+    """s0 as a float vector of the summary dimension m."""
     s0 = np.asarray(s0, dtype=float).reshape(-1)
-    if s0.shape[0] != model.m:
-        raise InvalidArgumentError(f"s0 has dimension {s0.shape[0]}, summaries have m={model.m}")
+    if s0.shape[0] != m:
+        raise InvalidArgumentError(f"s0 has dimension {s0.shape[0]}, summaries have m={m}")
     return s0
 
 
-def _search_point(s0, model: Model) -> np.ndarray:
-    """``_point`` for a search for the rows within a bound of s0.  A NaN or
-    infinite s0 is rejected: every row's distance to it is NaN or infinite,
-    so no row is ever within a finite bound of it."""
-    s0 = _point(s0, model)
+def _search_point(s0, m: int) -> np.ndarray:
+    """``_point`` for a search for the rows near s0.  A NaN or infinite s0
+    is rejected: every row's distance to it is NaN or infinite, so no row
+    is within a finite bound of it or nearer to it than another."""
+    s0 = _point(s0, m)
     if not np.isfinite(s0).all():
         raise InvalidArgumentError("s0 must not contain NaN or infinite entries")
     return s0
@@ -243,17 +240,22 @@ def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, vi
     """Simulate the table of ``n_rows`` rows with this key one chunk at a
     time, calling ``visit(start, rows, thetas, summaries, d2)`` with each
     chunk's first row number and its ``_simulate_rows`` result for
-    ``tau()`` read as the chunk starts.
+    ``tau()`` read as the chunk starts.  Workers only simulate; ``visit``
+    runs in the calling thread, in row order, and a chunk's scratch goes
+    back when it returns, before ``ordered_map`` starts another chunk.
     """
     wpr = _words_per_row(model)
     pool = _ScratchPool(model, min(_CHUNK_ROWS, n_rows))
 
-    def scan(start: int) -> None:
-        with pool.take() as scratch:
-            words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr, scratch.bit_gen)
-            visit(start, *_simulate_rows(model, words, scratch, s0, tau()))
+    def simulate(start: int):
+        scratch = pool.take()
+        words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr, scratch.bit_gen)
+        return start, scratch, _simulate_rows(model, words, scratch, s0, tau())
 
-    parallel_map(scan, range(0, n_rows, _CHUNK_ROWS), max_workers)
+    with closing(ordered_map(simulate, range(0, n_rows, _CHUNK_ROWS), max_workers)) as chunks:
+        for start, scratch, chunk in chunks:
+            visit(start, *chunk)
+            pool.give(scratch)
 
 
 def _table_tags(model: Model) -> tuple[str, str]:
@@ -291,7 +293,7 @@ def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0,
     ``len(keys) * min(n_rows, _CHUNK_ROWS)`` rows, so a caller running
     many blocks reuses one scratch for all of them.
     """
-    s0 = _point(s0, model)
+    s0 = _point(s0, model.m)
     wpr = _words_per_row(model)
     n_tables = len(keys)
     d2 = np.empty((n_tables, n_rows))
@@ -322,8 +324,9 @@ def kth_distances(model: Model, keys: np.ndarray, n_rows: int, s0, k: int,
     pool = _ScratchPool(model, per_block * min(n_rows, _CHUNK_ROWS), words=True)
 
     def block(start: int) -> np.ndarray:
-        with pool.take() as scratch:
-            d2 = block_distances(model, keys[start:start + per_block], n_rows, s0, scratch)
+        scratch = pool.take()
+        d2 = block_distances(model, keys[start:start + per_block], n_rows, s0, scratch)
+        pool.give(scratch)
         d2.partition(k, axis=1)
         return d2[:, k].copy()  # a view would keep the whole block alive
 
@@ -339,7 +342,7 @@ def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -
     """
     n_rows, seed, key = _table_stream(model, n_rows, seed)
 
-    # each chunk writes its own disjoint slice, so the table is held once
+    # each chunk is copied into its own slice, so the table is held once
     thetas = np.empty((n_rows, model.p))
     summaries = np.empty((n_rows, model.m))
 
@@ -419,10 +422,10 @@ def abc_knn(table: ReferenceTable, s0, k: int) -> AcceptedSet:
 
     Ordering and tie-breaking are by the pair (squared distance, original
     index), so results are deterministic even with exact float ties.
-    Expected O(N) (see ``_nearest``).
+    Expected O(N) (see ``_nearest``).  s0 must be finite.
     """
     k = _check_k(k, table.n_rows)
-    d2 = squared_distances(table.summaries, s0)
+    d2 = squared_distances(table.summaries, _search_point(s0, table.summaries.shape[1]))
     idx, next_value = _nearest(d2, k)
     return _build_accepted(table.thetas, table.summaries, idx, idx, np.sqrt(d2[idx]),
                            np.sqrt(next_value))
@@ -441,37 +444,35 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     d_(k+1), so the pool never holds more than 2(k+1) rows plus one chunk,
     and the cuts cost amortised O(N).  Once tau is finite, a chunk drops
     most rows beyond it from their words' bins, before their inverse CDF
-    (see ``_simulate_rows``).  A chunk may read tau just before a cut lowers
-    it; that adds a superset, so the result is the same at any worker
-    count and in any order of completion.
+    (see ``_simulate_rows``).  The pool is filled and cut in the calling
+    thread, in row order; a chunk reads tau as it starts, and a stale tau
+    only adds rows, so the result is the same at any worker count.
     """
     n_rows, _, key = _table_stream(model, n_rows, seed)
     k = _check_k(k, n_rows)
-    s0 = _search_point(s0, model)
+    s0 = _search_point(s0, model.m)
     cap = min(n_rows, 2 * (k + 1) + _CHUNK_ROWS)
     pool_d2 = np.empty(cap)
     pool_index = np.empty(cap, dtype=np.int64)
     pool_thetas = np.empty((cap, model.p))
     pool_summaries = np.empty((cap, model.m))
-    lock = threading.Lock()
     size = 0
     tau = np.inf
 
     def add(start, rows, thetas, summaries, d2):
         nonlocal size, tau
-        with lock:
-            end = size + d2.size
-            pool_d2[size:end] = d2
-            pool_index[size:end] = (start + np.arange(d2.size)) if rows is None else start + rows
-            pool_thetas[size:end] = thetas
-            pool_summaries[size:end] = summaries
-            size = end
-            if size > 2 * (k + 1):
-                cut, _ = _nearest(pool_d2[:size], k + 1, pool_index[:size])
-                for pool in (pool_d2, pool_index, pool_thetas, pool_summaries):
-                    pool[:k + 1] = pool[cut]
-                size = k + 1
-                tau = pool_d2[k]
+        end = size + d2.size
+        pool_d2[size:end] = d2
+        pool_index[size:end] = (start + np.arange(d2.size)) if rows is None else start + rows
+        pool_thetas[size:end] = thetas
+        pool_summaries[size:end] = summaries
+        size = end
+        if size > 2 * (k + 1):
+            cut, _ = _nearest(pool_d2[:size], k + 1, pool_index[:size])
+            for pool in (pool_d2, pool_index, pool_thetas, pool_summaries):
+                pool[:k + 1] = pool[cut]
+            size = k + 1
+            tau = pool_d2[k]
 
     _scan_table(model, key, n_rows, max_workers, add, s0, lambda: tau)
     pos, next_value = _nearest(pool_d2[:size], k, pool_index[:size])
@@ -483,12 +484,12 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     """Accept every row with ||s_i - s0|| <= epsilon (possibly none).
 
     ``radius_next`` is the smallest distance beyond epsilon, +inf when all
-    rows are accepted.
+    rows are accepted.  s0 must be finite.
     """
     epsilon = float(epsilon)
     if not epsilon >= 0.0:
         raise InvalidArgumentError("epsilon must be >= 0")
-    d2 = squared_distances(table.summaries, s0)
+    d2 = squared_distances(table.summaries, _search_point(s0, table.summaries.shape[1]))
     d = np.sqrt(d2)
     inside = d <= epsilon
     chosen = np.flatnonzero(inside)
@@ -538,7 +539,7 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
     seed = _validate_seed(seed)
-    s0 = _search_point(s0, model)
+    s0 = _search_point(s0, model.m)
     key = derive_key(seed, "restricted", model.model_id)
 
     thetas = np.empty((count, model.p))
@@ -607,43 +608,19 @@ def write_table(model: Model, n_rows: int, seed: int, fh, write_chunk,
     empty, seekable binary file ``fh`` without holding the table, and call
     ``write_chunk(thetas, summaries)`` with each chunk's rows, in row order.
 
-    The chunks are simulated as ``generate_table`` simulates them.  Each
-    waits for every earlier chunk to be written, then writes its columns at
-    their offsets, so the file is the same at any ``max_workers`` and the
-    run holds at most one chunk per worker.  When a chunk fails, the chunks
-    still waiting write nothing, and the error is raised.
+    The chunks are simulated as ``generate_table`` simulates them and
+    written by the calling thread in row order (``_scan_table``), so the file
+    is the same at any ``max_workers``; the run holds one chunk per worker.
     """
     n_rows, seed, key = _table_stream(model, n_rows, seed)
     header = _table_header(n_rows, model.p, model.m, seed, model.model_id)
     fh.write(header)
-    wpr = _words_per_row(model)
-    pool = _ScratchPool(model, min(_CHUNK_ROWS, n_rows))
-    turn = threading.Condition()
-    written, failed = 0, False  # rows written so far; whether a chunk failed
 
-    def write(start: int) -> None:
-        nonlocal written, failed
-        try:
-            with pool.take() as scratch:
-                words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr,
-                                  scratch.bit_gen)
-                _, thetas, summaries, _ = _simulate_rows(model, words, scratch)
-                with turn:
-                    turn.wait_for(lambda: written == start or failed)
-                    if failed:
-                        return
-                    _write_rows(fh, len(header), n_rows, start, thetas, summaries)
-                    write_chunk(thetas, summaries)
-                    written += thetas.shape[0]
-                    turn.notify_all()
-        except BaseException:
-            # release the chunks waiting for this one
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
+    def write(start, _, thetas, summaries, __):
+        _write_rows(fh, len(header), n_rows, start, thetas, summaries)
+        write_chunk(thetas, summaries)
 
-    parallel_map(write, range(0, n_rows, _CHUNK_ROWS), max_workers)
+    _scan_table(model, key, n_rows, max_workers, write)
 
 
 def table_from_bytes(blob: bytes) -> ReferenceTable:
@@ -657,6 +634,9 @@ def table_from_bytes(blob: bytes) -> ReferenceTable:
         raise InvalidArgumentError("not a reference-table file (bad magic)")
     if version != _VERSION:
         raise InvalidArgumentError(f"unsupported table file version {version}")
+    if p < 1 or m < 1:
+        raise InvalidArgumentError(
+            f"reference-table file has p = {p} and m = {m}; both must be >= 1")
     expected = _HEADER.size + id_len + 8 * n * (p + m)
     if len(blob) != expected:
         raise InvalidArgumentError(

@@ -1,4 +1,4 @@
-"""Small numerical utilities: finiteness, rounding, trapezoid integration, OLS."""
+"""Small numerical utilities: finiteness, rounding, trapezoid integration, OLS, thread pools."""
 
 from __future__ import annotations
 
@@ -84,6 +84,10 @@ def ols_slope(x, y) -> tuple[float, float]:
     return slope, math.sqrt(sigma2 / sxx)
 
 
+def _pool_size(max_workers: int, n_items: int) -> int:
+    return min(max_workers, n_items, os.cpu_count() or 1)  # 1 or less: no pool
+
+
 def parallel_map(fn, items, max_workers: int = 1) -> list:
     """Map preserving order; thread pool when more than one worker is useful.
 
@@ -93,8 +97,26 @@ def parallel_map(fn, items, max_workers: int = 1) -> list:
     scheduling.
     """
     items = list(items)
-    workers = min(max_workers, len(items), os.cpu_count() or 1)
+    workers = _pool_size(max_workers, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def ordered_map(fn, items, max_workers: int = 1):
+    """Yield ``fn(item)`` for each item, in order, computed ahead on a pool
+    sized as in ``parallel_map``: item i + workers starts once the caller is
+    back after item i's result, so at most ``workers`` results exist at once.
+    An error in ``fn`` is raised at its item; closing waits for items started."""
+    items = list(items)
+    workers = _pool_size(max_workers, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = [pool.submit(fn, it) for it in items[:workers]]
+        for i in range(len(items)):
+            yield running.pop(0).result()
+            if i + workers < len(items):
+                running.append(pool.submit(fn, items[i + workers]))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -262,6 +263,17 @@ class TestEndToEnd:
         assert json.loads(capsys.readouterr().err)["messages"] == [
             "y0: demo model expects raw data of length 10"]
         assert not out_dir.exists()
+
+    def test_output_path_through_a_file_is_runtime_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(minimal_config(N=500, acceptance={"k": 5})))
+        code = cli.main(["estimate", "--config", str(config), "--out", str(afile / "out")])
+        assert code == EXIT_RUNTIME
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "runtime" and error["type"] == "NotADirectoryError"
+        assert afile.read_bytes() == b""
 
     def test_validate_moments_report(self, tmp_path, capsys):
         raw = minimal_config(N=2000, acceptance={"k": 60})
@@ -571,7 +583,8 @@ class TestWriteCsv:
 
 def _main_in_thread(argv, timeout=120.0):
     """``cli.main(argv)`` on a thread that must end within ``timeout``
-    seconds, so that a chunk left waiting for its turn fails the test."""
+    seconds, so that a run left waiting on a worker fails the test rather
+    than hanging the suite."""
     result = []
     worker = threading.Thread(target=lambda: result.append(cli.main(argv)), daemon=True)
     worker.start()
@@ -622,6 +635,28 @@ class TestStreamedSample:
         assert _main_in_thread(self._argv(tmp_path, raw, threads)) == EXIT_RUNTIME
         assert json.loads(capsys.readouterr().err)["message"] == "the second chunk fails"
         assert list((tmp_path / "out").glob("*")) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_write_leaves_no_output_and_no_thread(self, tmp_path, capsys, monkeypatch,
+                                                         threads):
+        # a full disk on the second chunk's CSV rows: the error is raised in
+        # the calling thread while a worker may be simulating the next chunk
+        calls = itertools.count()
+
+        def write_csv_rows(fh, columns):
+            if next(calls) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return fileio.write_csv_rows(fh, columns)
+
+        monkeypatch.setattr(cli, "write_csv_rows", write_csv_rows)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        baseline = threading.active_count()
+        raw = minimal_config(N=4 * core._CHUNK_ROWS + 3, acceptance={"k": 1})
+        assert _main_in_thread(self._argv(tmp_path, raw, threads)) == EXIT_RUNTIME
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "runtime" and error["type"] == "OSError"
+        assert list((tmp_path / "out").glob("*")) == []
+        assert threading.active_count() == baseline
 
     def test_more_workers_than_cores_write_the_same_bytes(self, tmp_path, capsys,
                                                           monkeypatch):

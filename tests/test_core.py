@@ -339,23 +339,27 @@ class TestSimulateKnn:
         cut, _ = _nearest(d2[pool_rows], 5, pool_rows)
         assert sorted(pool_rows[cut].tolist()) == [3, 7, 40, 120, 150]
 
-    @pytest.mark.parametrize("schedule", ["one_worker", "two_workers", "last_chunk_first"])
+    @pytest.mark.parametrize("schedule",
+                             ["one_worker", "two_workers", "all_chunks_simulated_first"])
     def test_massive_ties_across_chunks_match_table_path(self, monkeypatch, schedule):
         # summaries on a 0.25 lattice tie thousands of rows at each
         # distance, so pool cuts and the final selection all break ties;
         # at m = 5 with s0 on the lattice every partial sum is exact, so
         # rows whose partial sum equals tau meet the prune's margin
         workers = 2 if schedule == "two_workers" else 1
-        if schedule == "last_chunk_first":
-            # a chunk finishing before lower-indexed ones: its rows tied at
-            # tau must still beat pooled rows with higher indices
-            monkeypatch.setattr(core, "parallel_map",
-                                lambda fn, items, max_workers=1: [fn(i) for i in reversed(items)])
         n = 3 * _CHUNK_ROWS + 7
-        for model_id, s0 in (("gaussian_conjugate_1d", [0.3]),
-                             ("gauss_5d", [1.0, 0.0, 0.25, 0.0, 0.0])):
-            model = _lattice(get_model(model_id))
-            table = generate_table(model, n, 5)
+        cases = [(_lattice(get_model(model_id)), s0)
+                 for model_id, s0 in (("gaussian_conjugate_1d", [0.3]),
+                                      ("gauss_5d", [1.0, 0.0, 0.25, 0.0, 0.0]))]
+        tables = [generate_table(model, n, 5) for model, _ in cases]
+        if schedule == "all_chunks_simulated_first":
+            # the stalest tau possible: every chunk is simulated, each with
+            # its own scratch and tau = inf, before the first is visited
+            def simulate_all_first(fn, items, max_workers=1):
+                yield from [fn(i) for i in items]
+
+            monkeypatch.setattr(core, "ordered_map", simulate_all_first)
+        for (model, s0), table in zip(cases, tables):
             for k in (1, 100, 20_000, n - 1):
                 _assert_same_accepted(simulate_knn(model, n, 5, s0, k, max_workers=workers),
                                       abc_knn(table, s0, k))
@@ -410,6 +414,20 @@ class TestSimulateKnn:
     def test_nan_s0_rejected(self):
         with pytest.raises(InvalidArgumentError):
             simulate_knn(get_model("uniform_box_1d"), 10, 1, [np.nan], 3)
+
+
+@pytest.mark.parametrize("s0", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("select", [
+    lambda model, s0: abc_knn(generate_table(model, 100, 1), s0, 5),
+    lambda model, s0: abc_tolerance(generate_table(model, 100, 1), s0, 1.0),
+    lambda model, s0: simulate_knn(model, 100, 1, s0, 5),
+], ids=["abc_knn", "abc_tolerance", "simulate_knn"])
+def test_every_selector_rejects_non_finite_s0(select, s0):
+    # no row is within a finite radius of such an s0, nor nearer to it than
+    # another; abc_knn once returned k = 0 for NaN and 5 rows at distance
+    # inf for inf, and abc_tolerance k = 0
+    with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
+        select(get_model("gaussian_conjugate_1d"), [s0])
 
 
 _FILTER_MODELS = model_ids() + ("gaussian_conjugate_1d_lattice", "gauss_5d_lattice")
@@ -626,3 +644,13 @@ class TestPersistence:
         for bad in (blob[:10], blob[:-8], blob + b"\0", bad_id):
             with pytest.raises(InvalidArgumentError, match="reference-table file"):
                 table_from_bytes(bad)
+
+    @pytest.mark.parametrize("p,m", [(0, 0), (0, 1), (1, 0)])
+    def test_empty_dimension_rejected(self, p, m):
+        # a well-formed length for N = 5 rows; table_to_bytes never writes
+        # such a file, and a model has p, m >= 1
+        model_id = b"gaussian_conjugate_1d"
+        blob = (core._HEADER.pack(b"ABCT", 1, 5, p, m, 1, len(model_id)) + model_id
+                + bytes(8 * 5 * (p + m)))
+        with pytest.raises(InvalidArgumentError, match="both must be >= 1"):
+            table_from_bytes(blob)

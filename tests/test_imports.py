@@ -1,5 +1,6 @@
 """Every package module uses each name it imports (``__init__`` re-exports),
-and every name the benchmark's tracer wraps exists."""
+only ``numerics`` handles threads, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -36,6 +37,33 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _thread_imports(source: str) -> list[str]:
+    """The modules of ``threading`` and ``concurrent.futures`` that a source imports."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names
+            if name.split(".")[0] == "threading" or name.startswith("concurrent")]
+
+
+def test_checker_sees_thread_imports():
+    source = ("import threading\nfrom concurrent import futures\n"
+              "from concurrent.futures import Future\nimport os\n")
+    assert _thread_imports(source) == ["threading", "concurrent.futures",
+                                       "concurrent.futures.Future"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(knnabc.__file__).parent.glob("*.py")
+                                        if p.name != "numerics.py"), ids=lambda p: p.name)
+def test_only_numerics_handles_threads(path):
+    # threads are started and waited for in numerics' parallel_map and
+    # ordered_map alone; no other module holds a lock or a thread
+    assert _thread_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):

@@ -1,6 +1,10 @@
 """Numerical utilities against independent references."""
 
 import math
+import threading
+import time
+from concurrent.futures import Future
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.stats import linregress
 
 from knnabc import numerics
 from knnabc.errors import InvalidArgumentError
-from knnabc.numerics import (adaptive_trapezoid, ols_slope, parallel_map,
+from knnabc.numerics import (adaptive_trapezoid, ols_slope, ordered_map, parallel_map,
                              round_half_up, trapezoid_nd)
 
 
@@ -77,6 +81,8 @@ class TestParallelMap:
         serial = parallel_map(lambda i: i * i, items, 1)
         threaded = parallel_map(lambda i: i * i, items, 8)
         assert serial == threaded == [i * i for i in items]
+        for workers in (1, 8):
+            assert list(ordered_map(lambda i: i * i, items, workers)) == serial
 
     @pytest.mark.parametrize("asked,n_items,cpus,expected", [
         (64, 10, 4, 4),       # capped by the CPU count
@@ -86,6 +92,7 @@ class TestParallelMap:
         (8, 1, 4, None),      # one item: serial, no pool
     ])
     def test_pool_size_capped(self, monkeypatch, asked, n_items, cpus, expected):
+        # parallel_map and ordered_map size their pools by the same rule
         pools = []
 
         class RecordingPool:
@@ -101,8 +108,60 @@ class TestParallelMap:
             def map(self, fn, items):
                 return map(fn, items)
 
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
+
         monkeypatch.setattr(numerics, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: cpus)
         items = list(range(n_items))
         assert parallel_map(lambda i: -i, items, asked) == [-i for i in items]
-        assert pools == ([] if expected is None else [expected])
+        assert list(ordered_map(lambda i: -i, items, asked)) == [-i for i in items]
+        assert pools == ([] if expected is None else [expected, expected])
+
+
+class TestOrderedMap:
+    def test_at_most_one_result_per_worker_exists(self, monkeypatch):
+        # item i + workers may start only once the caller is done with
+        # item i's result: count the items started against the results the
+        # caller has finished with, as each item starts
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 4)
+        lock = threading.Lock()
+        started = done = 0
+        most = []
+
+        def fn(i):
+            nonlocal started
+            with lock:
+                started += 1
+                most.append(started - done)
+            return i
+
+        for i, got in enumerate(ordered_map(fn, range(40), 4)):
+            assert got == i
+            time.sleep(1e-3)  # let the workers run ahead while the caller holds a result
+            with lock:
+                done += 1
+        assert started == 40 and max(most) <= 4
+
+    def test_error_in_fn_reaches_caller_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 4)
+        baseline = threading.active_count()
+
+        def fn(i):
+            if i == 5:
+                raise ValueError("item 5 fails")
+            return i
+
+        with pytest.raises(ValueError, match="item 5 fails"):
+            list(ordered_map(fn, range(40), 4))
+        assert threading.active_count() == baseline
+
+    def test_closing_early_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 4)
+        baseline = threading.active_count()
+        with closing(ordered_map(lambda i: i, range(40), 4)) as results:
+            assert next(results) == 0
+            assert threading.active_count() > baseline
+        assert threading.active_count() == baseline
