@@ -5,7 +5,8 @@ A run is described by a JSON config (schema "abc-config/1"); data outputs
 identical for a fixed config+seed at any --threads value.  A one-line JSON
 run summary (which includes the wall-clock runtime) goes to stdout;
 machine-readable errors go to stderr.  Exit codes: 0 ok, 2 config error,
-3 runtime error.
+3 runtime error (also an output that cannot be written or an allocation
+that fails).
 """
 
 from __future__ import annotations
@@ -373,11 +374,8 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         summary["d_k_plus_1"] = accepted.radius_next
         if accepted.k == 0:
             raise KnnAbcError("tolerance accepted zero rows; no estimate is defined")
-        if config.bandwidth == "auto":
-            h = tuning.auto_bandwidth(accepted.ordered_thetas, model.m, model.p,
-                                      config.n_rows)
-        else:
-            h = float(config.bandwidth)
+        h = tuning.resolve_bandwidth(config.bandwidth, accepted.ordered_thetas, model.m,
+                                     model.p, config.n_rows)
         summary["h"] = h
         kernel = estimators.make_kernel(config.kernel, model.p)
         axes = estimators.default_grid(accepted, h, points=config.grid_points,
@@ -544,9 +542,10 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(_error_json("config", exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (KnnAbcError, OSError) as exc:
+    except (KnnAbcError, OSError, MemoryError) as exc:
         # OSError: an output that cannot be written (a path through a
-        # file, a full disk); the config file's own errors are config errors
+        # file, a full disk); the config file's own errors are config errors.
+        # MemoryError: a table or a draw too large to allocate
         print(_error_json("runtime", exc), file=sys.stderr)
         return EXIT_RUNTIME
     print(json.dumps(jsonify(summary), sort_keys=True))

@@ -217,19 +217,13 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
     return rows, thetas[:n], summaries[:n], d2[:n]
 
 
-def _point(s0, m: int) -> np.ndarray:
-    """s0 as a float vector of the summary dimension m."""
+def check_s0(s0, m: int) -> np.ndarray:
+    """s0 as a finite float vector of the summary dimension m.  A NaN or
+    infinite s0 is rejected: every row's distance to it is NaN or infinite,
+    so no row is within a finite bound of it or nearer to it than another."""
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     if s0.shape[0] != m:
         raise InvalidArgumentError(f"s0 has dimension {s0.shape[0]}, summaries have m={m}")
-    return s0
-
-
-def _search_point(s0, m: int) -> np.ndarray:
-    """``_point`` for a search for the rows near s0.  A NaN or infinite s0
-    is rejected: every row's distance to it is NaN or infinite, so no row
-    is within a finite bound of it or nearer to it than another."""
-    s0 = _point(s0, m)
     if not np.isfinite(s0).all():
         raise InvalidArgumentError("s0 must not contain NaN or infinite entries")
     return s0
@@ -291,9 +285,9 @@ def block_distances(model: Model, keys: np.ndarray, n_rows: int, s0,
     the result is bounded by one chunk per table.  Every chunk runs in
     ``scratch``, which needs words and room for
     ``len(keys) * min(n_rows, _CHUNK_ROWS)`` rows, so a caller running
-    many blocks reuses one scratch for all of them.
+    many blocks reuses one scratch for all of them.  s0 is used as given,
+    a float vector of dimension m; a NaN s0 gives NaN distances.
     """
-    s0 = _point(s0, model.m)
     wpr = _words_per_row(model)
     n_tables = len(keys)
     d2 = np.empty((n_tables, n_rows))
@@ -425,7 +419,7 @@ def abc_knn(table: ReferenceTable, s0, k: int) -> AcceptedSet:
     Expected O(N) (see ``_nearest``).  s0 must be finite.
     """
     k = _check_k(k, table.n_rows)
-    d2 = squared_distances(table.summaries, _search_point(s0, table.summaries.shape[1]))
+    d2 = squared_distances(table.summaries, check_s0(s0, table.summaries.shape[1]))
     idx, next_value = _nearest(d2, k)
     return _build_accepted(table.thetas, table.summaries, idx, idx, np.sqrt(d2[idx]),
                            np.sqrt(next_value))
@@ -450,7 +444,7 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     """
     n_rows, _, key = _table_stream(model, n_rows, seed)
     k = _check_k(k, n_rows)
-    s0 = _search_point(s0, model.m)
+    s0 = check_s0(s0, model.m)
     cap = min(n_rows, 2 * (k + 1) + _CHUNK_ROWS)
     pool_d2 = np.empty(cap)
     pool_index = np.empty(cap, dtype=np.int64)
@@ -489,7 +483,7 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     epsilon = float(epsilon)
     if not epsilon >= 0.0:
         raise InvalidArgumentError("epsilon must be >= 0")
-    d2 = squared_distances(table.summaries, _search_point(s0, table.summaries.shape[1]))
+    d2 = squared_distances(table.summaries, check_s0(s0, table.summaries.shape[1]))
     d = np.sqrt(d2)
     inside = d <= epsilon
     chosen = np.flatnonzero(inside)
@@ -539,7 +533,7 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
     seed = _validate_seed(seed)
-    s0 = _search_point(s0, model.m)
+    s0 = check_s0(s0, model.m)
     key = derive_key(seed, "restricted", model.model_id)
 
     thetas = np.empty((count, model.p))

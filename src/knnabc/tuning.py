@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import check_s0
 from .errors import (BoundHypothesisError, InvalidArgumentError, KnnAbcError,
                      UnsupportedModelError)
 from .estimators import KernelSpec, kernel_second_moment, kernel_square_integral
@@ -52,16 +53,17 @@ def resolve_schedule(m: int, p: int) -> Schedule:
 
 
 def schedule(m: int, p: int, n_rows: int, c_k: float = 1.0, c_h: float = 1.0) -> tuple[int, float]:
-    """Concrete (k, h) for a table of n_rows rows: the multipliers c_k and
-    c_h times the schedule powers of N, k clamped into [1, N-1]."""
+    """Concrete (k, h) for a table of n_rows rows: the finite multipliers
+    c_k and c_h times the schedule powers of N, k clamped into [1, N-1]
+    before rounding, so that a product beyond the float range is N-1."""
     n_rows = int(n_rows)
     if n_rows < 2:
         raise InvalidArgumentError("n_rows must be >= 2")
-    if not (c_k > 0 and c_h > 0):
-        raise InvalidArgumentError("multipliers c_k and c_h must be > 0")
+    if not (0 < c_k < math.inf and 0 < c_h < math.inf):
+        raise InvalidArgumentError("multipliers c_k and c_h must be finite and > 0")
     sched = resolve_schedule(m, p)
-    k = round_half_up(c_k * n_rows ** float(sched.k_exponent))
-    k = max(1, min(n_rows - 1, k))
+    k = c_k * n_rows ** float(sched.k_exponent)
+    k = n_rows - 1 if k >= n_rows else max(1, min(n_rows - 1, round_half_up(k)))
     h = c_h * n_rows ** float(sched.h_exponent)
     return k, h
 
@@ -73,6 +75,16 @@ def auto_bandwidth(thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
         raise KnnAbcError("auto bandwidth needs at least 2 accepted rows")
     spread = float(np.std(thetas, ddof=1))
     return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
+
+
+def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
+    """The bandwidth ``h`` asks for: a number as given, or "auto", the
+    :func:`auto_bandwidth` of these accepted thetas."""
+    if not isinstance(h, str):
+        return float(h)
+    if h != "auto":
+        raise InvalidArgumentError("h must be a positive number or 'auto'")
+    return auto_bandwidth(thetas, m, p, n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +102,24 @@ def xi0_from_marginal_cdf(marginal_cdf, s0: float, L_diam: float) -> float:
 # ---------------------------------------------------------------------------
 # distance-moment bounds
 
+def _power(base: float, exponent) -> float:
+    """base**exponent for base > 0, +inf where it is beyond the float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def distance_moment_bound(m: int, k: int, n_rows: int, xi0: float, L_diam: float,
                           order: int) -> float:
     """Plug-in upper bound for E[d_(k+1)^order], order in {2, 4}.
 
     Valid only while (k+1)/(N+1) <= xi0 * L^m; outside that regime a
     BoundHypothesisError is raised rather than returning a number that
-    bounds nothing.  The m = order case uses the logarithmic form.
+    bounds nothing.  The m = order case uses the logarithmic form.  Finite
+    positive inputs raise nothing else: a power beyond the float range is
+    +inf, so an L^m beyond it meets the hypothesis, and a bound whose terms
+    leave the float range saturates to +inf, which bounds anything.
     """
     m = int(m)
     order = int(order)
@@ -107,14 +130,22 @@ def distance_moment_bound(m: int, k: int, n_rows: int, xi0: float, L_diam: float
     if not (xi0 > 0 and L_diam > 0):
         raise InvalidArgumentError("xi0 and L_diam must be > 0")
     ratio = (int(k) + 1) / (int(n_rows) + 1)
-    if ratio > xi0 * L_diam**m:
+    cap = xi0 * _power(L_diam, m)
+    if ratio > cap:
         raise BoundHypothesisError(
-            f"(k+1)/(N+1) = {ratio:.6g} exceeds xi0 * L^m = {xi0 * L_diam**m:.6g}")
-    if m == order:
-        return (1.0 / xi0) * (1.0 + math.log(xi0 * L_diam**order * (1.0 / ratio))) * ratio
-    lead = m / (xi0 ** (order / m) * (m - order)) * ratio ** (order / m)
-    tail = L_diam ** (order - m) / (xi0 * (m / order - 1.0)) * ratio
-    return lead - tail
+            f"(k+1)/(N+1) = {ratio:.6g} exceeds xi0 * L^m = {cap:.6g}")
+    try:
+        if m == order:
+            bound = (1.0 / xi0) * (1.0 + math.log(cap * (1.0 / ratio))) * ratio
+        else:
+            lead = m / (_power(xi0, order / m) * (m - order)) * _power(ratio, order / m)
+            tail = _power(L_diam, order - m) / (xi0 * (m / order - 1.0)) * ratio
+            bound = lead - tail
+    except ZeroDivisionError:  # a divisor below the float range
+        return math.inf
+    # the bound is positive under the hypothesis, so NaN or a negative value
+    # means that its terms overflowed
+    return bound if bound >= 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +186,7 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec) -> TheoreticalQua
     if analytic.marginal_cdf is None:
         raise UnsupportedModelError(
             f"model '{model.model_id}' has no closed-form marginal CDF to compute xi0 from")
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    if s0.shape[0] != model.m:
-        raise InvalidArgumentError(f"s0 must have dimension m={model.m}")
+    s0 = check_s0(s0, model.m)
     xi0 = xi0_from_marginal_cdf(analytic.marginal_cdf, s0, model.support_diameter)
 
     mu2 = kernel_second_moment(kernel)

@@ -2,7 +2,12 @@
 
 Every report here is a pure function of (model, parameters, seed):
 replicate r always gets the sub-seed derived from (seed, purpose, r), and
-aggregation runs in replicate order, so reruns are bit-identical.
+aggregation runs in replicate order, so reruns are bit-identical at any
+worker count.  The MISE, moment and Proposition 1 loops run on one engine,
+``_replicates``, which checks the replicate count, derives every sub-seed
+in one vectorised pass and maps the replicates over the workers;
+``bound_check`` also derives its tables' sub-seeds in one pass, and runs
+the tables in blocks.
 """
 
 from __future__ import annotations
@@ -54,6 +59,18 @@ class RateReport:
     reports: tuple = field(repr=False, default=())
 
 
+def _replicates(work: Callable[[int], object], seed: int, tag: str, count: int,
+                least: int, max_workers: int, what: str = "replicates") -> list:
+    """``[work(derive_seed(seed, tag, r)) for r in range(count)]``, with
+    every sub-seed derived in one ``derive_seeds`` pass and the work mapped
+    over ``max_workers`` threads; the results come in replicate order.
+    ``count`` (named ``what``) must be at least ``least``."""
+    count = int(count)
+    if count < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}")
+    return parallel_map(work, derive_seeds(seed, tag, count=count).tolist(), max_workers)
+
+
 def _require_oracle(model: Model):
     if model.oracle is None:
         raise UnsupportedModelError(f"model '{model.model_id}' has no posterior oracle")
@@ -76,36 +93,29 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     (:func:`core.simulate_knn`), evaluates the estimate on the default
     grid, padded by ``grid_padding`` bandwidths, and integrates the
     squared error.  ``h`` is either a fixed bandwidth or "auto"
-    (:func:`tuning.auto_bandwidth`).
+    (:func:`tuning.resolve_bandwidth`).
     """
     _require_oracle(model)
-    replicates = int(replicates)
-    if replicates < 2:
-        raise InvalidArgumentError("replicates must be >= 2")
-    auto = isinstance(h, str)
-    if auto and h != "auto":
-        raise InvalidArgumentError("h must be a positive number or 'auto'")
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    s0 = core.check_s0(s0, model.m)
 
-    def one(r: int):
-        accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "mise", r), s0, k)
-        h_r = (tuning.auto_bandwidth(accepted.ordered_thetas, model.m, model.p, n_rows)
-               if auto else float(h))
+    def one(replicate_seed: int):
+        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
+        h_r = tuning.resolve_bandwidth(h, accepted.ordered_thetas, model.m, model.p, n_rows)
         axes = estimators.default_grid(accepted, h_r, points=grid_points,
                                        padding=grid_padding)
         est = estimators.estimate_density(accepted, h_r, kernel, axes=axes)
         oracle_vals = model.oracle.pdf(estimators.grid_points(axes), s0)
         return integrated_squared_error(est.values, oracle_vals, axes), h_r
 
-    results = parallel_map(one, range(replicates), max_workers)
+    results = _replicates(one, seed, "mise", replicates, 2, max_workers)
     ise = np.array([r[0] for r in results])
     h_used = np.array([r[1] for r in results])
     return MiseReport(
         model_id=model.model_id, n_rows=int(n_rows), k=int(k),
-        h_mode="auto" if auto else "fixed", h_mean=float(h_used.mean()),
-        kernel=kernel.kind, replicates=replicates,
+        h_mode="auto" if isinstance(h, str) else "fixed", h_mean=float(h_used.mean()),
+        kernel=kernel.kind, replicates=ise.size,
         mise_mean=float(ise.mean()),
-        mise_stderr=float(ise.std(ddof=1) / np.sqrt(replicates)),
+        mise_stderr=float(ise.std(ddof=1) / np.sqrt(ise.size)),
         grid_spec={"points": int(grid_points), "padding": float(grid_padding)},
         per_replicate=ise, seed=int(seed))
 
@@ -184,7 +194,6 @@ def _check_law_test(model: Model, k: int, oracle_draws: int,
 def _law_statistic(model: Model, s0, n_rows: int, k: int, oracle_draws: int, seed: int,
                    oracle_kind: str) -> float:
     """The KS statistic of one conditional-law test (its arguments checked)."""
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
     accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "prop1-table"), s0, k)
     if oracle_kind == "restricted":
         oracle_thetas, _ = core.sample_restricted(
@@ -208,6 +217,7 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
     ``scipy.stats.ks_2samp(..., method="asymp")``.
     """
     k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
+    s0 = core.check_s0(s0, model.m)
     statistic = _law_statistic(model, s0, n_rows, k, oracle_draws, seed, oracle_kind)
     return statistic, float(_ks_pvalues(np.array([statistic]), k, oracle_draws)[0])
 
@@ -219,19 +229,14 @@ def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
     rejection fraction at the 5 % level.  Run r's p-value is that of
     ``conditional_law_test`` with the seed derived from (seed, "prop1-run",
     r); the null law is evaluated once, for all the runs' statistics."""
-    runs = int(runs)
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
     k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
-
-    def one(r: int) -> float:
-        return _law_statistic(model, s0, n_rows, k, oracle_draws,
-                              derive_seed(seed, "prop1-run", r), oracle_kind)
-
-    p_values = _ks_pvalues(np.array(parallel_map(one, range(runs), max_workers)),
-                           k, oracle_draws)
+    s0 = core.check_s0(s0, model.m)
+    statistics = _replicates(
+        lambda run_seed: _law_statistic(model, s0, n_rows, k, oracle_draws, run_seed, oracle_kind),
+        seed, "prop1-run", runs, 1, max_workers, what="runs")
+    p_values = _ks_pvalues(np.array(statistics), k, oracle_draws)
     return {
-        "runs": runs,
+        "runs": p_values.size,
         "level": _PROP1_LEVEL,
         "oracle_kind": oracle_kind,
         "p_values": p_values,
@@ -256,9 +261,7 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     replicates = int(replicates)
     if replicates < 1:
         raise InvalidArgumentError("replicates must be >= 1")
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    if not np.isfinite(s0).all():
-        raise InvalidArgumentError("s0 must be finite")
+    s0 = core.check_s0(s0, model.m)
     results = []
     for j, (n_rows, k) in enumerate(Ns_ks):
         n_rows, k = int(n_rows), int(k)
@@ -296,34 +299,26 @@ _PHI_REGISTRY: dict[str, tuple[Callable, Callable[[float, float], float]]] = {
 def moment_consistency(model: Model, s0, n_rows: int, k: int,
                        phis: Sequence, replicates: int, seed: int,
                        max_workers: int = 1) -> list[dict]:
-    """Average the posterior functional over replicate tables and z-score
-    it against the oracle moment.
-
-    ``phis`` entries are either registered names ("identity", "square",
-    "one") or (name, callable, oracle_value) triples.
+    """Average the posterior functionals named in ``phis`` (registered:
+    "identity", "square", "one") over replicate tables and z-score each
+    against its oracle moment.
     """
     _require_oracle(model)
-    replicates = int(replicates)
-    if replicates < 2:
-        raise InvalidArgumentError("replicates must be >= 2")
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    s0 = core.check_s0(s0, model.m)
+    mean, var = float(model.oracle.mean(s0)[0]), float(model.oracle.variance(s0)[0, 0])
     resolved = []
-    for item in phis:
-        if not isinstance(item, str):
-            resolved.append(tuple(item))
-            continue
-        if item not in _PHI_REGISTRY:
+    for name in phis:
+        if name not in _PHI_REGISTRY:
             raise InvalidArgumentError(
-                f"unknown phi '{item}'; registered: {', '.join(sorted(_PHI_REGISTRY))}")
-        phi, moment = _PHI_REGISTRY[item]
-        value = moment(float(model.oracle.mean(s0)[0]), float(model.oracle.variance(s0)[0, 0]))
-        resolved.append((item, phi, value))
+                f"unknown phi '{name}'; registered: {', '.join(sorted(_PHI_REGISTRY))}")
+        phi, moment = _PHI_REGISTRY[name]
+        resolved.append((name, phi, moment(mean, var)))
 
-    def one(r: int):
-        accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "moment", r), s0, k)
+    def one(replicate_seed: int):
+        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
         return [estimators.posterior_functional(accepted, fn) for _, fn, _ in resolved]
 
-    rows = np.array(parallel_map(one, range(replicates), max_workers))
+    rows = np.array(_replicates(one, seed, "moment", replicates, 2, max_workers))
     out = []
     for col, (name, _, oracle_value) in enumerate(resolved):
         values = rows[:, col]

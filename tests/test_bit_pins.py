@@ -8,8 +8,9 @@ of a validation block or of a restricted draw fails here.  The sizes sit
 at the chunk edges (2^15 - 1 and 2^15 + 7 rows) and at the smallest table.
 The grid estimates are those of synthetic accepted sets at p = 1 and 2,
 with both kernels.  The ``prop1_calibration`` pins are its p-values, for both oracle kinds.
-The last pins are the ``table.bin`` and ``table.csv`` files ``abc sample``
-writes, at the smallest table and at three chunks plus 17 rows.
+Then come the pins of ``table.bin`` and ``table.csv`` files ``abc sample``
+writes, at the smallest table and at three chunks plus 17 rows, and last
+those of the ``mise_estimate`` and ``moment_consistency`` reports.
 """
 
 import hashlib
@@ -19,8 +20,8 @@ import json
 import numpy as np
 import pytest
 
-from knnabc import (cli, core, generate_table, get_model, model_ids, prop1_calibration,
-                    sample_restricted, simulate_knn)
+from knnabc import (cli, core, generate_table, get_model, mise_estimate, model_ids,
+                    moment_consistency, prop1_calibration, sample_restricted, simulate_knn)
 from knnabc.estimators import default_grid, estimate_density, make_kernel
 
 SEED = 20_261_018
@@ -311,3 +312,31 @@ def test_sample_files_match_recorded_digests_and_in_memory_writers(model_id, thr
         digests.update({f"{name[6:]}_{n}": hashlib.sha256(blob).hexdigest()
                         for name, blob in files.items()})
     assert digests == SAMPLE_PINS[model_id]
+
+
+# the replicate reports of mise_estimate (per-replicate ISE and mean
+# bandwidth, "auto" and fixed) and moment_consistency (every row), at 1 and
+# 2 workers
+REPLICATE_PINS = {
+    "mise_auto": "68b3a6acde7fb2ec4f920241b913f51730194e4e34c260b11b089979d900dd83",
+    "mise_fixed": "4b9a30fee2a7c4301c25fa166544b928d062bce877ce6858b185c9f805532fc6",
+    "moments": "98820e97f8a365728c71d773d839ca395c3b11836e580f8905937f224eb907e7",
+}
+
+
+def _replicate_digest(kind: str, workers: int) -> str:
+    model = get_model("gaussian_conjugate_1d")
+    if kind.startswith("mise"):
+        h = "auto" if kind == "mise_auto" else 0.3
+        report = mise_estimate(model, [0.5], 2000, 50, h, make_kernel("gaussian", 1), 6,
+                               SEED, max_workers=workers)
+        return _sha(report.per_replicate, np.float64(report.h_mean))
+    rows = moment_consistency(model, [0.5], 2000, 50, ["identity", "square", "one"], 6,
+                              SEED, max_workers=workers)
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("kind", sorted(REPLICATE_PINS))
+def test_replicate_reports_match_recorded_digests(kind, workers):
+    assert _replicate_digest(kind, workers) == REPLICATE_PINS[kind]

@@ -275,6 +275,42 @@ class TestEndToEnd:
         assert error["error"] == "runtime" and error["type"] == "NotADirectoryError"
         assert afile.read_bytes() == b""
 
+    def test_failed_allocation_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a table too large to allocate: numpy raises MemoryError (its
+        # _ArrayMemoryError); a real huge allocation could succeed on a host
+        # that overcommits memory, so the failure is simulated
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(core, "simulate_knn", no_memory)
+        code, out_dir = self._run(tmp_path, "estimate", minimal_config())
+        assert code == EXIT_RUNTIME
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "runtime", "type": "MemoryError",
+                         "message": "Unable to allocate 7.28 TiB"}
+        assert not out_dir.exists()
+
+    def test_rates_with_c_k_beyond_the_float_range(self, tmp_path, capsys):
+        # c_k * N^(5/9) is +inf; k is clamped to N-1 instead of overflowing
+        raw = minimal_config(acceptance={"k": 5})
+        raw["validate"] = {"rates": {"Ns": [200, 400, 800], "replicates": 2, "c_k": 1e308}}
+        code, out_dir = self._run(tmp_path, "validate rates", raw)
+        assert code == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((out_dir / "rate_report.json").read_text())
+        assert [r["k"] for r in report["per_N"]] == [199, 399, 799]
+
+    def test_bounds_with_a_support_beyond_the_float_range(self, tmp_path, capsys):
+        # L^5 = 1e500 overflowed in distance_moment_bound; it meets the hypothesis
+        raw = minimal_config(model={"id": "gauss_5d"}, s0=[1.0, 0.0, 0.0, 0.0, 0.0])
+        raw["validate"] = {"bounds": {"pairs": [[999, 9]], "replicates": 3,
+                                      "xi0": 0.05, "L": 1e100}}
+        code, out_dir = self._run(tmp_path, "validate bounds", raw)
+        assert code == EXIT_OK
+        capsys.readouterr()
+        pair, = json.loads((out_dir / "bounds_report.json").read_text())["pairs"]
+        assert pair["tested"] and math.isfinite(pair["bound"]) and pair["holds"]
+
     def test_validate_moments_report(self, tmp_path, capsys):
         raw = minimal_config(N=2000, acceptance={"k": 60})
         raw["validate"] = {"moments": {"phis": ["identity", "one"], "replicates": 5}}
@@ -495,6 +531,20 @@ class TestScheduleCommand:
     def test_bad_dimensions(self, capsys):
         assert cli.main(["schedule", "--m", "0", "--p", "1", "--N", "100"]) == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_ck_beyond_the_float_range_gives_k_n_minus_1(self, capsys):
+        assert cli.main(["schedule", "--m", "1", "--p", "1", "--N", "100",
+                         "--ck", "1e308"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["k"] == 99
+
+    @pytest.mark.parametrize("flag", ["--ck", "--ch"])
+    def test_infinite_multiplier_is_config_error(self, flag, capsys):
+        # --ck inf raised OverflowError, and --ch inf printed "h": Infinity,
+        # which is not JSON
+        assert cli.main(["schedule", "--m", "1", "--p", "1", "--N", "100",
+                         flag, "inf"]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "finite" in error["message"]
 
 
 class TestAtomicWrites:

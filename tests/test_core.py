@@ -15,12 +15,15 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
-from knnabc import (abc_knn, abc_tolerance, cli, core, generate_table, get_model, model_ids,
-                    percentile_to_k, sample_restricted, simulate_knn)
+from knnabc import (abc_knn, abc_tolerance, bound_check, cli, conditional_law_test, core,
+                    generate_table, get_model, mise_estimate, mise_rate_quantities,
+                    model_ids, moment_consistency, percentile_to_k, prop1_calibration,
+                    rate_experiment, sample_restricted, simulate_knn)
 from knnabc.cli import validate_config
 from knnabc.core import (_CHUNK_ROWS, ReferenceTable, _nearest, squared_distances,
                          table_from_bytes, table_to_bytes)
 from knnabc.errors import InfeasibleRadiusError, InvalidArgumentError
+from knnabc.estimators import make_kernel
 from knnabc.rng import derive_key, row_words, uniform01
 
 
@@ -416,18 +419,37 @@ class TestSimulateKnn:
             simulate_knn(get_model("uniform_box_1d"), 10, 1, [np.nan], 3)
 
 
-@pytest.mark.parametrize("s0", [np.nan, np.inf], ids=["nan", "inf"])
+_GAUSSIAN = make_kernel("gaussian", 1)
+
+
+@pytest.mark.parametrize("s0, message", [
+    ([np.nan], "s0 must not contain NaN or infinite"),
+    ([np.inf], "s0 must not contain NaN or infinite"),
+    ([0.5, 0.5], "s0 has dimension 2, summaries have m=1"),
+], ids=["nan", "inf", "dimension"])
 @pytest.mark.parametrize("select", [
     lambda model, s0: abc_knn(generate_table(model, 100, 1), s0, 5),
     lambda model, s0: abc_tolerance(generate_table(model, 100, 1), s0, 1.0),
     lambda model, s0: simulate_knn(model, 100, 1, s0, 5),
-], ids=["abc_knn", "abc_tolerance", "simulate_knn"])
-def test_every_selector_rejects_non_finite_s0(select, s0):
-    # no row is within a finite radius of such an s0, nor nearer to it than
-    # another; abc_knn once returned k = 0 for NaN and 5 rows at distance
-    # inf for inf, and abc_tolerance k = 0
-    with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
-        select(get_model("gaussian_conjugate_1d"), [s0])
+    lambda model, s0: sample_restricted(model, s0, 0.1, 10, 1),
+    lambda model, s0: bound_check(model, s0, [(100, 5)], 1.0, 20.0, 2, 2, 1),
+    lambda model, s0: mise_estimate(model, s0, 100, 5, "auto", _GAUSSIAN, 2, 1),
+    lambda model, s0: rate_experiment(model, s0, [100, 200, 300], _GAUSSIAN, 2, 1),
+    lambda model, s0: moment_consistency(model, s0, 100, 5, ["identity"], 2, 1),
+    lambda model, s0: conditional_law_test(model, s0, 100, 20, 10, 1),
+    lambda model, s0: prop1_calibration(model, s0, 100, 20, 2, 10, 1),
+    lambda model, s0: mise_rate_quantities(model, s0, _GAUSSIAN),
+], ids=["abc_knn", "abc_tolerance", "simulate_knn", "sample_restricted", "bound_check",
+        "mise_estimate", "rate_experiment", "moment_consistency", "conditional_law_test",
+        "prop1_calibration", "mise_rate_quantities"])
+def test_every_selector_rejects_non_finite_s0(select, s0, message):
+    # every public function that takes s0 checks it with core.check_s0: no
+    # row is within a finite radius of a NaN or infinite s0, nor nearer to
+    # it than another; abc_knn once returned k = 0 for NaN and 5 rows at
+    # distance inf for inf, abc_tolerance k = 0, and mise_rate_quantities
+    # NaN quantities
+    with pytest.raises(InvalidArgumentError, match=message):
+        select(get_model("gaussian_conjugate_1d"), s0)
 
 
 _FILTER_MODELS = model_ids() + ("gaussian_conjugate_1d_lattice", "gauss_5d_lattice")

@@ -12,7 +12,8 @@ from knnabc.errors import (BoundHypothesisError, InvalidArgumentError,
                            UnsupportedModelError)
 from knnabc.estimators import make_kernel
 from knnabc.tuning import (TheoreticalQuantities, auto_bandwidth,
-                           mise_prediction_exact_moments, xi0_from_marginal_cdf)
+                           mise_prediction_exact_moments, resolve_bandwidth,
+                           xi0_from_marginal_cdf)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -67,6 +68,16 @@ class TestSchedule:
         with pytest.raises(InvalidArgumentError):
             schedule(1, 1, 100, c_k=0.0)
 
+    def test_k_beyond_the_float_range_is_clamped_before_rounding(self):
+        # 1e308 * 100^(5/9) is +inf, which round_half_up cannot convert
+        assert schedule(1, 1, 100, c_k=1e308)[0] == 99
+
+    @pytest.mark.parametrize("multipliers", [{"c_k": math.inf}, {"c_h": math.inf},
+                                             {"c_k": math.nan}])
+    def test_non_finite_multipliers_rejected(self, multipliers):
+        with pytest.raises(InvalidArgumentError, match="must be finite and > 0"):
+            schedule(1, 1, 100, **multipliers)
+
 
 class TestAutoBandwidth:
     def test_spread_times_schedule_power(self):
@@ -74,6 +85,13 @@ class TestAutoBandwidth:
         spread = float(np.std(thetas, ddof=1))
         assert auto_bandwidth(thetas, 1, 1, 1000) == spread * 1000 ** float(Fraction(-1, 9))
         assert auto_bandwidth(thetas, 5, 1, 1000) == spread * 1000 ** float(Fraction(-1, 10))
+
+    def test_resolver_takes_a_number_or_auto(self):
+        thetas = np.array([[0.1], [0.4], [-0.3], [0.9]])
+        assert resolve_bandwidth("auto", thetas, 1, 1, 1000) == auto_bandwidth(thetas, 1, 1, 1000)
+        assert resolve_bandwidth(0.25, thetas, 1, 1, 1000) == 0.25
+        with pytest.raises(InvalidArgumentError, match="positive number or 'auto'"):
+            resolve_bandwidth("silverman", thetas, 1, 1, 1000)
 
 
 class TestXi0:
@@ -117,6 +135,23 @@ class TestDistanceMomentBound:
             for order in (2, 4):
                 assert distance_moment_bound(m, k, n, xi0, L, order) > 0.0
             checked += 1
+
+    @pytest.mark.parametrize("m, order, xi0, L", [
+        (5, 2, 0.05, 1e100),    # L^m beyond the float range
+        (1, 4, 1e100, 1.0),     # xi0^(order/m) beyond it
+        (1, 2, 1e-300, 1e300),  # xi0^(order/m) below it
+        (4, 4, 0.05, 1e100),    # the log term's argument beyond it
+    ])
+    def test_finite_inputs_never_overflow(self, m, order, xi0, L):
+        # each of these raised OverflowError or ZeroDivisionError; an
+        # intermediate beyond the float range saturates the bound to +inf
+        bound = distance_moment_bound(m, 9, 999, xi0, L, order)
+        assert bound > 0.0
+
+    def test_bound_past_a_huge_support_matches_its_limit(self):
+        # with L^m infinite the tail L^(order-m) (...) vanishes: the lead term is left
+        lead = 5 / (0.05 ** 0.4 * 3) * (10 / 1000) ** 0.4
+        assert distance_moment_bound(5, 9, 999, 0.05, 1e100, 2) == pytest.approx(lead, rel=1e-12)
 
     def test_bad_order(self):
         with pytest.raises(InvalidArgumentError):
