@@ -68,10 +68,17 @@ class _Number(NamedTuple):
     why: str = ""
 
 
+# The largest count a config may give: N, each N of rates.Ns and of
+# bounds.pairs, and the replicate and draw counts.  These counts size float64
+# arrays of at most six columns, which stay below 2^59 bytes, so a count too
+# large to allocate is a MemoryError (numpy raises ValueError past 2^63 - 1
+# bytes); and N stays exact as a float in percentile_to_k and tuning.schedule.
+COUNT_MAX = 2**53
+
 # Every number key of a config, by JSON path.  With _OTHER_KEYS these
 # paths are also the keys each object accepts.
 _NUMBERS = {
-    "N": _Number(integer=True, required=True, low=2,
+    "N": _Number(integer=True, required=True, low=2, high=COUNT_MAX,
                  why=" (the k-nearest rule needs 1 <= k <= N-1)"),
     # seed is mandatory: a wall-clock default would break reproducibility
     "seed": _Number(integer=True, required=True, low=0, high=core.SEED_MAX),
@@ -80,15 +87,15 @@ _NUMBERS = {
     "acceptance.epsilon": _Number(low=0.0),
     "grid.points": _Number(integer=True, low=2, high=estimators.GRID_CAP),
     "grid.padding": _Number(low=0.0, open=True),
-    "validate.mise.replicates": _Number(integer=True, required=True, low=2),
-    "validate.rates.replicates": _Number(integer=True, required=True, low=2),
+    "validate.mise.replicates": _Number(integer=True, required=True, low=2, high=COUNT_MAX),
+    "validate.rates.replicates": _Number(integer=True, required=True, low=2, high=COUNT_MAX),
     "validate.rates.c_k": _Number(low=0.0, open=True),
-    "validate.prop1.runs": _Number(integer=True, required=True, low=1),
-    "validate.prop1.oracle_draws": _Number(integer=True, required=True, low=1),
-    "validate.bounds.replicates": _Number(integer=True, required=True, low=1),
+    "validate.prop1.runs": _Number(integer=True, required=True, low=1, high=COUNT_MAX),
+    "validate.prop1.oracle_draws": _Number(integer=True, required=True, low=1, high=COUNT_MAX),
+    "validate.bounds.replicates": _Number(integer=True, required=True, low=1, high=COUNT_MAX),
     "validate.bounds.xi0": _Number(required=True, low=0.0, open=True),
     "validate.bounds.L": _Number(required=True, low=0.0, open=True),
-    "validate.moments.replicates": _Number(integer=True, required=True, low=2),
+    "validate.moments.replicates": _Number(integer=True, required=True, low=2, high=COUNT_MAX),
 }
 # the keys that are not numbers, checked in validate_config and _validate_block
 _OTHER_KEYS = ("schema", "model.id", "model.params", "bandwidth", "kernel", "s0", "y0",
@@ -272,8 +279,10 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
     if name == "rates":
         ns = block.get("Ns")
         if not isinstance(ns, list) or len(ns) < 3 or \
-                any(isinstance(v, bool) or not isinstance(v, int) or v < 2 for v in ns):
-            errors.append(f"{path}.Ns: must be an array of at least 3 integers >= 2")
+                any(isinstance(v, bool) or not isinstance(v, int) or not 2 <= v <= COUNT_MAX
+                    for v in ns):
+            errors.append(f"{path}.Ns: must be an array of at least 3 integers "
+                          f"in [2, {COUNT_MAX}]")
     elif name == "prop1":
         if "negative_control" in block and not isinstance(block["negative_control"], bool):
             errors.append(f"{path}.negative_control: must be a boolean")
@@ -287,6 +296,8 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
             errors.append(f"{path}.pairs: must be an array of [N, k] integer pairs")
         elif any(n < 2 or not 0 <= k <= n - 1 for n, k in pairs):
             errors.append(f"{path}.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1")
+        elif any(n > COUNT_MAX for n, _ in pairs):
+            errors.append(f"{path}.pairs: each N must be <= {COUNT_MAX}")
         order = block.get("order", 2)
         if order not in (2, 4):
             errors.append(f"{path}.order: must be 2 or 4")
@@ -305,18 +316,17 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
 # command execution
 
 def _resolve_s0(config: RunConfig, model: Model) -> np.ndarray:
-    if config.s0 is not None:
-        s0 = np.asarray(config.s0, dtype=float)
-        if s0.shape != (model.m,):
-            raise ConfigurationError([f"s0: must have dimension m={model.m}"])
-        return s0
-    if model.summary_map is None:
+    key = "s0" if config.s0 is not None else "y0"
+    if key == "y0" and model.summary_map is None:
         raise ConfigurationError(
             [f"y0: model '{model.model_id}' takes no raw data; give s0 instead"])
     try:
-        return model.summary_map(np.asarray(config.y0, dtype=float))
+        # a y0 whose mean is beyond the float range is check_s0's to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            s0 = config.s0 if key == "s0" else model.summary_map(np.asarray(config.y0, float))
+        return core.check_s0(s0, model.m)
     except InvalidArgumentError as exc:
-        raise ConfigurationError([f"y0: {exc}"]) from None
+        raise ConfigurationError([f"{key}: {exc}"]) from None
 
 
 def _k_for(config: RunConfig) -> int:
@@ -473,8 +483,15 @@ def _mise_report_dict(report: validate.MiseReport) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag is a config error, reported as JSON like the others
+        print(_error_json("config", ConfigurationError([message])), file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abc",
         description="Likelihood-free inference via nearest-neighbor acceptance")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -510,12 +527,21 @@ def _error_json(kind: str, exc: Exception) -> str:
     return json.dumps(jsonify(payload), sort_keys=True)
 
 
+def _check_flag(path: str, value):
+    """``value`` if it passes the rule of the config key ``path``, else a
+    config error."""
+    errors: list[str] = []
+    if _check_number(errors, {path: value}, path) is None:
+        raise ConfigurationError(errors)
+    return value
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "schedule":
         try:
-            k, h = tuning.schedule(args.m, args.p, args.N, args.ck, args.ch)
+            k, h = tuning.schedule(args.m, args.p, _check_flag("N", args.N), args.ck, args.ch)
             sched = tuning.resolve_schedule(args.m, args.p)
         except KnnAbcError as exc:
             print(_error_json("config", exc), file=sys.stderr)
@@ -533,10 +559,7 @@ def main(argv=None) -> int:
             raise ConfigurationError([f"config: {exc}"]) from None
         config = validate_config(config_text)
         if args.seed is not None:
-            errors: list[str] = []
-            if _check_number(errors, {"seed": args.seed}, "seed") is None:
-                raise ConfigurationError(errors)
-            config = dataclasses.replace(config, seed=int(args.seed))
+            config = dataclasses.replace(config, seed=_check_flag("seed", args.seed))
         summary = run(config, args.command, args.out, threads=max(1, args.threads),
                       subcommand=getattr(args, "what", None))
     except ConfigurationError as exc:

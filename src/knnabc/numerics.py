@@ -92,11 +92,10 @@ def parallel_map(fn, items, max_workers: int = 1) -> list:
     """Map preserving order; thread pool when more than one worker is useful.
 
     The pool never has more threads than items or CPUs, whatever
-    ``max_workers`` asks for.  Results are collected by item index, so the
-    output (and any aggregation done over it in order) is independent of
-    scheduling.
+    ``max_workers`` asks for.  ``items``, a sequence, is read in place.
+    Results are collected by item index, so the output (and any aggregation
+    done over it in order) is independent of scheduling.
     """
-    items = list(items)
     workers = _pool_size(max_workers, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
@@ -105,11 +104,11 @@ def parallel_map(fn, items, max_workers: int = 1) -> list:
 
 
 def ordered_map(fn, items, max_workers: int = 1):
-    """Yield ``fn(item)`` for each item, in order, computed ahead on a pool
-    sized as in ``parallel_map``: item i + workers starts once the caller is
-    back after item i's result, so at most ``workers`` results exist at once.
-    An error in ``fn`` is raised at its item; closing waits for items started."""
-    items = list(items)
+    """Yield ``fn(item)`` for each item of the sequence ``items``, read in
+    place, in order, computed ahead on a pool sized as in ``parallel_map``:
+    item i + workers starts once the caller is back after item i's result,
+    so at most ``workers`` results exist at once.  An error in ``fn`` is
+    raised at its item; closing waits for items started."""
     workers = _pool_size(max_workers, len(items))
     if workers <= 1:
         yield from map(fn, items)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnabc
-from knnabc import cli, core, estimators, fileio, get_model
+from knnabc import cli, core, estimators, fileio, get_model, validate
 from knnabc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig,
                         validate_config)
 from knnabc.errors import ConfigurationError, InvalidArgumentError
@@ -264,6 +264,18 @@ class TestEndToEnd:
             "y0: demo model expects raw data of length 10"]
         assert not out_dir.exists()
 
+    def test_demo_raw_data_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
+        # the mean of ten 1e308 values is +inf: a config error naming y0,
+        # with no numpy warning on the way
+        raw = minimal_config(N=500, acceptance={"k": 5}, model={"id": "gaussian_mean_demo"})
+        del raw["s0"]
+        raw["y0"] = [1e308] * 10
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [
+            "y0: s0 must not contain NaN or infinite entries"]
+        assert not out_dir.exists()
+
     def test_output_path_through_a_file_is_runtime_error(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -416,8 +428,13 @@ class TestEndToEnd:
          "validate.bounds.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1"),
         ("bounds", {"pairs": [[999, -1]], "replicates": 5, "xi0": 1.0, "L": 1.0},
          "validate.bounds.pairs: each [N, k] pair needs N >= 2 and 0 <= k <= N-1"),
+        # numpy rejected these tables' distances with a ValueError (exit 1)
+        ("bounds", {"pairs": [[10**30, 1]], "replicates": 5, "xi0": 1.0, "L": 1.0},
+         f"validate.bounds.pairs: each N must be <= {2**53}"),
+        ("bounds", {"pairs": [[2**62, 1]], "replicates": 5, "xi0": 1.0, "L": 1.0},
+         f"validate.bounds.pairs: each N must be <= {2**53}"),
     ], ids=["phis-list", "phis-object", "bounds-k-beyond-table", "bounds-n-below-2",
-            "bounds-negative-k"])
+            "bounds-negative-k", "bounds-n-1e30", "bounds-n-2^62"])
     def test_bad_validate_values_are_config_errors(self, tmp_path, capsys, block, contents,
                                                    message):
         raw = minimal_config(N=500, acceptance={"k": 20}, model={"id": "uniform_box_1d"},
@@ -629,6 +646,102 @@ class TestWriteCsv:
         with pytest.raises(InvalidArgumentError):
             fileio.write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3), np.zeros(3)])
         assert not (tmp_path / "t.csv").exists()
+
+
+# -- every value of every count ends in exit 0, 2 or 3 --------------------
+
+def _count_targets():
+    """(key, command) for every number key of a config, each with the
+    command that reads it, plus the counts that are not in _NUMBERS."""
+    for path in cli._NUMBERS:
+        head, _, rest = path.partition(".")
+        if head == "validate":
+            yield path, f"validate {rest.partition('.')[0]}"
+        else:
+            yield path, "estimate"
+            if not rest:
+                yield path, "sample"
+    yield "validate.rates.Ns", "validate rates"
+    yield "validate.bounds.pairs", "validate bounds"
+    yield "N", "schedule"
+
+
+def _largest_accepted(path: str, command: str):
+    if command == "schedule" or path in ("validate.rates.Ns", "validate.bounds.pairs"):
+        return cli.COUNT_MAX
+    if path == "acceptance.k":
+        return 999  # held below the base config's N = 1000
+    rule = cli._NUMBERS[path]
+    assert rule.high is not None or not rule.integer, f"{path}: an integer needs an upper bound"
+    if rule.high is None:
+        return sys.float_info.max
+    return math.nextafter(rule.high, -math.inf) if rule.open else rule.high
+
+
+_VALUES = {"0": 0, "-1": -1, "largest": None, "largest+1": None, "2^63": 2**63,
+           "2^64": 2**64, "400-digits": 10**399, "1e308": 1e308, "5e-324": 5e-324,
+           "string": "a string"}
+
+
+@pytest.mark.parametrize("label", _VALUES)
+@pytest.mark.parametrize("path, command", list(_count_targets()),
+                         ids=lambda v: v.replace(" ", "-"))
+def test_every_count_ends_in_exit_0_2_or_3(tmp_path, capsys, monkeypatch, path, command,
+                                           label):
+    largest = _largest_accepted(path, command)
+    value = _VALUES[label]
+    if label == "largest":
+        value = largest
+    elif label == "largest+1":
+        value = largest + 1 if isinstance(largest, int) else math.nextafter(largest, math.inf)
+
+    # a run the config accepts stops where it would simulate a table or
+    # size an array by the count: every validate loop derives its
+    # sub-seeds first
+    def no_memory(*args, **kwargs):
+        raise MemoryError("not allocated in this test")
+
+    for owner, name in ((core, "simulate_knn"), (core, "generate_table"),
+                        (core, "write_table"), (validate, "derive_seeds")):
+        monkeypatch.setattr(owner, name, no_memory)
+
+    if command == "schedule":
+        argv = ["schedule", "--m", "1", "--p", "1", "--N", str(value)]
+    else:
+        raw = minimal_config(acceptance={"k": 20})
+        raw["validate"] = {"mise": {"replicates": 2},
+                           "rates": {"Ns": [200, 400, 800], "replicates": 2},
+                           "prop1": {"runs": 2, "oracle_draws": 100},
+                           "bounds": {"pairs": [[999, 9]], "replicates": 2, "xi0": 1.0,
+                                      "L": 1.0},
+                           "moments": {"replicates": 2}}
+        *parents, key = path.split(".")
+        if parents == ["acceptance"]:
+            raw["acceptance"] = {}
+        obj = raw
+        for part in parents:
+            obj = obj.setdefault(part, {})
+        obj[key] = {"Ns": [value, 400, 800], "pairs": [[value, 1]]}.get(key, value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        argv = [*command.split(), "--config", str(config), "--out", str(tmp_path / "out")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # an argument that is not an integer
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in out + err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        error = json.loads(err)  # exactly one JSON object
+        assert error["error"] == ("config" if code == EXIT_CONFIG else "runtime")
+    if label == "largest":
+        assert code != EXIT_CONFIG, err
+    elif label == "largest+1":
+        assert code == EXIT_CONFIG
+        assert error["messages"][0].startswith(f"{'N' if command == 'schedule' else path}: ")
 
 
 def _main_in_thread(argv, timeout=120.0):

@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 from contextlib import closing
 
@@ -77,12 +78,13 @@ class TestOlsSlope:
 
 class TestParallelMap:
     def test_order_preserved_any_worker_count(self):
-        items = list(range(50))
-        serial = parallel_map(lambda i: i * i, items, 1)
-        threaded = parallel_map(lambda i: i * i, items, 8)
-        assert serial == threaded == [i * i for i in items]
-        for workers in (1, 8):
-            assert list(ordered_map(lambda i: i * i, items, workers)) == serial
+        squares = [i * i for i in range(50)]
+        for items in (list(range(50)), range(50)):
+            serial = parallel_map(lambda i: i * i, items, 1)
+            threaded = parallel_map(lambda i: i * i, items, 8)
+            assert serial == threaded == squares
+            for workers in (1, 8):
+                assert list(ordered_map(lambda i: i * i, items, workers)) == squares
 
     @pytest.mark.parametrize("asked,n_items,cpus,expected", [
         (64, 10, 4, 4),       # capped by the CPU count
@@ -157,6 +159,21 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="item 5 fails"):
             list(ordered_map(fn, range(40), 4))
         assert threading.active_count() == baseline
+
+    def test_a_scan_never_builds_its_work_list(self, monkeypatch):
+        # a scan of 2^62 rows in 2^15-row chunks: its 2^47 chunk starts are
+        # read from the range in place, so three results cost what three
+        # items cost, whatever the range's length
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            with closing(ordered_map(lambda i: i, range(0, 2**62, 2**15), 2)) as results:
+                first = [next(results) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [0, 32768, 65536]
+        assert peak < 64_000
 
     def test_closing_early_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: 4)
