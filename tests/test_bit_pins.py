@@ -9,8 +9,9 @@ at the chunk edges (2^15 - 1 and 2^15 + 7 rows) and at the smallest table.
 The grid estimates are those of synthetic accepted sets at p = 1 and 2,
 with both kernels.  The ``prop1_calibration`` pins are its p-values, for both oracle kinds.
 Then come the pins of ``table.bin`` and ``table.csv`` files ``abc sample``
-writes, at the smallest table and at three chunks plus 17 rows, and last
-those of the ``mise_estimate`` and ``moment_consistency`` reports.
+writes, at the smallest table and at three chunks plus 17 rows, then
+those of the ``mise_estimate`` and ``moment_consistency`` reports, and last
+those of the files epsilon-mode ``abc estimate`` writes.
 """
 
 import hashlib
@@ -340,3 +341,75 @@ def _replicate_digest(kind: str, workers: int) -> str:
 @pytest.mark.parametrize("kind", sorted(REPLICATE_PINS))
 def test_replicate_reports_match_recorded_digests(kind, workers):
     assert _replicate_digest(kind, workers) == REPLICATE_PINS[kind]
+
+
+# epsilon-mode abc estimate at three chunks plus 17 rows: an epsilon per
+# model that accepts a few dozen rows, and the demo's s0 from its raw data
+EPSILONS = {"gauss_5d": 0.45, "gaussian_conjugate_1d": 0.001, "gaussian_mean_demo": 0.0007,
+            "uniform_ball_1d": 0.0003, "uniform_box_1d": 0.0003}
+DEMO_Y0 = [0.3] * 10
+
+ESTIMATE_PINS = {
+    "gauss_5d": {
+        "density.csv":
+            "c11a369e664799e8de69395ca2f0790f59edb141f5e680b0bf5371b137a46705",
+        "density_meta.json":
+            "7d20352bdde32f4b4a07a741ffe80c744da116bf79a9d857c691c4992a8d2622",
+        "k": 47,
+        "d_k_plus_1": 0.45155476294016494,
+    },
+    "gaussian_conjugate_1d": {
+        "density.csv":
+            "36e93875dae9d9408440a0ad0c004fdf0fecad8911867cb622f450912bd9ba2b",
+        "density_meta.json":
+            "ba217079bb7869df23d57d055e0781b7eb815ab1e326a3ddec39b6ba46b86f07",
+        "k": 49,
+        "d_k_plus_1": 0.0010265955576342911,
+    },
+    "gaussian_mean_demo": {
+        "density.csv":
+            "16628a221f2f5088274ec955a7877539f6f28f7db1c5317e9b142860af9d0cdf",
+        "density_meta.json":
+            "323ea47496700fa93e40d45cd372c87833347007e4f7be96189869fe6e2872cb",
+        "k": 49,
+        "d_k_plus_1": 0.0007286075870907016,
+    },
+    "uniform_ball_1d": {
+        "density.csv":
+            "6933df694818ff1caaf1f1b8bb71ebdbe5cf922bee30e2e5520892e6882c7dd4",
+        "density_meta.json":
+            "4294e36492bac49fc7575b532dc7f0ed412be3270a9fa7a6a1613351f0259d40",
+        "k": 60,
+        "d_k_plus_1": 0.00030126036574051884,
+    },
+    "uniform_box_1d": {
+        "density.csv":
+            "4716bde978206a6dc46a75d773ea0c48437ebad97121fe4c433ede2789ff0144",
+        "density_meta.json":
+            "f04519684ee0b4d5d35ecaaf97795b42ecd74eff45578c046e5ab6b27a0f526e",
+        "k": 56,
+        "d_k_plus_1": 0.0003032814908651149,
+    },
+}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("model_id", model_ids())
+def test_epsilon_estimate_files_match_recorded_digests(model_id, threads, tmp_path, capsys):
+    raw = {"schema": "abc-config/1", "model": {"id": model_id},
+           "N": 3 * core._CHUNK_ROWS + 17, "seed": SEED,
+           "acceptance": {"epsilon": EPSILONS[model_id]}}
+    if model_id == "gaussian_mean_demo":
+        raw["y0"] = DEMO_Y0
+    else:
+        raw["s0"] = _SETTINGS[model_id][0]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["estimate", "--config", str(config), "--out", str(out), "--threads", str(threads)]
+    assert cli.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ("density.csv", "density_meta.json")}
+    got.update(k=summary["k"], d_k_plus_1=summary["d_k_plus_1"])
+    assert got == ESTIMATE_PINS[model_id]
