@@ -337,6 +337,15 @@ def _k_for(config: RunConfig) -> int:
     raise ConfigurationError(["acceptance: validate commands need k or percentile"])
 
 
+def _check_auto_k(config: RunConfig, k: int, key: str, where: str = "") -> None:
+    """A config error when the "auto" bandwidth would smooth fewer than
+    ``tuning.AUTO_MIN_ROWS`` accepted rows: the config alone fixes k, so
+    this is found before any simulation starts."""
+    if config.bandwidth == "auto" and k < tuning.AUTO_MIN_ROWS:
+        raise ConfigurationError(
+            [f"{key}: bandwidth 'auto' needs k >= {tuning.AUTO_MIN_ROWS}, got k = {k}{where}"])
+
+
 def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         subcommand: Optional[str] = None) -> dict:
     """Execute one pipeline command; returns the stdout summary dict."""
@@ -375,11 +384,13 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
     elif command == "estimate":
         if config.acceptance_mode == "epsilon":
             summary["epsilon"] = float(config.acceptance_value)
-            table = core.generate_table(model, config.n_rows, config.seed, max_workers=threads)
-            accepted = core.abc_tolerance(table, s0, config.acceptance_value)
+            accepted = core.simulate_tolerance(model, config.n_rows, config.seed, s0,
+                                               config.acceptance_value, max_workers=threads)
         else:
-            accepted = core.simulate_knn(model, config.n_rows, config.seed, s0,
-                                         _k_for(config), max_workers=threads)
+            k = _k_for(config)
+            _check_auto_k(config, k, "acceptance")
+            accepted = core.simulate_knn(model, config.n_rows, config.seed, s0, k,
+                                         max_workers=threads)
         summary["k"] = accepted.k
         summary["d_k_plus_1"] = accepted.radius_next
         if accepted.k == 0:
@@ -417,6 +428,7 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
         raise ConfigurationError([f"validate.{sub}: block is required for this command"])
     if sub == "mise":
         k = _k_for(config)
+        _check_auto_k(config, k, "acceptance")
         report = validate.mise_estimate(
             model, s0, config.n_rows, k, config.bandwidth,
             estimators.make_kernel(config.kernel, model.p), block["replicates"],
@@ -427,9 +439,12 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
         emit_csv("mise_replicates.csv", ["replicate", "ise"],
                  [np.arange(len(report.per_replicate)), report.per_replicate])
     elif sub == "rates":
+        c_k = block.get("c_k", 1.0)
+        k, n_rows = min((tuning.schedule(model.m, model.p, n, c_k=c_k)[0], n) for n in block["Ns"])
+        _check_auto_k(config, k, "validate.rates.Ns", f" at N = {n_rows}")
         report = validate.rate_experiment(
             model, s0, block["Ns"], estimators.make_kernel(config.kernel, model.p),
-            block["replicates"], config.seed, c_k=block.get("c_k", 1.0),
+            block["replicates"], config.seed, c_k=c_k,
             bandwidth=config.bandwidth, grid_points=config.grid_points,
             grid_padding=config.grid_padding, max_workers=threads)
         emit_json("rate_report.json", {

@@ -4,11 +4,11 @@
 substream per row, so tables regenerate bit-identically for a given
 (model, seed, N) at any worker count.  ``abc_knn`` keeps the k nearest
 summaries by squared distance with index tie-breaking, in expected O(N)
-via partial selection; ``simulate_knn`` gives the same result while
+via partial selection; ``abc_tolerance`` keeps every row within a radius.
+``simulate_knn`` and ``simulate_tolerance`` select by the same rules while
 simulating, without holding the table; ``block_distances`` gives the
 distances of many equal-size tables at once, for validation replicates.
-``abc_tolerance`` keeps everything within a fixed radius.  ``sample_restricted``
-draws from the joint density restricted to the ball cylinder via rejection.
+``sample_restricted`` draws from the ball-restricted joint by rejection.
 ``write_table`` writes a table's binary layout one chunk at a time.  Worker
 threads only simulate a table's chunks; the caller visits them in order.
 """
@@ -391,6 +391,12 @@ def _check_k(k: int, n_rows: int) -> int:
     return k
 
 
+def _check_epsilon(epsilon: float) -> float:
+    if not float(epsilon) >= 0.0:
+        raise InvalidArgumentError("epsilon must be >= 0")
+    return float(epsilon)
+
+
 def _nearest(d2: np.ndarray, k: int, index: np.ndarray | None = None):
     """The k-nearest rule on squared distances ``d2`` (length > k).
 
@@ -480,9 +486,7 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     ``radius_next`` is the smallest distance beyond epsilon, +inf when all
     rows are accepted.  s0 must be finite.
     """
-    epsilon = float(epsilon)
-    if not epsilon >= 0.0:
-        raise InvalidArgumentError("epsilon must be >= 0")
+    epsilon = _check_epsilon(epsilon)
     d2 = squared_distances(table.summaries, check_s0(s0, table.summaries.shape[1]))
     d = np.sqrt(d2)
     inside = d <= epsilon
@@ -491,6 +495,27 @@ def abc_tolerance(table: ReferenceTable, s0, epsilon: float) -> AcceptedSet:
     idx = chosen[order]
     radius_next = np.min(d, where=~inside, initial=np.inf)
     return _build_accepted(table.thetas, table.summaries, idx, idx, d[idx], radius_next)
+
+
+def simulate_tolerance(model: Model, n_rows: int, seed: int, s0, epsilon: float,
+                       max_workers: int = 1) -> AcceptedSet:
+    """``abc_tolerance(generate_table(model, n_rows, seed), s0, epsilon)``, bit for bit, holding
+    only the accepted rows.  tau is the least d2 beyond epsilon; a stale tau keeps extra rows."""
+    n_rows, _, key = _table_stream(model, n_rows, seed)
+    epsilon, s0 = _check_epsilon(epsilon), check_s0(s0, model.m)
+    parts, beyond = [], np.inf
+
+    def keep(start, rows, thetas, summaries, d2):
+        nonlocal beyond
+        inside = np.sqrt(d2) <= epsilon  # the test of abc_tolerance
+        beyond = min(beyond, np.min(d2, where=~inside, initial=np.inf))
+        if inside.any() or not parts:  # only the first part may be empty: it sets the dtypes
+            index = start + (np.arange(d2.size) if rows is None else rows)
+            parts.append((index[inside], thetas[inside], summaries[inside], d2[inside]))
+    _scan_table(model, key, n_rows, max_workers, keep, s0, lambda: beyond)
+    index, thetas, summaries, d2 = map(np.concatenate, zip(*parts))
+    pos = np.lexsort((index, d2))  # sqrt is monotone, so sqrt(beyond) is the least distance
+    return _build_accepted(thetas, summaries, pos, index[pos], np.sqrt(d2[pos]), np.sqrt(beyond))
 
 
 def percentile_to_k(n_rows: int, alpha: float) -> int:

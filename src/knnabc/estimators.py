@@ -49,15 +49,20 @@ class KernelSpec:
     kind: str
     dim: int
     normalizer: float
+    second_moment: float    # per coordinate; off-diagonal moments vanish by radial symmetry
+    square_integral: float  # the integral of K^2 over R^dim, in closed form
 
 
 def make_kernel(kind: str, dim: int) -> KernelSpec:
     if dim < 1:
         raise InvalidArgumentError("kernel dimension must be >= 1")
     if kind == "naive":
-        return KernelSpec(kind=kind, dim=dim, normalizer=1.0 / unit_ball_volume(dim))
+        normalizer = 1.0 / unit_ball_volume(dim)  # and int K^2 = (1/V_p)^2 V_p
+        return KernelSpec(kind, dim, normalizer, second_moment=1.0 / (dim + 2),
+                          square_integral=normalizer)
     if kind == "gaussian":
-        return KernelSpec(kind=kind, dim=dim, normalizer=(2.0 * math.pi) ** (-dim / 2.0))
+        return KernelSpec(kind, dim, (2.0 * math.pi) ** (-dim / 2.0), second_moment=1.0,
+                          square_integral=(4.0 * math.pi) ** (-dim / 2.0))
     raise InvalidArgumentError(f"kernel kind must be one of {KERNEL_KINDS}")
 
 
@@ -85,21 +90,6 @@ def _kernel_values(kernel: KernelSpec, sq_norms: np.ndarray) -> np.ndarray:
     if kernel.kind == "naive":
         return np.where(sq_norms <= 1.0, kernel.normalizer, 0.0)
     return kernel.normalizer * _gaussian_exp(-0.5 * sq_norms)
-
-
-def kernel_second_moment(kernel: KernelSpec) -> float:
-    """Per-coordinate second moment of the kernel (off-diagonal moments
-    vanish by radial symmetry)."""
-    if kernel.kind == "naive":
-        return 1.0 / (kernel.dim + 2)
-    return 1.0
-
-
-def kernel_square_integral(kernel: KernelSpec) -> float:
-    """The integral of K^2 over R^dim, in closed form."""
-    if kernel.kind == "naive":
-        return kernel.normalizer  # (1/V_p)^2 * V_p
-    return (4.0 * math.pi) ** (-kernel.dim / 2.0)
 
 
 # ---------------------------------------------------------------------------

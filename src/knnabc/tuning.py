@@ -20,7 +20,7 @@ import numpy as np
 from .core import check_s0
 from .errors import (BoundHypothesisError, InvalidArgumentError, KnnAbcError,
                      UnsupportedModelError)
-from .estimators import KernelSpec, kernel_second_moment, kernel_square_integral
+from .estimators import KernelSpec
 from .models import Model
 from .numerics import adaptive_trapezoid, round_half_up
 
@@ -68,23 +68,21 @@ def schedule(m: int, p: int, n_rows: int, c_k: float = 1.0, c_h: float = 1.0) ->
     return k, h
 
 
-def auto_bandwidth(thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
-    """The "auto" bandwidth: the accepted thetas' standard deviation times
-    the schedule power of N."""
-    if thetas.shape[0] < 2:
-        raise KnnAbcError("auto bandwidth needs at least 2 accepted rows")
-    spread = float(np.std(thetas, ddof=1))
-    return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
+# the "auto" bandwidth is a sample standard deviation: it needs this many rows
+AUTO_MIN_ROWS = 2
 
 
 def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
     """The bandwidth ``h`` asks for: a number as given, or "auto", the
-    :func:`auto_bandwidth` of these accepted thetas."""
+    accepted thetas' standard deviation times the schedule power of N."""
     if not isinstance(h, str):
         return float(h)
     if h != "auto":
         raise InvalidArgumentError("h must be a positive number or 'auto'")
-    return auto_bandwidth(thetas, m, p, n_rows)
+    if thetas.shape[0] < AUTO_MIN_ROWS:
+        raise KnnAbcError(f"auto bandwidth needs at least {AUTO_MIN_ROWS} accepted rows")
+    spread = float(np.std(thetas, ddof=1))
+    return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec) -> TheoreticalQua
     s0 = check_s0(s0, model.m)
     xi0 = xi0_from_marginal_cdf(analytic.marginal_cdf, s0, model.support_diameter)
 
-    mu2 = kernel_second_moment(kernel)
+    mu2 = kernel.second_moment
     fbar = float(analytic.marginal_pdf(s0))
     scale = 1.0 / (2.0 * model.m + 4.0)
     phi3 = scale * float(analytic.marginal_summary_laplacian(s0))
@@ -214,7 +212,7 @@ def mise_rate_quantities(model: Model, s0, kernel: KernelSpec) -> TheoreticalQua
         xi0=xi0,
         L_diam=float(model.support_diameter),
         Phi1=big_phi1, Phi2=big_phi2, Phi3=big_phi3,
-        kernel_sq_integral=kernel_square_integral(kernel),
+        kernel_sq_integral=kernel.square_integral,
         m=model.m, p=model.p,
     )
 

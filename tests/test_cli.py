@@ -474,6 +474,46 @@ class TestEndToEnd:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "runtime"
 
+    @pytest.mark.parametrize("command, acceptance", [
+        ("sample", {"k": 5}), ("estimate", {"k": 50}), ("estimate", {"percentile": 0.05}),
+        ("estimate", {"epsilon": 0.05}),
+    ], ids=["sample", "estimate-k", "estimate-percentile", "estimate-epsilon"])
+    def test_no_command_builds_the_table(self, tmp_path, capsys, monkeypatch, command,
+                                         acceptance):
+        # sample streams the table to disk and estimate selects while
+        # simulating, in every acceptance mode, so none holds the table
+        def no_table(*args, **kwargs):
+            raise AssertionError("the command built the whole reference table")
+
+        monkeypatch.setattr(core, "generate_table", no_table)
+        code, _ = self._run(tmp_path, command, minimal_config(acceptance=acceptance))
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, acceptance, block, message", [
+        ("estimate", {"k": 1}, None, "acceptance: bandwidth 'auto' needs k >= 2, got k = 1"),
+        ("estimate", {"percentile": 0.001}, None,
+         "acceptance: bandwidth 'auto' needs k >= 2, got k = 1"),
+        ("validate mise", {"percentile": 0.001}, {"mise": {"replicates": 2}},
+         "acceptance: bandwidth 'auto' needs k >= 2, got k = 1"),
+        ("validate rates", {"k": 5}, {"rates": {"Ns": [2, 100, 1000], "replicates": 2}},
+         "validate.rates.Ns: bandwidth 'auto' needs k >= 2, got k = 1 at N = 2"),
+    ], ids=["estimate-k", "estimate-percentile", "mise", "rates"])
+    def test_auto_bandwidth_with_one_row_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         command, acceptance, block, message):
+        # the config alone fixes k, so the error comes before any simulation
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(core, "simulate_knn", no_simulation)
+        raw = minimal_config(N=1000, acceptance=acceptance)
+        if block is not None:
+            raw["validate"] = block
+        code, out_dir = self._run(tmp_path, command, raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [message]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_seed_beyond_uint64_is_config_error(self, tmp_path, capsys, where):
         raw = minimal_config(N=100, acceptance={"k": 5})
@@ -701,8 +741,9 @@ def test_every_count_ends_in_exit_0_2_or_3(tmp_path, capsys, monkeypatch, path, 
     def no_memory(*args, **kwargs):
         raise MemoryError("not allocated in this test")
 
-    for owner, name in ((core, "simulate_knn"), (core, "generate_table"),
-                        (core, "write_table"), (validate, "derive_seeds")):
+    for owner, name in ((core, "simulate_knn"), (core, "simulate_tolerance"),
+                        (core, "generate_table"), (core, "write_table"),
+                        (validate, "derive_seeds")):
         monkeypatch.setattr(owner, name, no_memory)
 
     if command == "schedule":

@@ -366,6 +366,13 @@ class TestSimulateKnn:
             for k in (1, 100, 20_000, n - 1):
                 _assert_same_accepted(simulate_knn(model, n, 5, s0, k, max_workers=workers),
                                       abc_knn(table, s0, k))
+            # epsilons on the lattice's distances tie thousands of rows at
+            # epsilon, and one ulp below one leaves them all beyond it
+            d = np.unique(np.sqrt(squared_distances(table.summaries, s0)))
+            for epsilon in (0.0, d[0], d[1], d[3], np.nextafter(d[3], 0.0), 1e9):
+                _assert_same_accepted(
+                    core.simulate_tolerance(model, n, 5, s0, epsilon, max_workers=workers),
+                    abc_tolerance(table, s0, epsilon))
 
     def test_workers_sharing_scratch_and_pool_under_thread_switching(self, monkeypatch):
         # 8 threads on 64-row chunks, switching every microsecond, take and
@@ -379,12 +386,14 @@ class TestSimulateKnn:
         try:
             table = generate_table(model, n, 3, max_workers=8)
             got = simulate_knn(model, n, 3, s0, 50, max_workers=8)
+            got_within = core.simulate_tolerance(model, n, 3, s0, 0.9, max_workers=8)
         finally:
             sys.setswitchinterval(interval)
         expected = generate_table(model, n, 3)
         assert table.thetas.tobytes() == expected.thetas.tobytes()
         assert table.summaries.tobytes() == expected.summaries.tobytes()
         _assert_same_accepted(got, abc_knn(expected, s0, 50))
+        _assert_same_accepted(got_within, abc_tolerance(expected, s0, 0.9))
 
     def test_memory_beyond_accepted_set_does_not_grow_with_rows(self):
         model = get_model("gauss_5d")
@@ -419,6 +428,28 @@ class TestSimulateKnn:
             simulate_knn(get_model("uniform_box_1d"), 10, 1, [np.nan], 3)
 
 
+class TestSimulateTolerance:
+    def test_memory_does_not_grow_with_chunks_that_accept_nothing(self, monkeypatch):
+        # epsilon 0 accepts no row, so no chunk may leave a part behind:
+        # 16 and 1000 chunks of 64 rows differed by 688 bytes, and by
+        # 570 kB when every chunk appended its empty part
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 64)
+        model = get_model("uniform_box_1d")
+        core.simulate_tolerance(model, 64, 3, [0.5], 0.0)  # builds the bin tables once
+        few = _overhead_bytes(core.simulate_tolerance, model, 16 * 64, 3, [0.5], 0.0)
+        many = _overhead_bytes(core.simulate_tolerance, model, 1000 * 64, 3, [0.5], 0.0)
+        assert many - few <= 1 << 14
+
+    @pytest.mark.parametrize("epsilon", [-1e-300, -np.inf, np.nan])
+    @pytest.mark.parametrize("select", [
+        lambda model, epsilon: abc_tolerance(generate_table(model, 100, 1), [0.5], epsilon),
+        lambda model, epsilon: core.simulate_tolerance(model, 100, 1, [0.5], epsilon),
+    ], ids=["abc_tolerance", "simulate_tolerance"])
+    def test_negative_or_nan_epsilon_rejected(self, select, epsilon):
+        with pytest.raises(InvalidArgumentError, match="epsilon must be >= 0"):
+            select(get_model("uniform_box_1d"), epsilon)
+
+
 _GAUSSIAN = make_kernel("gaussian", 1)
 
 
@@ -431,6 +462,7 @@ _GAUSSIAN = make_kernel("gaussian", 1)
     lambda model, s0: abc_knn(generate_table(model, 100, 1), s0, 5),
     lambda model, s0: abc_tolerance(generate_table(model, 100, 1), s0, 1.0),
     lambda model, s0: simulate_knn(model, 100, 1, s0, 5),
+    lambda model, s0: core.simulate_tolerance(model, 100, 1, s0, 1.0),
     lambda model, s0: sample_restricted(model, s0, 0.1, 10, 1),
     lambda model, s0: bound_check(model, s0, [(100, 5)], 1.0, 20.0, 2, 2, 1),
     lambda model, s0: mise_estimate(model, s0, 100, 5, "auto", _GAUSSIAN, 2, 1),
@@ -439,7 +471,8 @@ _GAUSSIAN = make_kernel("gaussian", 1)
     lambda model, s0: conditional_law_test(model, s0, 100, 20, 10, 1),
     lambda model, s0: prop1_calibration(model, s0, 100, 20, 2, 10, 1),
     lambda model, s0: mise_rate_quantities(model, s0, _GAUSSIAN),
-], ids=["abc_knn", "abc_tolerance", "simulate_knn", "sample_restricted", "bound_check",
+], ids=["abc_knn", "abc_tolerance", "simulate_knn", "simulate_tolerance",
+        "sample_restricted", "bound_check",
         "mise_estimate", "rate_experiment", "moment_consistency", "conditional_law_test",
         "prop1_calibration", "mise_rate_quantities"])
 def test_every_selector_rejects_non_finite_s0(select, s0, message):

@@ -15,8 +15,7 @@ from knnabc.cli import validate_config
 from knnabc.core import AcceptedSet
 from knnabc.errors import EmptyAcceptedSetError, InvalidArgumentError
 from knnabc.estimators import (BLOCK_ENTRIES, EXP_FLOOR, _gaussian_exp, default_grid,
-                               estimate_density, g_hat_many, grid_points,
-                               kernel_second_moment, kernel_square_integral)
+                               estimate_density, g_hat_many, grid_points)
 
 
 def _accepted(thetas, radius_next=1.0):
@@ -95,15 +94,15 @@ class TestKernels:
         # per-coordinate second moments and int K^2, against quadrature
         for p in (1, 2):
             naive = make_kernel("naive", p)
-            assert kernel_second_moment(naive) == pytest.approx(1.0 / (p + 2))
-            assert kernel_second_moment(make_kernel("gaussian", p)) == 1.0
-            assert kernel_square_integral(naive) == pytest.approx(1.0 / unit_ball_volume(p))
-            assert kernel_square_integral(make_kernel("gaussian", p)) == pytest.approx(
+            assert naive.second_moment == pytest.approx(1.0 / (p + 2))
+            assert make_kernel("gaussian", p).second_moment == 1.0
+            assert naive.square_integral == pytest.approx(1.0 / unit_ball_volume(p))
+            assert make_kernel("gaussian", p).square_integral == pytest.approx(
                 (4.0 * math.pi) ** (-p / 2.0))
         # quadrature check of int K^2 in 1-d
         g1 = make_kernel("gaussian", 1)
         val, _ = quad(lambda x: _kernel_at(g1, [x]) ** 2, -40, 40)
-        assert val == pytest.approx(kernel_square_integral(g1), rel=1e-9)
+        assert val == pytest.approx(g1.square_integral, rel=1e-9)
 
 
 class TestGHat:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from knnabc import (abc_knn, abc_tolerance, distance_moment_bound, estimators,
+from knnabc import (abc_knn, abc_tolerance, core, distance_moment_bound, estimators,
                     generate_table, get_model, make_kernel, model_ids,
                     percentile_to_k, simulate_knn, unit_ball_volume)
 from knnabc.core import _CHUNK_ROWS, AcceptedSet, ReferenceTable, squared_distances
@@ -81,18 +81,33 @@ _CHUNK_EDGES = [_C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 2 * _C + 1, 3 * _C]
 
 
 class TestSimulateKnnProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_bit_identical_to_table_path(self, data):
+        # either rule: the k nearest rows, or every row within epsilon, where
+        # epsilon is 0, any float in [0, 3] or a drawn row's distance (a tie)
         model = get_model(data.draw(st.sampled_from(model_ids())))
         n = data.draw(st.one_of(st.integers(2, 300), st.sampled_from(_CHUNK_EDGES)))
-        k = data.draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
         seed = data.draw(st.integers(0, 2**64 - 1))
         s0 = data.draw(hnp.arrays(np.float64, (model.m,),
                                   elements=st.floats(-3, 3, allow_nan=False, width=32)))
         workers = data.draw(st.sampled_from([1, 2]))
-        got = simulate_knn(model, n, seed, s0, k, max_workers=workers)
-        expected = abc_knn(generate_table(model, n, seed), s0, k)
+        table = generate_table(model, n, seed)
+        if data.draw(st.sampled_from(["knn", "tolerance"])) == "knn":
+            k = data.draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
+            got = simulate_knn(model, n, seed, s0, k, max_workers=workers)
+            expected = abc_knn(table, s0, k)
+        else:
+            source = data.draw(st.sampled_from(["zero", "float", "row"]))
+            if source == "zero":
+                epsilon = 0.0
+            elif source == "float":
+                epsilon = data.draw(st.floats(0, 3))
+            else:
+                row = data.draw(st.integers(0, n - 1))
+                epsilon = float(np.sqrt(squared_distances(table.summaries, s0))[row])
+            got = core.simulate_tolerance(model, n, seed, s0, epsilon, max_workers=workers)
+            expected = abc_tolerance(table, s0, epsilon)
         for field in ("source_indices", "ordered_thetas", "ordered_summaries", "distances"):
             assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
         assert np.float64(got.radius_next).tobytes() == np.float64(expected.radius_next).tobytes()

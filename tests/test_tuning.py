@@ -11,7 +11,7 @@ from knnabc import (distance_moment_bound, get_model, mise_prediction,
 from knnabc.errors import (BoundHypothesisError, InvalidArgumentError,
                            UnsupportedModelError)
 from knnabc.estimators import make_kernel
-from knnabc.tuning import (TheoreticalQuantities, auto_bandwidth,
+from knnabc.tuning import (TheoreticalQuantities,
                            mise_prediction_exact_moments, resolve_bandwidth,
                            xi0_from_marginal_cdf)
 
@@ -83,12 +83,13 @@ class TestAutoBandwidth:
     def test_spread_times_schedule_power(self):
         thetas = np.array([[0.1], [0.4], [-0.3], [0.9]])
         spread = float(np.std(thetas, ddof=1))
-        assert auto_bandwidth(thetas, 1, 1, 1000) == spread * 1000 ** float(Fraction(-1, 9))
-        assert auto_bandwidth(thetas, 5, 1, 1000) == spread * 1000 ** float(Fraction(-1, 10))
+        assert resolve_bandwidth("auto", thetas, 1, 1, 1000) == \
+            spread * 1000 ** float(Fraction(-1, 9))
+        assert resolve_bandwidth("auto", thetas, 5, 1, 1000) == \
+            spread * 1000 ** float(Fraction(-1, 10))
 
     def test_resolver_takes_a_number_or_auto(self):
         thetas = np.array([[0.1], [0.4], [-0.3], [0.9]])
-        assert resolve_bandwidth("auto", thetas, 1, 1, 1000) == auto_bandwidth(thetas, 1, 1, 1000)
         assert resolve_bandwidth(0.25, thetas, 1, 1, 1000) == 0.25
         with pytest.raises(InvalidArgumentError, match="positive number or 'auto'"):
             resolve_bandwidth("silverman", thetas, 1, 1, 1000)
