@@ -283,6 +283,9 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
                     for v in ns):
             errors.append(f"{path}.Ns: must be an array of at least 3 integers "
                           f"in [2, {COUNT_MAX}]")
+        elif len(set(ns)) < 2:
+            # a slope needs two sizes
+            errors.append(f"{path}.Ns: must hold at least 2 distinct sizes")
     elif name == "prop1":
         if "negative_control" in block and not isinstance(block["negative_control"], bool):
             errors.append(f"{path}.negative_control: must be a boolean")
@@ -409,12 +412,7 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
                  [*estimators.grid_points(est.axes).T, est.values])
         emit_json("density_meta.json", est.meta)
     elif command == "validate":
-        try:
-            _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
-        except UnsupportedModelError as exc:
-            # the model comes from the config, so a command it cannot run is
-            # a config error
-            raise ConfigurationError([f"model.id: {exc}"]) from None
+        _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
     else:
         raise ConfigurationError([f"unknown command '{command}'"])
 
@@ -426,6 +424,15 @@ def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json)
     block = config.blocks.get(sub)
     if block is None:
         raise ConfigurationError([f"validate.{sub}: block is required for this command"])
+    if sub in ("mise", "rates", "moments"):
+        # the model and s0 come from the config, so an oracle they cannot
+        # use is a config error, found before any table is simulated
+        try:
+            validate._require_oracle(model, s0)
+        except UnsupportedModelError as exc:
+            raise ConfigurationError([f"model.id: {exc}"]) from None
+        except InvalidArgumentError as exc:
+            raise ConfigurationError([f"s0: {exc}"]) from None
     if sub == "mise":
         k = _k_for(config)
         _check_auto_k(config, k, "acceptance")

@@ -5,7 +5,9 @@ statistic S in R^m, and (where available) an exact posterior oracle used
 as ground truth by the validation suite.  Gaussian components are
 truncated to +/- 5 per coordinate and renormalized so the summary
 marginal has compact support; oracles account for the truncation exactly,
-so Bayes-rule identities hold to quadrature precision.
+so Bayes-rule identities hold to quadrature precision.  Every oracle is a
+density on the window of theta that s0 allows (``_window_oracle``), and
+raises where that window is empty: outside the summary's support.
 """
 
 from __future__ import annotations
@@ -119,9 +121,13 @@ class Model:
 # truncated-normal helpers (exact posterior under +/- bound truncation)
 
 def _truncated_normal_moments(mu, sigma, a, b):
-    alpha = (a - mu) / sigma
-    beta = (b - mu) / sigma
+    # past 40 sd the normal cdf is 0 or 1 and its density 0 as doubles: the
+    # clip changes no value, but keeps a huge bound's alpha^2 finite
+    alpha, beta = (min(max((x - mu) / sigma, -40.0), 40.0) for x in (a, b))
     z = ndtr(beta) - ndtr(alpha)
+    if not z > 0.0:
+        raise InvalidArgumentError("the window of theta that s0 allows holds no normal mass"
+                                   " in double precision")
     pa, pb = _norm_pdf(alpha), _norm_pdf(beta)
     mean = mu + sigma * (pa - pb) / z
     var = sigma * sigma * (1.0 + (alpha * pa - beta * pb) / z - ((pa - pb) / z) ** 2)
@@ -137,39 +143,47 @@ def _theta_points(theta0, p: int) -> np.ndarray:
     return pts
 
 
-def _conjugate_oracle(bound: float) -> PosteriorOracle:
-    """Posterior for prior N(0,1) and summary entry s[0] = theta + N(0,1),
-    both truncated at +/- bound.
-
-    The truncated-model posterior is the untruncated conjugate normal
-    N(s[0] / 2, 1 / 2) restricted to the feasible window and renormalized.
+def _window_oracle(window, density, moments) -> PosteriorOracle:
+    """The posterior of a p = 1 model whose theta, given s = s0[0], lies in
+    ``window(s)`` = (a, b): ``density(t, s, a, b)`` on [a, b], 0 elsewhere,
+    with ``moments(s, a, b)`` = (mean, variance).  It exists only where the
+    summary marginal is positive, where a < b; every callable raises elsewhere.
     """
-    sigma = math.sqrt(0.5)
 
-    def _window(s0):
+    def support(s0):
         s = float(np.asarray(s0, dtype=float).reshape(-1)[0])
-        # feasible theta range once both prior and noise are cut at +/- bound
-        return s / 2.0, max(-bound, s - bound), min(bound, s + bound)
+        a, b = window(s)
+        if not a < b:
+            raise InvalidArgumentError("s0 outside the support of the summary marginal")
+        return s, a, b
 
     def pdf(theta0, s0):
-        mu, a, b = _window(s0)
-        _, _, z = _truncated_normal_moments(mu, sigma, a, b)
+        s, a, b = support(s0)
         t = _theta_points(theta0, 1)[:, 0]
-        dens = _norm_pdf((t - mu) / sigma) / (sigma * z)
-        dens = np.where((t >= a) & (t <= b), dens, 0.0)
-        return dens
+        return np.where((t >= a) & (t <= b), density(t, s, a, b), 0.0)
 
-    def mean(s0):
-        mu, a, b = _window(s0)
-        m, _, _ = _truncated_normal_moments(mu, sigma, a, b)
-        return np.array([m])
+    return PosteriorOracle(pdf=pdf, mean=lambda s0: np.array([moments(*support(s0))[0]]),
+                           variance=lambda s0: np.array([[moments(*support(s0))[1]]]))
 
-    def variance(s0):
-        mu, a, b = _window(s0)
-        _, v, _ = _truncated_normal_moments(mu, sigma, a, b)
-        return np.array([[v]])
 
-    return PosteriorOracle(pdf=pdf, mean=mean, variance=variance)
+def _conjugate_oracle(bound: float) -> PosteriorOracle:
+    """N(s / 2, 1 / 2), the posterior of prior N(0,1) and summary entry
+    theta + N(0,1), on the theta that both cuts at +/- bound allow."""
+    sigma = math.sqrt(0.5)
+
+    def density(t, s, a, b):
+        z = _truncated_normal_moments(s / 2.0, sigma, a, b)[2]
+        return _norm_pdf((t - s / 2.0) / sigma) / (sigma * z)
+
+    return _window_oracle(
+        lambda s: (max(-bound, s - bound), min(bound, s + bound)), density,
+        lambda s, a, b: _truncated_normal_moments(s / 2.0, sigma, a, b)[:2])
+
+
+def _uniform_oracle(window) -> PosteriorOracle:
+    """The uniform posterior on the window of theta that s allows."""
+    return _window_oracle(window, lambda t, s, a, b: 1.0 / (b - a),
+                          lambda s, a, b: (0.5 * (a + b), (b - a) ** 2 / 12.0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +257,9 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
         # two, and a row far from s0 in them is dropped before entry 0
         coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2))
                           for j in (*range(1, m), 0)),
-        # support is [-2b, 2b] x [-b, b]^(m-1); diameter of that box
-        support_diameter=math.sqrt((4.0 * bound) ** 2 + (m - 1) * (2.0 * bound) ** 2),
+        # support is [-2b, 2b] x [-b, b]^(m-1); the diameter of that box,
+        # sqrt((4b)^2 + (m-1)(2b)^2), written so that no b overflows
+        support_diameter=2.0 * bound * math.sqrt(m + 3.0),
         oracle=_conjugate_oracle(bound),
         analytic=AnalyticJoint(
             joint_pdf=joint_pdf,
@@ -273,16 +288,6 @@ def _uniform_box_1d() -> Model:
     def summary_bounds(j, gather, lo, hi):
         gather(1, uniform_bins())
 
-    def pdf(theta0, s0):
-        t = _theta_points(theta0, 1)[:, 0]
-        dens = np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0)
-        return dens
-
-    oracle = PosteriorOracle(
-        pdf=pdf,
-        mean=lambda s0: np.array([0.5]),
-        variance=lambda s0: np.array([[1.0 / 12.0]]),
-    )
     return Model(
         model_id="uniform_box_1d",
         params={},
@@ -293,7 +298,8 @@ def _uniform_box_1d() -> Model:
         summary_bounds=summary_bounds,
         coordinates=(SummaryCoordinate(0, slice(1, 2)),),
         support_diameter=1.0,
-        oracle=oracle,
+        # the posterior is the prior, wherever s0 is in the summary's [0, 1]
+        oracle=_uniform_oracle(lambda s: (0.0, 1.0) if 0.0 <= s <= 1.0 else (0.0, 0.0)),
     )
 
 
@@ -313,24 +319,6 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
             np.multiply(bound, radius, out=bound)
         gather(0, uniform_bins(), add=True)
 
-    def _window(s0):
-        s = float(np.asarray(s0, dtype=float).reshape(-1)[0])
-        a, b = max(0.0, s - radius), min(1.0, s + radius)
-        if b <= a:
-            raise InvalidArgumentError("s0 outside the support of the summary marginal")
-        return a, b
-
-    def pdf(theta0, s0):
-        a, b = _window(s0)
-        t = _theta_points(theta0, 1)[:, 0]
-        dens = np.where((t >= a) & (t <= b), 1.0 / (b - a), 0.0)
-        return dens
-
-    oracle = PosteriorOracle(
-        pdf=pdf,
-        mean=lambda s0: np.array([0.5 * sum(_window(s0))]),
-        variance=lambda s0: np.array([[(_window(s0)[1] - _window(s0)[0]) ** 2 / 12.0]]),
-    )
     return Model(
         model_id="uniform_ball_1d",
         params={"radius": radius},
@@ -341,7 +329,7 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         summary_bounds=summary_bounds,
         coordinates=(SummaryCoordinate(0, slice(1, 2)),),
         support_diameter=1.0 + 2.0 * radius,
-        oracle=oracle,
+        oracle=_uniform_oracle(lambda s: (max(0.0, s - radius), min(1.0, s + radius))),
     )
 
 
@@ -404,15 +392,24 @@ def model_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+# The largest n_obs.  A chunk of 2^15 rows then draws 4 ceil((n_obs + 1) / 4)
+# Philox words a row, below 2^63 bytes, so a chunk too large to allocate is a
+# MemoryError (numpy raises ValueError past 2^63 - 1 bytes).
+N_OBS_MAX = 2**44
+
+
 def _check_params(params: dict):
     """Reject parameter values no built-in model can run with: ``bound``
-    and ``radius`` must be finite numbers > 0, ``n_obs`` an integer >= 1."""
+    and ``radius`` must be finite numbers > 0, ``n_obs`` an integer in
+    [1, N_OBS_MAX]."""
     for name, value in params.items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if name in ("bound", "radius") and not (number and is_finite(value) and value > 0):
             raise ConfigurationError(f"model.params.{name}: must be a finite number > 0")
         if name == "n_obs" and not (number and isinstance(value, int) and value >= 1):
             raise ConfigurationError(f"model.params.{name}: must be an integer >= 1")
+        if name == "n_obs" and value > N_OBS_MAX:
+            raise ConfigurationError(f"model.params.{name}: must be <= {N_OBS_MAX}")
 
 
 def get_model(model_id: str, /, **params) -> Model:

@@ -74,6 +74,8 @@ def ols_slope(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise InvalidArgumentError("need at least 3 points for a slope fit")
+    if x.min() == x.max():
+        raise InvalidArgumentError("x has no spread; the slope is undefined")
     xm = x - x.mean()
     sxx = float(np.sum(xm * xm))
     slope = float(np.sum(xm * y) / sxx)

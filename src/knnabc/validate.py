@@ -71,9 +71,15 @@ def _replicates(work: Callable[[int], object], seed: int, tag: str, count: int,
     return parallel_map(work, derive_seeds(seed, tag, count=count).tolist(), max_workers)
 
 
-def _require_oracle(model: Model):
+def _require_oracle(model: Model, s0) -> np.ndarray:
+    """The checked ``s0``, once the model's oracle has a posterior there:
+    a model without an oracle, or an s0 outside its summary's support,
+    fails here, before any table is simulated."""
     if model.oracle is None:
         raise UnsupportedModelError(f"model '{model.model_id}' has no posterior oracle")
+    s0 = core.check_s0(s0, model.m)
+    model.oracle.mean(s0)
+    return s0
 
 
 def integrated_squared_error(values: np.ndarray, oracle_values: np.ndarray, axes) -> float:
@@ -95,8 +101,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     squared error.  ``h`` is either a fixed bandwidth or "auto"
     (:func:`tuning.resolve_bandwidth`).
     """
-    _require_oracle(model)
-    s0 = core.check_s0(s0, model.m)
+    s0 = _require_oracle(model, s0)
 
     def one(replicate_seed: int):
         accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
@@ -127,10 +132,11 @@ def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.Kern
                     max_workers: int = 1) -> RateReport:
     """MISE ladder across N with schedule-tuned (k, h), plus the fitted
     log-log slope and its standard error."""
-    _require_oracle(model)
+    s0 = _require_oracle(model, s0)
     Ns = [int(n) for n in Ns]
-    if len(Ns) < 3:
-        raise InvalidArgumentError("need at least 3 table sizes for a rate fit")
+    if len(Ns) < 3 or len(set(Ns)) < 2:
+        raise InvalidArgumentError(
+            "need at least 3 table sizes, 2 of them distinct, for a rate fit")
     reports = []
     for i, n_rows in enumerate(Ns):
         k, _ = tuning.schedule(model.m, model.p, n_rows, c_k=c_k)
@@ -303,8 +309,7 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
     "identity", "square", "one") over replicate tables and z-score each
     against its oracle moment.
     """
-    _require_oracle(model)
-    s0 = core.check_s0(s0, model.m)
+    s0 = _require_oracle(model, s0)
     mean, var = float(model.oracle.mean(s0)[0]), float(model.oracle.variance(s0)[0, 0])
     resolved = []
     for name in phis:

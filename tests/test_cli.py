@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnabc
-from knnabc import cli, core, estimators, fileio, get_model, validate
+from knnabc import cli, core, estimators, fileio, get_model, models, validate
 from knnabc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig,
                         validate_config)
 from knnabc.errors import ConfigurationError, InvalidArgumentError
@@ -466,6 +466,63 @@ class TestEndToEnd:
         assert json.loads(capsys.readouterr().err)["messages"] == [message]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sub", ["mise", "rates", "moments"])
+    @pytest.mark.parametrize("model_id, s0", [
+        ("uniform_ball_1d", [5.0]), ("gaussian_conjugate_1d", [11.0]),
+        ("gauss_5d", [11.0, 0.0, 0.0, 0.0, 0.0]), ("uniform_box_1d", [1.5]),
+    ], ids=["ball-5", "conjugate-11", "gauss_5d-11", "box-1.5"])
+    def test_an_s0_without_a_posterior_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                        sub, model_id, s0):
+        # the oracle has no posterior beyond the summary's support, and the
+        # config alone says so: no replicate runs, and no report compares an
+        # estimate with a density that is not there
+        def no_table(*args, **kwargs):
+            raise AssertionError("simulated a table for an s0 the oracle cannot use")
+
+        monkeypatch.setattr(core, "simulate_knn", no_table)
+        raw = minimal_config(N=500, acceptance={"k": 20}, model={"id": model_id}, s0=s0)
+        raw["validate"] = {sub: {"mise": {"replicates": 2},
+                                 "rates": {"Ns": [200, 400, 800], "replicates": 2},
+                                 "moments": {"replicates": 2}}[sub]}
+        code, out_dir = self._run(tmp_path, f"validate {sub}", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [
+            "s0: s0 outside the support of the summary marginal"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("model, block, contents, message", [
+        # one table size gives the rate fit no slope (it ended in a traceback)
+        ({"id": "gaussian_conjugate_1d"}, "rates", {"Ns": [200, 200, 200], "replicates": 2},
+         "validate.rates.Ns: must hold at least 2 distinct sizes"),
+        # a chunk of Philox words past 2^63 bytes (numpy's ValueError, exit 1)
+        ({"id": "gaussian_mean_demo", "params": {"n_obs": 2**62}}, None, None,
+         f"model.params.n_obs: must be <= {2**44}"),
+    ], ids=["rates-one-size", "n_obs-2^62"])
+    def test_configs_that_exited_1_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                     model, block, contents, message):
+        def no_table(*args, **kwargs):
+            raise AssertionError("simulated a table for a config error")
+
+        monkeypatch.setattr(core, "simulate_knn", no_table)
+        raw = minimal_config(N=500, acceptance={"k": 20}, model=model, s0=[1.0])
+        if block is not None:
+            raw["validate"] = {block: contents}
+        code, out_dir = self._run(tmp_path, f"validate {block}" if block else "estimate", raw)
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["messages"] == [message]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("model_id, s0", [
+        ("gaussian_conjugate_1d", [1.0]), ("gauss_5d", [1.0, 0.0, 0.0, 0.0, 0.0])])
+    def test_estimate_at_a_huge_bound(self, tmp_path, capsys, model_id, s0):
+        # the support diameter 2 b sqrt(m + 3) no longer overflows
+        raw = minimal_config(N=1000, acceptance={"k": 50},
+                             model={"id": model_id, "params": {"bound": 1e300}}, s0=s0)
+        code, out_dir = self._run(tmp_path, "estimate", raw)
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (out_dir / "density.csv").exists()
+
     def test_runtime_error_exit(self, tmp_path, capsys):
         # zero-width tolerance accepts nothing: a runtime failure, not a 0
         raw = minimal_config(N=100, acceptance={"epsilon": 0.0})
@@ -783,6 +840,62 @@ def test_every_count_ends_in_exit_0_2_or_3(tmp_path, capsys, monkeypatch, path, 
     elif label == "largest+1":
         assert code == EXIT_CONFIG
         assert error["messages"][0].startswith(f"{'N' if command == 'schedule' else path}: ")
+
+
+def _param_cases():
+    """(model id, params) for extreme values of every model parameter."""
+    for model_id, name in (("gaussian_conjugate_1d", "bound"), ("gauss_5d", "bound"),
+                           ("gaussian_mean_demo", "bound"), ("uniform_ball_1d", "radius")):
+        for value in (1e-300, 1e-12, 1e12, 1e300, 1.7e308):
+            yield model_id, {name: value}
+    yield "gaussian_mean_demo", {"n_obs": models.N_OBS_MAX}
+    yield "gaussian_mean_demo", {"n_obs": models.N_OBS_MAX + 1}
+
+
+@pytest.mark.parametrize("command", ["sample", "estimate", *(f"validate {sub}" for sub in (
+    "mise", "rates", "prop1", "bounds", "moments"))], ids=lambda v: v.replace(" ", "-"))
+# s0 entries of 0 lie inside every model's support, even a tiny one; 0.5
+# lies outside the tiny ones
+@pytest.mark.parametrize("s0", [0.0, 0.5])
+@pytest.mark.parametrize("model_id, params", list(_param_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "-".join(
+                             f"{key}={value!r}" for key, value in v.items()))
+def test_every_model_param_ends_in_exit_0_2_or_3(tmp_path, capsys, monkeypatch, model_id,
+                                                 params, s0, command):
+    # as in test_every_count_ends_in_exit_0_2_or_3, a run the config
+    # accepts stops where it would simulate a table
+    def no_memory(*args, **kwargs):
+        raise MemoryError("not allocated in this test")
+
+    for owner, name in ((core, "simulate_knn"), (core, "simulate_tolerance"),
+                        (core, "generate_table"), (core, "write_table"),
+                        (validate, "derive_seeds")):
+        monkeypatch.setattr(owner, name, no_memory)
+    m = get_model(model_id).m
+    raw = minimal_config(acceptance={"k": 20}, model={"id": model_id, "params": params},
+                         s0=[s0] * m)
+    raw["validate"] = {"mise": {"replicates": 2},
+                       "rates": {"Ns": [200, 400, 800], "replicates": 2},
+                       "prop1": {"runs": 2, "oracle_draws": 100},
+                       "bounds": {"pairs": [[999, 9]], "replicates": 2, "xi0": 1.0, "L": 1.0},
+                       "moments": {"replicates": 2}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = cli.main([*command.split(), "--config", str(config), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in out + err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        error = json.loads(err)  # exactly one JSON object
+        assert error["error"] == ("config" if code == EXIT_CONFIG else "runtime")
+    # n_obs past its bound, and nothing else here, is the params' fault
+    over = params.get("n_obs", 0) > models.N_OBS_MAX
+    if code == EXIT_CONFIG:
+        assert error["messages"][0].startswith("model.params.") == over, err
+    else:
+        assert not over
 
 
 def _main_in_thread(argv, timeout=120.0):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from knnabc import abc_knn, generate_table, get_model
+from knnabc import abc_knn, generate_table, get_model, model_ids
 from knnabc.errors import ConfigurationError, InvalidArgumentError
 from knnabc.rng import derive_key, row_words, uniform01
 
@@ -152,6 +152,33 @@ class TestPosteriorOracle:
                 one = model.oracle.pdf(theta0, s0)
                 assert type(one) is np.ndarray and one.shape == (1,)
                 assert one[0] == many[i]
+
+
+# s0[0] beyond each oracle model's summary support, from its parameters:
+# s = theta + noise lies in [-2b, 2b] for the conjugate models, in
+# [-r, 1 + r] for the ball and in [0, 1] for the box
+_BEYOND_SUPPORT = {
+    "gaussian_conjugate_1d": lambda params: (-2 * params["bound"], 2 * params["bound"],
+                                             -11.0, 11.0),
+    "gauss_5d": lambda params: (-2 * params["bound"], 2 * params["bound"], -11.0, 11.0),
+    "uniform_ball_1d": lambda params: (-params["radius"] - 0.01, 1 + params["radius"] + 0.01),
+    "uniform_box_1d": lambda params: (-0.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("model_id", [i for i in model_ids()
+                                      if get_model(i).oracle is not None])
+def test_every_oracle_rejects_an_s0_beyond_the_summary_support(model_id):
+    # the posterior g(theta | s0) exists only where the summary marginal is
+    # positive; a new oracle model must list its support here
+    model = get_model(model_id)
+    for s in _BEYOND_SUPPORT[model_id](model.params):
+        s0 = np.zeros(model.m)
+        s0[0] = s
+        for ask in (lambda: model.oracle.pdf([[0.5]], s0), lambda: model.oracle.mean(s0),
+                    lambda: model.oracle.variance(s0)):
+            with pytest.raises(InvalidArgumentError, match="outside the support"):
+                ask()
 
 
 class TestModelInvariants:

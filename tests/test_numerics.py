@@ -75,6 +75,11 @@ class TestOlsSlope:
         with pytest.raises(InvalidArgumentError):
             ols_slope([1, 2], [3, 4])
 
+    def test_x_without_spread(self):
+        # a rate ladder of one table size: the slope is 0 / 0
+        with pytest.raises(InvalidArgumentError, match="no spread"):
+            ols_slope(np.log([200, 200, 200]), [3.0, 4.0, 5.0])
+
 
 class TestParallelMap:
     def test_order_preserved_any_worker_count(self):

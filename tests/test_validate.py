@@ -103,12 +103,44 @@ class TestPointwiseConsistency:
         assert inversions <= 1
 
 
+@pytest.mark.parametrize("run", [
+    lambda model, s0: mise_estimate(model, s0, 1000, 50, "auto", make_kernel("gaussian", 1),
+                                    2, seed=1),
+    lambda model, s0: rate_experiment(model, s0, [200, 400, 800], make_kernel("gaussian", 1),
+                                      2, seed=1),
+    lambda model, s0: moment_consistency(model, s0, 1000, 50, ["identity"], 2, seed=1),
+], ids=["mise", "rates", "moments"])
+@pytest.mark.parametrize("model_id, s0", [
+    ("gaussian_conjugate_1d", [11.0]), ("gaussian_conjugate_1d", [10.0]),
+    ("gauss_5d", [-11.0, 0.0, 0.0, 0.0, 0.0]), ("uniform_ball_1d", [5.0]),
+    ("uniform_box_1d", [1.5]),
+], ids=["conjugate-11", "conjugate-2b", "gauss_5d--11", "ball-5", "box-1.5"])
+def test_an_s0_without_a_posterior_fails_before_any_simulation(monkeypatch, run, model_id,
+                                                               s0):
+    def no_table(*args, **kwargs):
+        raise AssertionError("simulated a table for an s0 the oracle cannot use")
+
+    monkeypatch.setattr(core, "simulate_knn", no_table)
+    with pytest.raises(InvalidArgumentError, match="outside the support"):
+        run(get_model(model_id), s0)
+
+
 class TestRateExperiment:
     def test_needs_three_points(self):
         model = get_model("gaussian_conjugate_1d")
         with pytest.raises(InvalidArgumentError):
             rate_experiment(model, [1.0], [100, 1000], make_kernel("gaussian", 1),
                             5, seed=65)
+
+    def test_needs_two_distinct_sizes(self, monkeypatch):
+        # one size leaves the log-log fit no slope; found before simulating
+        def no_table(*args, **kwargs):
+            raise AssertionError("simulated a table for a ladder with no slope")
+
+        monkeypatch.setattr(core, "simulate_knn", no_table)
+        with pytest.raises(InvalidArgumentError, match="2 of them distinct"):
+            rate_experiment(get_model("gaussian_conjugate_1d"), [1.0], [200, 200, 200],
+                            make_kernel("gaussian", 1), 2, seed=65)
 
     def test_reports_theoretical_slopes(self):
         model = get_model("gaussian_conjugate_1d")
