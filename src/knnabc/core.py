@@ -83,8 +83,8 @@ def _validate_seed(seed: int) -> int:
 
 
 def _words_per_row(model: Model) -> int:
-    need = model.theta_words + model.summary_words
-    return 4 * ((need + 3) // 4)
+    """A row's words, ``model.words`` padded to whole Philox blocks."""
+    return 4 * ((model.words + 3) // 4)
 
 
 class _Scratch:
@@ -157,7 +157,7 @@ def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.nd
             else:
                 np.take(values, at, out=bound, mode="clip")
 
-    for step, (j, _) in enumerate(model.coordinates):
+    for step, j in enumerate(model.coordinates):
         gap, other = lo[:n], hi[:n]
         model.summary_bounds(j, gather, gap, other)
         # the distance from s0[j] to [lo, hi], squared
@@ -200,11 +200,10 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
         if rows is not None:
             words = words[rows]
     n = words.shape[0]
-    u = uniform01(words)
+    u = uniform01(words)[:, :model.words]  # the model never sees the padding words
     thetas, summaries, d2 = scratch.thetas[:n], scratch.summaries[:n], scratch.d2[:n]
-    model.thetas_from_uniforms(u[:, :model.theta_words], thetas)
-    for j, columns in model.coordinates:
-        model.summaries_from_uniforms(j, thetas, u[:, columns], summaries[:, j])
+    model.thetas_from_uniforms(u, thetas)
+    model.summaries_from_uniforms(thetas, u, summaries)
     if s0 is None:
         return rows, thetas, summaries, None
     squared_distances(summaries, s0, out=d2)

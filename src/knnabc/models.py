@@ -8,6 +8,10 @@ marginal has compact support; oracles account for the truncation exactly,
 so Bayes-rule identities hold to quadrature precision.  Every oracle is a
 density on the window of theta that s0 allows (``_window_oracle``), and
 raises where that window is empty: outside the summary's support.
+
+Each builder states its rows' word layout once: its theta and summary
+transforms and its ``summary_bounds`` index the same word columns of a
+row, side by side.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -65,25 +69,18 @@ class AnalyticJoint:
     marginal_cdf: Optional[Callable] = field(default=None, repr=False)
 
 
-class SummaryCoordinate(NamedTuple):
-    """Entry ``index`` of the summary, computed from theta and the uniforms
-    in ``columns`` of its row (whose first ``theta_words`` are theta's)."""
-
-    index: int
-    columns: slice
-
-
 @dataclass(frozen=True)
 class Model:
     """Immutable model descriptor.
 
     Sampling enters only through explicit uniforms, so draws are a pure
     function of the random words handed in; descriptors are safe to share
-    across threads.  For n rows, ``thetas_from_uniforms(u, out)`` writes
-    the (n, p) thetas from their (n, theta_words) uniforms, and
-    ``summaries_from_uniforms(j, thetas, u, out)`` writes summary entry j
-    into the (n,) ``out`` from the uniforms of the columns its coordinate
-    lists.  Both may overwrite ``u`` and act on each row alone.
+    across threads.  A row reads ``words`` word columns, and n rows hand
+    their (n, words) uniforms ``u`` to both transforms whole:
+    ``thetas_from_uniforms(u, out)`` writes the (n, p) thetas and
+    ``summaries_from_uniforms(thetas, u, out)`` the (n, m) summaries, each
+    from the columns of ``u`` it names.  Both act on each row alone, and
+    the summaries may overwrite ``u``.
 
     ``summary_bounds(j, gather, lo, hi)`` writes into the (n,) ``lo`` and
     ``hi`` bounds on summary entry j of n rows, as computed, from the bins
@@ -99,12 +96,11 @@ class Model:
     params: Mapping[str, float]
     p: int
     m: int
-    theta_words: int
-    summary_words: int
+    words: int
     thetas_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     summaries_from_uniforms: Callable = field(repr=False)
     summary_bounds: Callable = field(repr=False)
-    coordinates: tuple[SummaryCoordinate, ...]
+    coordinates: tuple[int, ...]
     support_diameter: Optional[float] = None
     oracle: Optional[PosteriorOracle] = field(default=None, repr=False)
     analytic: Optional[AnalyticJoint] = field(default=None, repr=False)
@@ -113,7 +109,7 @@ class Model:
     def __post_init__(self):
         if self.p < 1 or self.m < 1:
             raise InvalidArgumentError("model dimensions p and m must be >= 1")
-        if sorted(c.index for c in self.coordinates) != list(range(self.m)):
+        if sorted(self.coordinates) != list(range(self.m)):
             raise InvalidArgumentError("coordinates must list each summary entry once")
 
 
@@ -190,9 +186,9 @@ def _uniform_oracle(window) -> PosteriorOracle:
 # built-in models
 
 def _thetas_truncated_normal(bound: float):
-    """Transform of a prior N(0,1) truncated to [-bound, bound]."""
+    """Transform of a prior N(0,1) truncated to [-bound, bound], from word column 0."""
     def thetas(u, out):
-        return truncated_normal_from_uniform(u, bound, out=out)
+        return truncated_normal_from_uniform(u[:, :1], bound, out=out)
     return thetas
 
 
@@ -202,10 +198,10 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
     ancillary noise: they factor out of the joint density, so the posterior
     is that of the m = 1 model (``gaussian_conjugate_1d``)."""
 
-    def summaries(j, thetas_, u, out):
-        truncated_normal_from_uniform(u[:, 0], bound, out=out)
-        if j == 0:
-            np.add(out, thetas_[:, 0], out=out)
+    def summaries(thetas_, u, out):
+        # entry j is the draw of word column j + 1, and entry 0 adds theta
+        truncated_normal_from_uniform(u[:, 1:], bound, out=out)
+        np.add(out[:, 0], thetas_[:, 0], out=out[:, 0])
         return out
 
     def summary_bounds(j, gather, lo, hi):
@@ -248,15 +244,13 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
     return Model(
         model_id=model_id,
         params={"bound": bound},
-        p=1, m=m,
-        theta_words=1, summary_words=m,
+        p=1, m=m, words=1 + m,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
         # the ancillary entries first: their bounds read one word, entry 0's
         # two, and a row far from s0 in them is dropped before entry 0
-        coordinates=tuple(SummaryCoordinate(j, slice(j + 1, j + 2))
-                          for j in (*range(1, m), 0)),
+        coordinates=(*range(1, m), 0),
         # support is [-2b, 2b] x [-b, b]^(m-1); the diameter of that box,
         # sqrt((4b)^2 + (m-1)(2b)^2), written so that no b overflows
         support_diameter=2.0 * bound * math.sqrt(m + 3.0),
@@ -274,15 +268,15 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
 
 
 def _thetas_uniform(u, out):
-    """Transform of a prior U[0,1]."""
-    out[:] = u
+    """Transform of a prior U[0,1], from word column 0."""
+    out[:] = u[:, :1]
     return out
 
 
 def _uniform_box_1d() -> Model:
-    def summaries(j, thetas_, u, out):
+    def summaries(thetas_, u, out):
         # summary independent of theta; the marginal of s is exactly U[0,1]
-        out[:] = u[:, 0]
+        out[:] = u[:, 1:]
         return out
 
     def summary_bounds(j, gather, lo, hi):
@@ -291,12 +285,11 @@ def _uniform_box_1d() -> Model:
     return Model(
         model_id="uniform_box_1d",
         params={},
-        p=1, m=1,
-        theta_words=1, summary_words=1,
+        p=1, m=1, words=2,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(SummaryCoordinate(0, slice(1, 2)),),
+        coordinates=(0,),
         support_diameter=1.0,
         # the posterior is the prior, wherever s0 is in the summary's [0, 1]
         oracle=_uniform_oracle(lambda s: (0.0, 1.0) if 0.0 <= s <= 1.0 else (0.0, 0.0)),
@@ -304,11 +297,11 @@ def _uniform_box_1d() -> Model:
 
 
 def _uniform_ball_1d(radius: float = 0.1) -> Model:
-    def summaries(j, thetas_, u, out):
-        np.multiply(u[:, 0], 2.0, out=out)
+    def summaries(thetas_, u, out):
+        np.multiply(u[:, 1:], 2.0, out=out)
         np.subtract(out, 1.0, out=out)
         np.multiply(out, radius, out=out)
-        return np.add(out, thetas_[:, 0], out=out)
+        return np.add(out, thetas_, out=out)
 
     def summary_bounds(j, gather, lo, hi):
         # the same steps on the bounds: each is increasing, as radius > 0
@@ -322,12 +315,11 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
     return Model(
         model_id="uniform_ball_1d",
         params={"radius": radius},
-        p=1, m=1,
-        theta_words=1, summary_words=1,
+        p=1, m=1, words=2,
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(SummaryCoordinate(0, slice(1, 2)),),
+        coordinates=(0,),
         support_diameter=1.0 + 2.0 * radius,
         oracle=_uniform_oracle(lambda s: (max(0.0, s - radius), min(1.0, s + radius))),
     )
@@ -338,10 +330,12 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
     the summary is their mean.  No closed-form oracle is attached (the mean
     of truncated normals has none)."""
 
-    def summaries(j, thetas_, u, out):
-        y = truncated_normal_from_uniform(u, bound, out=u)
+    def summaries(thetas_, u, out):
+        # the draws of word columns 1..n_obs, shifted by theta, then averaged
+        y = truncated_normal_from_uniform(u[:, 1:], bound, out=u[:, 1:])
         np.add(y, thetas_, out=y)
-        return np.mean(y, axis=1, out=out)
+        np.mean(y, axis=1, out=out[:, 0])
+        return out
 
     def summary_bounds(j, gather, lo, hi):
         table = truncated_normal_bins(bound)
@@ -368,12 +362,11 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
     return Model(
         model_id="gaussian_mean_demo",
         params={"n_obs": n_obs, "bound": bound},
-        p=1, m=1,
-        theta_words=1, summary_words=n_obs,
+        p=1, m=1, words=1 + n_obs,
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(SummaryCoordinate(0, slice(1, 1 + n_obs)),),
+        coordinates=(0,),
         support_diameter=4.0 * bound,
         summary_map=summary_map,
     )

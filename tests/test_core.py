@@ -55,14 +55,11 @@ def _sort_oracle(summaries, s0, k):
 
 def _stream_rows(model, key, n):
     """Rows 0..n-1 of the joint stream with this key, every summary entry
-    of every row computed: the reference that pruning must not change."""
-    need = model.theta_words + model.summary_words
-    u = uniform01(row_words(key, 0, n, 4 * -(-need // 4))[:, :need])
-    thetas = model.thetas_from_uniforms(u[:, :model.theta_words].copy(), np.empty((n, model.p)))
-    summaries = np.empty((n, model.m))
-    for j, columns in model.coordinates:
-        model.summaries_from_uniforms(j, thetas, u[:, columns].copy(), summaries[:, j])
-    return thetas, summaries
+    of every row computed in one pass: the reference that chunks and
+    pruning must not change."""
+    u = uniform01(row_words(key, 0, n, 4 * -(-model.words // 4))[:, :model.words].copy())
+    thetas = model.thetas_from_uniforms(u, np.empty((n, model.p)))
+    return thetas, model.summaries_from_uniforms(thetas, u, np.empty((n, model.m)))
 
 
 def _to_lattice(values):
@@ -75,8 +72,8 @@ def _lattice(model):
     """``model`` with every summary entry rounded to the 0.25 lattice, so
     that thousands of rows tie at each distance.  Rounding is monotone, so
     the rounded bounds bound the rounded entries."""
-    def summaries(j, thetas, u, out):
-        return _to_lattice(model.summaries_from_uniforms(j, thetas, u, out))
+    def summaries(thetas, u, out):
+        return _to_lattice(model.summaries_from_uniforms(thetas, u, out))
 
     def bounds(j, gather, lo, hi):
         model.summary_bounds(j, gather, lo, hi)
@@ -170,7 +167,7 @@ class TestGenerateTable:
                                               -0.3220547983437429]
 
     @pytest.mark.parametrize("model_id", model_ids())
-    def test_rows_match_the_stream_computed_entry_by_entry(self, model_id):
+    def test_rows_match_the_stream_computed_in_one_pass(self, model_id):
         model = get_model(model_id)
         n = _CHUNK_ROWS + 5
         table = generate_table(model, n, 4, max_workers=2)
@@ -491,6 +488,41 @@ _FILTER_MODELS = model_ids() + ("gaussian_conjugate_1d_lattice", "gauss_5d_latti
 def _filter_model(name):
     base = name.removesuffix("_lattice")
     return get_model(base) if base == name else _lattice(get_model(base))
+
+
+class TestChunkKernel:
+    @pytest.mark.parametrize("model_id", model_ids())
+    def test_never_reads_a_rows_padding_words(self, model_id):
+        # a row draws whole Philox blocks, of which the model reads the
+        # first model.words; flipping every bit of the rest changes nothing,
+        # with or without the bounds pass
+        model, n = get_model(model_id), 500
+        words = row_words(derive_key(11, "padding"), 0, n, core._words_per_row(model))
+        assert words.shape[1] > model.words
+        scratch = core._Scratch(model, n)
+        s0 = core._simulate_rows(model, words.copy(), scratch)[2][0].copy()
+        tau = float(np.sort(core._simulate_rows(model, words.copy(), scratch, s0)[3])[n // 10])
+
+        def simulate():
+            return [[None if a is None else a.tobytes()
+                     for a in core._simulate_rows(model, words.copy(), scratch, *select)]
+                    for select in ((), (s0, tau))]
+
+        before = simulate()
+        words[:, model.words:] = ~words[:, model.words:]
+        assert simulate() == before
+
+    @pytest.mark.parametrize("model_id", model_ids())
+    def test_each_row_as_if_simulated_alone(self, model_id):
+        model, n = get_model(model_id), 64
+        words = row_words(derive_key(12, "alone"), 0, n, core._words_per_row(model))
+        scratch = core._Scratch(model, n)
+        _, thetas, summaries, _ = core._simulate_rows(model, words.copy(), scratch)
+        thetas, summaries = thetas.copy(), summaries.copy()
+        for i in range(n):
+            _, theta, summary, _ = core._simulate_rows(model, words[i:i + 1].copy(), scratch)
+            assert theta.tobytes() == thetas[i].tobytes()
+            assert summary.tobytes() == summaries[i].tobytes()
 
 
 class TestBoundsFilter:

@@ -1,14 +1,16 @@
 """Every package module uses each name it imports (``__init__`` re-exports),
-only ``numerics`` handles threads, and every name the benchmark's tracer
-wraps exists."""
+only ``numerics`` handles threads, every name the benchmark's tracer wraps
+exists, and the models the tracer rebuilds simulate as the untraced ones."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import knnabc
+from knnabc import core, models
 
 MODULES = sorted(p for p in Path(knnabc.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -80,3 +82,30 @@ def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_models_rebuilt_by_the_benchmark_tracer_keep_their_bits(monkeypatch):
+    # the tracer rebuilds each model with both transforms wrapped in spans;
+    # a change to the model protocol that the wrapped transforms no longer
+    # follow shows here, not first in a traced benchmark run.  Each of the
+    # 4 chunks calls each transform once.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    n_rows = 3 * core._CHUNK_ROWS + 17
+
+    def run(model):
+        accepted = core.simulate_knn(model, n_rows, 5, np.full(model.m, 0.3), 50)
+        return ([a.tobytes() for a in (accepted.ordered_thetas, accepted.ordered_summaries,
+                                       accepted.distances, accepted.source_indices)],
+                accepted.radius_next)
+
+    plain = {model_id: run(models.get_model(model_id)) for model_id in models.model_ids()}
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        for model_id in models.model_ids():
+            before = len(tracer.spans)
+            assert run(models.get_model(model_id)) == plain[model_id]
+            spans = [s.name for s in tracer.spans[before:]]
+            assert spans.count("models.inverse_cdf") == 2 * 4
+    finally:
+        tracer.uninstall()

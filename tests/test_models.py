@@ -39,12 +39,8 @@ def _uniforms(seed, tag, n, width):
 
 
 def _summaries(model, thetas, u):
-    """Every summary entry of the rows with these thetas and uniforms (one
-    row of ``theta_words + summary_words`` each), one coordinate at a time."""
-    out = np.empty((u.shape[0], model.m))
-    for j, columns in model.coordinates:
-        model.summaries_from_uniforms(j, thetas, u[:, columns].copy(), out[:, j])
-    return out
+    """The summaries of the rows with these thetas and (n, model.words) uniforms."""
+    return model.summaries_from_uniforms(thetas, u.copy(), np.empty((u.shape[0], model.m)))
 
 
 class TestSamplePrior:
@@ -79,7 +75,7 @@ class TestSamplePrior:
 class TestSimulateSummary:
     def test_conjugate_noise_centering(self):
         model = get_model("gaussian_conjugate_1d")
-        u = _uniforms(201, "sim", 5000, model.theta_words + model.summary_words)
+        u = _uniforms(201, "sim", 5000, model.words)
         draws = _summaries(model, np.zeros((5000, 1)), u)[:, 0]
         assert abs(draws.mean()) <= 4.0 / math.sqrt(5000)
 
@@ -136,6 +132,16 @@ class TestPosteriorOracle:
                        -BOUND, BOUND)
         val = trunc_noise_pdf(1.0 - 0.5) * trunc_prior_pdf(0.5) * tail / norm
         assert five.oracle.pdf(0.5, s0) == pytest.approx(val, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closed-form truncated-normal"
+                                           " variance cancels on a narrow window")
+    def test_variance_on_a_narrow_window_near_the_support_edge(self):
+        # at s0 = 9.9999 the window of theta is [4.9999, 5], 1e-4 wide and
+        # so nearly symmetric about the posterior mean that the variance is
+        # within about 7e-10 relative of the uniform w^2 / 12 (mpmath
+        # quadrature); the closed form returns 8.335959e-10, 3.2e-4 above
+        model = get_model("gaussian_conjugate_1d")
+        assert model.oracle.variance([9.9999])[0, 0] == pytest.approx(1e-8 / 12, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("model_id", ["gaussian_conjugate_1d", "gauss_5d",
                                           "uniform_box_1d", "uniform_ball_1d"])
@@ -254,9 +260,8 @@ class TestModelInvariants:
     def test_seed_determinism_bitwise(self):
         model = get_model("gauss_5d")
         theta = np.full((1, 1), 0.3)
-        width = model.theta_words + model.summary_words
-        a = _summaries(model, theta, _uniforms(9, "det", 1, width))
-        b = _summaries(model, theta, _uniforms(9, "det", 1, width))
+        a = _summaries(model, theta, _uniforms(9, "det", 1, model.words))
+        b = _summaries(model, theta, _uniforms(9, "det", 1, model.words))
         assert a.shape == (1, 5)
         assert a.tobytes() == b.tobytes()
 
