@@ -22,8 +22,13 @@ def _defer_numpy_submodules():
 
     scipy.special's array-API shim runs ``from numpy import *``, and
     numpy's ``__all__`` names these submodules, so the star-import would
-    execute them although neither knnabc nor scipy.special uses them.  A
-    lazy module is bound unexecuted and loads on its first attribute
+    execute them although neither knnabc nor scipy.special uses them.
+    knnabc loads only scipy.special's compiled ufuncs (``rng``), so the
+    star-import runs only in a process that loads ``scipy.stats``
+    (``validate._ks_pvalues``).  There the deferral still pays:
+    ``import knnabc.validate; import scipy.stats`` took 0.70 s and
+    91.5 MB with it, 0.79 s and 99.2 MB without (2 vCPUs, median of 9).
+    A lazy module is bound unexecuted and loads on its first attribute
     access.  Python 3.11's LazyLoader is not thread-safe on that first
     access; no knnabc worker thread touches these modules.
     """

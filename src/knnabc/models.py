@@ -22,11 +22,10 @@ from functools import partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, InvalidArgumentError
 from .numerics import is_finite
-from .rng import truncated_normal_bins, truncated_normal_from_uniform, uniform_bins
+from .rng import ndtr, truncated_normal_bins, truncated_normal_from_uniform, uniform_bins
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,6 +100,7 @@ def parallel_map(fn, items, max_workers: int = 1) -> list:
     workers = _pool_size(max_workers, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -115,6 +115,7 @@ def ordered_map(fn, items, max_workers: int = 1):
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         running = [pool.submit(fn, it) for it in items[:workers]]
         for i in range(len(items)):

@@ -9,10 +9,50 @@ bit-identical no matter how the work is chunked or how many workers run.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import os
+import sys
+import types
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+
+def _normal_ufuncs():
+    """scipy.special's compiled ``ndtr`` and ``ndtri``, loaded without
+    running the package's ``__init__``.
+
+    That ``__init__`` sets up scipy's array-API layer
+    (``_support_alternative_backends``, ``scipy._lib._array_api``): about
+    0.1 s of the 0.26 s ``import knnabc.cli`` took with it (2 vCPUs,
+    median of 9 runs; 0.15 s without), for two ufuncs.  A bare stub for
+    ``scipy.special`` that carries only ``__path__`` lets
+    ``scipy.special._ufuncs`` load alone, and the stub leaves
+    ``sys.modules`` at once.  A later ``import scipy.special`` reuses the
+    loaded ``_ufuncs``, so its ``ndtr`` and ``ndtri`` are these very
+    objects.  Another thread that imports ``scipy.special`` while knnabc
+    itself is being imported could see the stub.  A scipy laid out
+    otherwise gets the package import.
+    """
+    module = sys.modules.get("scipy.special")
+    if module is None:
+        import scipy
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            module = importlib.import_module("scipy.special._ufuncs")
+        except ImportError:
+            pass
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    if not (hasattr(module, "ndtr") and hasattr(module, "ndtri")):
+        import scipy.special as module
+    return module.ndtr, module.ndtri
+
+
+ndtr, ndtri = _normal_ufuncs()
 
 WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter block
 

@@ -993,7 +993,9 @@ class TestStreamedSample:
 
 # After `import knnabc.cli`, and again after an in-process `abc estimate`
 # and `abc sample`, each module is absent or a lazy module not yet executed.
-# type() does not load a lazy module; an attribute access would.
+# type() does not load a lazy module; an attribute access would.  A stub
+# for scipy.special left behind by knnabc.rng is a plain module, so it
+# fails this check too.
 _UNLOADED_PROBE = """
 import json, sys, types
 import knnabc.cli
@@ -1015,6 +1017,46 @@ first = sys.modules["numpy.ma"]
 import numpy, knnabc.cli
 print(json.dumps([sys.modules["numpy.ma"] is first, numpy.ma is first]))
 """
+# scipy.special imported before knnabc lends knnabc its ufuncs
+_SPECIAL_FIRST_PROBE = """
+import json
+import scipy.special
+import knnabc.cli
+from knnabc import rng
+print(json.dumps([rng.ndtr is scipy.special.ndtr, rng.ndtri is scipy.special.ndtri]))
+"""
+# scipy.stats imported after knnabc loads the whole scipy.special package,
+# which reuses the ufuncs knnabc loaded
+_STATS_AFTER_PROBE = """
+import json
+import knnabc.cli
+from knnabc import rng
+from scipy.stats import kstwo
+import scipy.special
+print(json.dumps([hasattr(scipy.special, "erf"), rng.ndtr is scipy.special.ndtr,
+                  rng.ndtri is scipy.special.ndtri, 0.0 < float(kstwo.sf(0.2, 50)) < 1.0]))
+"""
+# a scipy whose compiled ufuncs cannot load alone: knnabc imports the package
+_REFUSED_PROBE = """
+import importlib.abc, json, sys
+
+class RefuseOnce(importlib.abc.MetaPathFinder):
+    refused = 0
+
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs" and not self.refused:
+            self.refused += 1
+            raise ImportError("refused once")
+        return None
+
+finder = RefuseOnce()
+sys.meta_path.insert(0, finder)
+import knnabc.cli
+from knnabc import rng
+import scipy.special
+print(json.dumps([finder.refused, hasattr(scipy.special, "erf"),
+                  rng.ndtr is scipy.special.ndtr, rng.ndtri is scipy.special.ndtri]))
+"""
 # the deferred modules still work when used
 _USE_PROBE = """
 import json
@@ -1028,8 +1070,12 @@ print(json.dumps([float(masked.sum()), int(masked.count())]))
 
 @pytest.mark.parametrize("probe, expected", [
     *(pytest.param(_UNLOADED_PROBE.replace("NAME", repr(name)), [True, True], id=name)
-      for name in ("scipy.stats", "numpy.f2py", "numpy.testing", "numpy.ma")),
+      for name in ("scipy.stats", "scipy.special", "scipy._lib._array_api",
+                   "concurrent.futures", "numpy.f2py", "numpy.testing", "numpy.ma")),
     pytest.param(_IMPORTED_FIRST_PROBE, [True, True], id="numpy.ma-imported-first"),
+    pytest.param(_SPECIAL_FIRST_PROBE, [True, True], id="scipy.special-imported-first"),
+    pytest.param(_STATS_AFTER_PROBE, [True] * 4, id="scipy.stats-imported-after"),
+    pytest.param(_REFUSED_PROBE, [1, True, True, True], id="ufuncs-load-refused-once"),
     pytest.param(_USE_PROBE, [5.0, 2], id="numpy-testing-and-ma-used"),
 ])
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, probe, expected):

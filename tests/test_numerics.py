@@ -1,5 +1,6 @@
 """Numerical utilities against independent references."""
 
+import concurrent.futures
 import math
 import threading
 import time
@@ -120,7 +121,8 @@ class TestParallelMap:
                 future.set_result(fn(item))
                 return future
 
-        monkeypatch.setattr(numerics, "ThreadPoolExecutor", RecordingPool)
+        # numerics imports the pool class when a pool is first needed
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: cpus)
         items = list(range(n_items))
         assert parallel_map(lambda i: -i, items, asked) == [-i for i in items]
