@@ -11,6 +11,7 @@ conjugate posteriors.
 
 __version__ = "0.1.0"
 
+import importlib
 import importlib.util
 import sys
 
@@ -46,26 +47,27 @@ def _defer_numpy_submodules():
 # before any module of the package imports scipy
 _defer_numpy_submodules()
 
-from .core import (AcceptedSet, ReferenceTable, abc_knn, abc_tolerance,
-                   generate_table, percentile_to_k, sample_restricted, simulate_knn)
-from .estimators import (DensityEstimate, KernelSpec, estimate_density, make_kernel,
-                         posterior_functional, unit_ball_volume)
-from .models import Model, PosteriorOracle, get_model, model_ids
-from .tuning import (Schedule, TheoreticalQuantities, distance_moment_bound,
-                     mise_prediction, mise_rate_quantities, resolve_schedule,
-                     schedule)
-from .validate import (MiseReport, RateReport, bound_check, conditional_law_test,
-                       mise_estimate, moment_consistency, prop1_calibration,
-                       rate_experiment)
+# The public names, each loaded with its module on first access (PEP 562),
+# so that a process loads only the modules it uses: ``abc sample`` never
+# loads ``tuning`` or ``validate``.
+_EXPORTS = {
+    "core": ("AcceptedSet", "ReferenceTable", "abc_knn", "abc_tolerance", "generate_table",
+             "percentile_to_k", "sample_restricted", "simulate_knn"),
+    "estimators": ("DensityEstimate", "KernelSpec", "estimate_density", "make_kernel",
+                   "posterior_functional", "unit_ball_volume"),
+    "models": ("Model", "PosteriorOracle", "get_model", "model_ids"),
+    "tuning": ("Schedule", "TheoreticalQuantities", "distance_moment_bound",
+               "mise_prediction", "mise_rate_quantities", "resolve_schedule", "schedule"),
+    "validate": ("MiseReport", "RateReport", "bound_check", "conditional_law_test",
+                 "mise_estimate", "moment_consistency", "prop1_calibration",
+                 "rate_experiment"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AcceptedSet", "DensityEstimate", "KernelSpec", "MiseReport", "Model",
-    "PosteriorOracle", "RateReport", "ReferenceTable", "Schedule",
-    "TheoreticalQuantities", "__version__", "abc_knn", "abc_tolerance",
-    "bound_check", "conditional_law_test", "distance_moment_bound",
-    "estimate_density", "generate_table", "get_model", "make_kernel",
-    "mise_estimate", "mise_prediction", "mise_rate_quantities", "model_ids",
-    "moment_consistency", "percentile_to_k", "posterior_functional",
-    "prop1_calibration", "rate_experiment", "resolve_schedule",
-    "sample_restricted", "schedule", "simulate_knn", "unit_ball_volume",
-]
+__all__ = sorted(["__version__", *_OWNER])
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)

@@ -22,7 +22,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, core, estimators, tuning, validate
+# tuning and validate are imported by the commands that use them, so that
+# `abc sample` loads neither (nor tuning's fractions)
+from . import __version__, core, estimators
 from .errors import (ConfigurationError, InvalidArgumentError, KnnAbcError,
                      UnsupportedModelError)
 from .fileio import (atomic_files, atomic_write_bytes, csv_header, json_bytes,
@@ -306,6 +308,7 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
             errors.append(f"{path}.order: must be 2 or 4")
         out["order"] = order
     elif name == "moments":
+        from . import validate
         phis = block.get("phis", ["identity", "square"])
         if not isinstance(phis, list) or not phis or any(
                 not isinstance(p, str) or p not in validate._PHI_REGISTRY for p in phis):
@@ -344,6 +347,7 @@ def _check_auto_k(config: RunConfig, k: int, key: str, where: str = "") -> None:
     """A config error when the "auto" bandwidth would smooth fewer than
     ``tuning.AUTO_MIN_ROWS`` accepted rows: the config alone fixes k, so
     this is found before any simulation starts."""
+    from . import tuning
     if config.bandwidth == "auto" and k < tuning.AUTO_MIN_ROWS:
         raise ConfigurationError(
             [f"{key}: bandwidth 'auto' needs k >= {tuning.AUTO_MIN_ROWS}, got k = {k}{where}"])
@@ -398,6 +402,7 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         summary["d_k_plus_1"] = accepted.radius_next
         if accepted.k == 0:
             raise KnnAbcError("tolerance accepted zero rows; no estimate is defined")
+        from . import tuning
         h = tuning.resolve_bandwidth(config.bandwidth, accepted.ordered_thetas, model.m,
                                      model.p, config.n_rows)
         summary["h"] = h
@@ -421,6 +426,7 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
 
 
 def _run_validate(config, model, s0, sub, threads, summary, emit_csv, emit_json):
+    from . import tuning, validate
     block = config.blocks.get(sub)
     if block is None:
         raise ConfigurationError([f"validate.{sub}: block is required for this command"])
@@ -496,7 +502,7 @@ def _report_fields(report, drop: str) -> dict:
             if f.name != drop}
 
 
-def _mise_report_dict(report: validate.MiseReport) -> dict:
+def _mise_report_dict(report) -> dict:
     out = _report_fields(report, drop="per_replicate")
     out["N"] = out.pop("n_rows")
     return out
@@ -562,6 +568,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "schedule":
+        from . import tuning
         try:
             k, h = tuning.schedule(args.m, args.p, _check_flag("N", args.N), args.ck, args.ch)
             sched = tuning.resolve_schedule(args.m, args.p)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,8 +36,8 @@ def unit_ball_volume(p: int) -> float:
         half = p // 2
         return math.pi**half / math.factorial(half)
     n = (p + 1) // 2
-    ratio = Fraction(4**n * math.factorial(n), math.factorial(2 * n))
-    return math.pi ** ((p - 1) // 2) * float(ratio)
+    # int true division rounds the exact ratio correctly
+    return math.pi ** ((p - 1) // 2) * (4**n * math.factorial(n) / math.factorial(2 * n))
 
 
 @dataclass(frozen=True)

@@ -716,7 +716,7 @@ def _reference_csv(header, columns):
 
 class TestWriteCsv:
     def test_matches_cell_by_cell_reference(self, tmp_path):
-        n = fileio._CSV_CHUNK_ROWS + 7            # crosses a chunk boundary
+        n = fileio._CSV_BLOCK_CELLS // 4 + 7      # 4 columns: crosses a block boundary
         special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
                    5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
         gen = np.random.default_rng(3)
@@ -1009,6 +1009,22 @@ for command in ("estimate", "sample"):
     assert knnabc.cli.main([command, "--config", config, "--out", out]) == 0
 print(json.dumps([after_import, unloaded()]))
 """
+# the knnabc modules, and fractions, that commands run in process load:
+# each command imports tuning and validate only where it uses them
+_LOADED_PROBE = """
+import json, sys
+import knnabc.cli
+config, out = sys.argv[1:]
+for command in COMMANDS:
+    assert knnabc.cli.main([command, "--config", config, "--out", out]) == 0
+print(json.dumps(sorted(name for name in NAMES if name in sys.modules)))
+"""
+# the package alone loads none of its modules
+_PACKAGE_PROBE = """
+import json, sys
+import knnabc
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("knnabc."))))
+"""
 # numpy.ma imported before knnabc keeps its module object
 _IMPORTED_FIRST_PROBE = """
 import json, sys
@@ -1072,6 +1088,13 @@ print(json.dumps([float(masked.sum()), int(masked.count())]))
     *(pytest.param(_UNLOADED_PROBE.replace("NAME", repr(name)), [True, True], id=name)
       for name in ("scipy.stats", "scipy.special", "scipy._lib._array_api",
                    "concurrent.futures", "numpy.f2py", "numpy.testing", "numpy.ma")),
+    pytest.param(_LOADED_PROBE.replace("COMMANDS", '["sample"]').replace(
+        "NAMES", '["knnabc.validate", "knnabc.tuning", "fractions"]'),
+        [], id="sample-loads-no-tuning-validate-fractions"),
+    pytest.param(_LOADED_PROBE.replace("COMMANDS", '["estimate"]').replace(
+        "NAMES", '["knnabc.validate", "knnabc.tuning"]'),
+        ["knnabc.tuning"], id="estimate-loads-no-validate"),
+    pytest.param(_PACKAGE_PROBE, [], id="package-loads-no-module"),
     pytest.param(_IMPORTED_FIRST_PROBE, [True, True], id="numpy.ma-imported-first"),
     pytest.param(_SPECIAL_FIRST_PROBE, [True, True], id="scipy.special-imported-first"),
     pytest.param(_STATS_AFTER_PROBE, [True] * 4, id="scipy.stats-imported-after"),

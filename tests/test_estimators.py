@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestUnitBallVolume:
         for p in range(1, 31):
             expected = math.pi ** (p / 2.0) / math.gamma(1.0 + p / 2.0)
             assert unit_ball_volume(p) == pytest.approx(expected, rel=1e-12)
+
+    def test_odd_dimensions_keep_the_bits_of_the_exact_ratio(self):
+        # 4^n n! / (2n)! by int true division, as float(Fraction(...)) rounds it;
+        # past p = 1239, pi^((p-1)/2) overflows
+        for p in range(1, 1240, 2):
+            n = (p + 1) // 2
+            ratio = Fraction(4**n * math.factorial(n), math.factorial(2 * n))
+            assert unit_ball_volume(p) == math.pi ** ((p - 1) // 2) * float(ratio)
 
     def test_bad_dimension(self):
         with pytest.raises(InvalidArgumentError):

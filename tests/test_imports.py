@@ -41,6 +41,17 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_every_public_name_resolves_and_star_import_binds_them():
+    # the names load with their modules on first access (PEP 562)
+    assert all(getattr(knnabc, name) is not None for name in knnabc.__all__)
+    namespace = {}
+    exec("from knnabc import *", namespace)
+    assert set(knnabc.__all__) <= set(namespace)
+    assert namespace["simulate_knn"] is core.simulate_knn
+    with pytest.raises(AttributeError, match="no_such_name"):
+        knnabc.no_such_name
+
+
 def _thread_imports(source: str) -> list[str]:
     """The modules of ``threading`` and ``concurrent.futures`` that a source imports."""
     names = []
