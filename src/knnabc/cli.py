@@ -304,16 +304,15 @@ def _validate_block(errors: list, name: str, block: dict) -> dict:
         elif any(n > COUNT_MAX for n, _ in pairs):
             errors.append(f"{path}.pairs: each N must be <= {COUNT_MAX}")
         order = block.get("order", 2)
-        if order not in (2, 4):
+        if isinstance(order, bool) or not isinstance(order, int) or order not in (2, 4):
             errors.append(f"{path}.order: must be 2 or 4")
         out["order"] = order
     elif name == "moments":
-        from . import validate
         phis = block.get("phis", ["identity", "square"])
         if not isinstance(phis, list) or not phis or any(
-                not isinstance(p, str) or p not in validate._PHI_REGISTRY for p in phis):
+                not isinstance(p, str) or p not in estimators.PHIS for p in phis):
             errors.append(f"{path}.phis: must be a non-empty array from "
-                          f"{sorted(validate._PHI_REGISTRY)}")
+                          f"{sorted(estimators.PHIS)}")
         out["phis"] = phis
     return out
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleRadiusError, InvalidArgumentError
 from .models import Model
 from .numerics import ordered_map, parallel_map, round_half_up
-from .rng import derive_key, derive_keys, row_words, uniform01, word_bins
+from .rng import WORDS_PER_BLOCK, derive_key, derive_keys, row_words, uniform01, word_bins
 
 _CHUNK_ROWS = 1 << 15
 _BLOCK_ROWS = 1 << 13  # table rows per block of validation tables
@@ -84,7 +84,7 @@ def _validate_seed(seed: int) -> int:
 
 def _words_per_row(model: Model) -> int:
     """A row's words, ``model.words`` padded to whole Philox blocks."""
-    return 4 * ((model.words + 3) // 4)
+    return (model.words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK * WORDS_PER_BLOCK
 
 
 class _Scratch:
@@ -127,7 +127,7 @@ def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.nd
     be at most tau, from the bins of their words alone (None when no row
     is ruled out).
 
-    Along ``model.coordinates``, each summary entry's bounds
+    From the last summary entry to the first, each entry's bounds
     (``model.summary_bounds``) give its distance to s0's entry from below,
     and a row is dropped once the sum of their squares exceeds
     tau * (1 + 2m 2^-52).  Rounding is monotone, so each rounded term is at
@@ -157,7 +157,7 @@ def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.nd
             else:
                 np.take(values, at, out=bound, mode="clip")
 
-    for step, j in enumerate(model.coordinates):
+    for step, j in enumerate(reversed(range(model.m))):
         gap, other = lo[:n], hi[:n]
         model.summary_bounds(j, gather, gap, other)
         # the distance from s0[j] to [lo, hi], squared

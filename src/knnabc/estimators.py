@@ -4,7 +4,7 @@
 kernel on R^p -- no ratio, no denominator that can vanish -- at a list of
 points; ``estimate_density`` evaluates the same estimate on a tensor grid,
 axis by axis.  ``posterior_functional`` averages a bounded map over the
-accepted thetas.
+accepted thetas; ``PHIS`` holds the maps a config may name.
 """
 
 from __future__ import annotations
@@ -242,6 +242,15 @@ def posterior_functional(accepted: AcceptedSet, phi: Callable[[np.ndarray], np.n
     values = np.asarray(phi(accepted.ordered_thetas), dtype=float)
     values = np.broadcast_to(values, (accepted.k,))
     return float(values.mean())
+
+
+# The phis a config may name: phi name -> (phi of the (k, p) accepted
+# thetas, its oracle moment from the posterior mean and variance of theta_1)
+PHIS: dict[str, tuple[Callable, Callable[[float, float], float]]] = {
+    "identity": (lambda thetas: thetas[:, 0], lambda mean, var: mean),
+    "square": (lambda thetas: thetas[:, 0] ** 2, lambda mean, var: var + mean * mean),
+    "one": (lambda thetas: np.ones(thetas.shape[0]), lambda mean, var: 1.0),
+}
 
 
 # ---------------------------------------------------------------------------

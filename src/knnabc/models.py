@@ -87,8 +87,8 @@ class Model:
     the (lo, hi) pair of bin tables at each row's bin of word column c
     into ``lo`` and ``hi``, and ``gather(c, table, add=True)`` adds them.
     Bounds that follow the summary's own operations on the table entries
-    hold by monotone rounding.  ``coordinates`` lists every summary entry
-    once, in the order the bounds are tried on a row.
+    hold by monotone rounding.  The bounds pass tries the entries from the
+    last to the first, so an entry whose bounds read the most words goes first.
     """
 
     model_id: str
@@ -99,8 +99,7 @@ class Model:
     thetas_from_uniforms: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     summaries_from_uniforms: Callable = field(repr=False)
     summary_bounds: Callable = field(repr=False)
-    coordinates: tuple[int, ...]
-    support_diameter: Optional[float] = None
+    support_diameter: float
     oracle: Optional[PosteriorOracle] = field(default=None, repr=False)
     analytic: Optional[AnalyticJoint] = field(default=None, repr=False)
     summary_map: Optional[Callable] = field(default=None, repr=False)
@@ -108,8 +107,6 @@ class Model:
     def __post_init__(self):
         if self.p < 1 or self.m < 1:
             raise InvalidArgumentError("model dimensions p and m must be >= 1")
-        if sorted(self.coordinates) != list(range(self.m)):
-            raise InvalidArgumentError("coordinates must list each summary entry once")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +201,7 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
         return out
 
     def summary_bounds(j, gather, lo, hi):
+        # entry 0 reads two words, the others one: the pass tries it last
         table = truncated_normal_bins(bound)
         gather(j + 1, table)
         if j == 0:
@@ -247,9 +245,6 @@ def _conjugate(model_id: str, m: int, bound: float = 5.0) -> Model:
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        # the ancillary entries first: their bounds read one word, entry 0's
-        # two, and a row far from s0 in them is dropped before entry 0
-        coordinates=(*range(1, m), 0),
         # support is [-2b, 2b] x [-b, b]^(m-1); the diameter of that box,
         # sqrt((4b)^2 + (m-1)(2b)^2), written so that no b overflows
         support_diameter=2.0 * bound * math.sqrt(m + 3.0),
@@ -288,7 +283,6 @@ def _uniform_box_1d() -> Model:
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(0,),
         support_diameter=1.0,
         # the posterior is the prior, wherever s0 is in the summary's [0, 1]
         oracle=_uniform_oracle(lambda s: (0.0, 1.0) if 0.0 <= s <= 1.0 else (0.0, 0.0)),
@@ -318,7 +312,6 @@ def _uniform_ball_1d(radius: float = 0.1) -> Model:
         thetas_from_uniforms=_thetas_uniform,
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(0,),
         support_diameter=1.0 + 2.0 * radius,
         oracle=_uniform_oracle(lambda s: (max(0.0, s - radius), min(1.0, s + radius))),
     )
@@ -365,7 +358,6 @@ def _gaussian_mean_demo(n_obs: int = 10, bound: float = 5.0) -> Model:
         thetas_from_uniforms=_thetas_truncated_normal(bound),
         summaries_from_uniforms=summaries,
         summary_bounds=summary_bounds,
-        coordinates=(0,),
         support_diameter=4.0 * bound,
         summary_map=summary_map,
     )

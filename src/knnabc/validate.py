@@ -137,13 +137,12 @@ def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.Kern
     if len(Ns) < 3 or len(set(Ns)) < 2:
         raise InvalidArgumentError(
             "need at least 3 table sizes, 2 of them distinct, for a rate fit")
-    reports = []
-    for i, n_rows in enumerate(Ns):
-        k, _ = tuning.schedule(model.m, model.p, n_rows, c_k=c_k)
-        reports.append(mise_estimate(
-            model, s0, n_rows, k, bandwidth, kernel, replicates,
-            derive_seed(seed, "rate", i), grid_points=grid_points,
-            grid_padding=grid_padding, max_workers=max_workers))
+    # every (N, k) is checked before the first table is simulated
+    ks = [tuning.schedule(model.m, model.p, n_rows, c_k=c_k)[0] for n_rows in Ns]
+    reports = [mise_estimate(model, s0, n_rows, k, bandwidth, kernel, replicates,
+                             derive_seed(seed, "rate", i), grid_points=grid_points,
+                             grid_padding=grid_padding, max_workers=max_workers)
+               for i, (n_rows, k) in enumerate(zip(Ns, ks))]
     log_n = np.log([r.n_rows for r in reports])
     log_mise = np.log([r.mise_mean for r in reports])
     slope, stderr = ols_slope(log_n, log_mise)
@@ -268,12 +267,14 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     if replicates < 1:
         raise InvalidArgumentError("replicates must be >= 1")
     s0 = core.check_s0(s0, model.m)
-    results = []
-    for j, (n_rows, k) in enumerate(Ns_ks):
-        n_rows, k = int(n_rows), int(k)
+    # every pair is checked before the first table is simulated
+    pairs = [(int(n_rows), int(k)) for n_rows, k in Ns_ks]
+    for n_rows, k in pairs:
         if n_rows < 2 or not 0 <= k <= n_rows - 1:
             raise InvalidArgumentError(
                 f"each (N, k) pair needs N >= 2 and 0 <= k <= N-1, got ({n_rows}, {k})")
+    results = []
+    for j, (n_rows, k) in enumerate(pairs):
         try:
             bound = tuning.distance_moment_bound(model.m, k, n_rows, xi0, L_diam, order)
         except BoundHypothesisError as exc:
@@ -293,30 +294,21 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     return results
 
 
-# phi name -> (phi of the (k, p) accepted thetas, its oracle moment from
-# the posterior mean and variance of theta_1)
-_PHI_REGISTRY: dict[str, tuple[Callable, Callable[[float, float], float]]] = {
-    "identity": (lambda thetas: thetas[:, 0], lambda mean, var: mean),
-    "square": (lambda thetas: thetas[:, 0] ** 2, lambda mean, var: var + mean * mean),
-    "one": (lambda thetas: np.ones(thetas.shape[0]), lambda mean, var: 1.0),
-}
-
-
 def moment_consistency(model: Model, s0, n_rows: int, k: int,
                        phis: Sequence, replicates: int, seed: int,
                        max_workers: int = 1) -> list[dict]:
-    """Average the posterior functionals named in ``phis`` (registered:
-    "identity", "square", "one") over replicate tables and z-score each
-    against its oracle moment.
+    """Average the posterior functionals named in ``phis`` (keys of
+    ``estimators.PHIS``) over replicate tables and z-score each against
+    its oracle moment.
     """
     s0 = _require_oracle(model, s0)
     mean, var = float(model.oracle.mean(s0)[0]), float(model.oracle.variance(s0)[0, 0])
     resolved = []
     for name in phis:
-        if name not in _PHI_REGISTRY:
+        if name not in estimators.PHIS:
             raise InvalidArgumentError(
-                f"unknown phi '{name}'; registered: {', '.join(sorted(_PHI_REGISTRY))}")
-        phi, moment = _PHI_REGISTRY[name]
+                f"unknown phi '{name}'; registered: {', '.join(sorted(estimators.PHIS))}")
+        phi, moment = estimators.PHIS[name]
         resolved.append((name, phi, moment(mean, var)))
 
     def one(replicate_seed: int):

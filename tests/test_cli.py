@@ -433,8 +433,11 @@ class TestEndToEnd:
          f"validate.bounds.pairs: each N must be <= {2**53}"),
         ("bounds", {"pairs": [[2**62, 1]], "replicates": 5, "xi0": 1.0, "L": 1.0},
          f"validate.bounds.pairs: each N must be <= {2**53}"),
+        # 4.0 == 4, but order is an integer key like the others
+        ("bounds", {"pairs": [[999, 9]], "replicates": 5, "xi0": 1.0, "L": 1.0, "order": 4.0},
+         "validate.bounds.order: must be 2 or 4"),
     ], ids=["phis-list", "phis-object", "bounds-k-beyond-table", "bounds-n-below-2",
-            "bounds-negative-k", "bounds-n-1e30", "bounds-n-2^62"])
+            "bounds-negative-k", "bounds-n-1e30", "bounds-n-2^62", "bounds-order-float"])
     def test_bad_validate_values_are_config_errors(self, tmp_path, capsys, block, contents,
                                                    message):
         raw = minimal_config(N=500, acceptance={"k": 20}, model={"id": "uniform_box_1d"},
@@ -1084,16 +1087,22 @@ print(json.dumps([float(masked.sum()), int(masked.count())]))
 """
 
 
-@pytest.mark.parametrize("probe, expected", [
-    *(pytest.param(_UNLOADED_PROBE.replace("NAME", repr(name)), [True, True], id=name)
-      for name in ("scipy.stats", "scipy.special", "scipy._lib._array_api",
-                   "concurrent.futures", "numpy.f2py", "numpy.testing", "numpy.ma")),
+# what `abc sample` and `abc estimate` load of validate, tuning and fractions
+_COMMAND_LOADS = [
     pytest.param(_LOADED_PROBE.replace("COMMANDS", '["sample"]').replace(
         "NAMES", '["knnabc.validate", "knnabc.tuning", "fractions"]'),
         [], id="sample-loads-no-tuning-validate-fractions"),
     pytest.param(_LOADED_PROBE.replace("COMMANDS", '["estimate"]').replace(
         "NAMES", '["knnabc.validate", "knnabc.tuning"]'),
         ["knnabc.tuning"], id="estimate-loads-no-validate"),
+]
+
+
+@pytest.mark.parametrize("probe, expected", [
+    *(pytest.param(_UNLOADED_PROBE.replace("NAME", repr(name)), [True, True], id=name)
+      for name in ("scipy.stats", "scipy.special", "scipy._lib._array_api",
+                   "concurrent.futures", "numpy.f2py", "numpy.testing", "numpy.ma")),
+    *_COMMAND_LOADS,
     pytest.param(_PACKAGE_PROBE, [], id="package-loads-no-module"),
     pytest.param(_IMPORTED_FIRST_PROBE, [True, True], id="numpy.ma-imported-first"),
     pytest.param(_SPECIAL_FIRST_PROBE, [True, True], id="scipy.special-imported-first"),
@@ -1102,11 +1111,30 @@ print(json.dumps([float(masked.sum()), int(masked.count())]))
     pytest.param(_USE_PROBE, [5.0, 2], id="numpy-testing-and-ma-used"),
 ])
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, probe, expected):
+    assert _run_probe(tmp_path, probe, minimal_config(N=2000, acceptance={"k": 50})) == expected
+
+
+@pytest.mark.parametrize("probe, expected", _COMMAND_LOADS)
+def test_validate_blocks_load_no_validate_outside_it(tmp_path, probe, expected):
+    # checking a config's validate blocks needs only what import knnabc.cli loads
+    raw = minimal_config(N=2000, acceptance={"k": 50}, validate={
+        "mise": {"replicates": 2},
+        "rates": {"Ns": [200, 400, 800], "replicates": 2},
+        "prop1": {"runs": 1, "oracle_draws": 10},
+        "bounds": {"pairs": [[999, 9]], "replicates": 1, "xi0": 1.0, "L": 1.0, "order": 4},
+        "moments": {"phis": ["identity", "square", "one"], "replicates": 2},
+    })
+    assert _run_probe(tmp_path, probe, raw) == expected
+
+
+def _run_probe(tmp_path, probe, raw):
+    """The last stdout line, as JSON, of ``probe`` run in a fresh interpreter
+    with the arguments (config path, output directory) for config ``raw``."""
     src = str(Path(knnabc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(minimal_config(N=2000, acceptance={"k": 50})))
+    config.write_text(json.dumps(raw))
     result = subprocess.run([sys.executable, "-c", probe, str(config), str(tmp_path / "out")],
                             env=env, check=True, capture_output=True, text=True, timeout=120)
-    assert json.loads(result.stdout.splitlines()[-1]) == expected
+    return json.loads(result.stdout.splitlines()[-1])

@@ -558,6 +558,27 @@ class TestBoundsFilter:
         assert got_d2.tobytes() == d2[exact].tobytes()
 
     @pytest.mark.parametrize("model_id", model_ids())
+    def test_tries_entries_from_the_last_to_the_first(self, model_id):
+        # gauss_5d's entry 0 reads two words, so its builder puts it first
+        # and the pass reaches it last, once the others have dropped rows
+        model = get_model(model_id)
+        visited = []
+
+        def spy(j, *args):
+            visited.append(j)
+            return model.summary_bounds(j, *args)
+
+        spied = dataclasses.replace(model, summary_bounds=spy)
+        n = 1 << 12
+        words = row_words(derive_key(8, "order"), 0, n, core._words_per_row(model))
+        scratch = core._Scratch(model, n)
+        s0 = core._simulate_rows(model, words.copy(), scratch)[2][0].copy()
+        *_, d2 = core._simulate_rows(model, words.copy(), scratch, s0)
+        rows = core._bounds_filter(spied, words, scratch, s0, float(np.sort(d2)[n // 100]))
+        assert rows is not None and rows.size < n
+        assert visited == list(range(model.m - 1, -1, -1))
+
+    @pytest.mark.parametrize("model_id", model_ids())
     def test_keeps_few_rows_beyond_the_exact_ones(self, model_id):
         # tau at the 1 % quantile: the bins rule out nearly every other row
         model, n = get_model(model_id), 1 << 14

@@ -142,6 +142,16 @@ class TestRateExperiment:
             rate_experiment(get_model("gaussian_conjugate_1d"), [1.0], [200, 200, 200],
                             make_kernel("gaussian", 1), 2, seed=65)
 
+    def test_every_size_is_checked_before_any_table(self, monkeypatch):
+        # N = 1 has no schedule; the two sizes before it are not simulated
+        def no_table(*args, **kwargs):
+            raise AssertionError("simulated a table before checking every size")
+
+        monkeypatch.setattr(core, "simulate_knn", no_table)
+        with pytest.raises(InvalidArgumentError, match="n_rows must be >= 2"):
+            rate_experiment(get_model("gaussian_conjugate_1d"), [1.0], [200, 400, 1],
+                            make_kernel("gaussian", 1), 2, seed=65)
+
     def test_reports_theoretical_slopes(self):
         model = get_model("gaussian_conjugate_1d")
         report = rate_experiment(model, [1.0], [300, 1000, 3000],
@@ -339,6 +349,16 @@ class TestBoundCheckBlocks:
     def test_pair_outside_the_table_raises(self, pair):
         with pytest.raises(InvalidArgumentError, match="0 <= k <= N-1"):
             bound_check(get_model("uniform_box_1d"), [0.5], [pair], xi0=1.0,
+                        L_diam=1.0, order=2, replicates=3, seed=1)
+
+    def test_every_pair_is_checked_before_any_table(self, monkeypatch):
+        # (1, 0) fits no table; the valid pair before it is not simulated
+        def no_table(*args, **kwargs):
+            raise AssertionError("simulated a table before checking every pair")
+
+        monkeypatch.setattr(core, "kth_distances", no_table)
+        with pytest.raises(InvalidArgumentError, match=r"got \(1, 0\)"):
+            bound_check(get_model("uniform_box_1d"), [0.5], [(999, 9), (1, 0)], xi0=1.0,
                         L_diam=1.0, order=2, replicates=3, seed=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
