@@ -408,13 +408,11 @@ def run(config: RunConfig, command: str, out_dir, threads: int = 1,
         kernel = estimators.make_kernel(config.kernel, model.p)
         axes = estimators.default_grid(accepted, h, points=config.grid_points,
                                        padding=config.grid_padding)
-        est = estimators.estimate_density(
-            accepted, h, kernel, axes=axes,
-            meta={"N": config.n_rows, "seed": config.seed, "s0": s0.tolist(),
-                  "model_id": model.model_id})
+        est = estimators.estimate_density(accepted, h, kernel, axes=axes)
         emit_csv("density.csv", [f"theta_{j}" for j in range(model.p)] + ["g_hat"],
                  [*estimators.grid_points(est.axes).T, est.values])
-        emit_json("density_meta.json", est.meta)
+        emit_json("density_meta.json", {**est.meta, "N": config.n_rows, "seed": config.seed,
+                                        "s0": s0.tolist(), "model_id": model.model_id})
     elif command == "validate":
         _run_validate(config, model, s0, subcommand, threads, summary, emit_csv, emit_json)
     else:

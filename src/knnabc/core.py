@@ -640,35 +640,3 @@ def write_table(model: Model, n_rows: int, seed: int, fh, write_chunk,
 
     _scan_table(model, key, n_rows, max_workers, write)
 
-
-def table_from_bytes(blob: bytes) -> ReferenceTable:
-    """Read the layout :func:`table_to_bytes` writes; the blob must be
-    exactly header + model id + 8 N (p + m) bytes long."""
-    if len(blob) < _HEADER.size:
-        raise InvalidArgumentError(
-            f"not a reference-table file ({len(blob)} bytes, shorter than its header)")
-    magic, version, n, p, m, seed, id_len = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise InvalidArgumentError("not a reference-table file (bad magic)")
-    if version != _VERSION:
-        raise InvalidArgumentError(f"unsupported table file version {version}")
-    if p < 1 or m < 1:
-        raise InvalidArgumentError(
-            f"reference-table file has p = {p} and m = {m}; both must be >= 1")
-    expected = _HEADER.size + id_len + 8 * n * (p + m)
-    if len(blob) != expected:
-        raise InvalidArgumentError(
-            f"reference-table file is {len(blob)} bytes; its header gives {expected}")
-    off = _HEADER.size
-    try:
-        model_id = blob[off:off + id_len].decode("utf-8")
-    except UnicodeDecodeError:
-        raise InvalidArgumentError("reference-table file: model id is not UTF-8") from None
-    off += id_len
-    cols = np.frombuffer(blob, dtype="<f8", count=n * (p + m), offset=off)
-    cols = cols.reshape(p + m, n)
-    return ReferenceTable(
-        thetas=np.ascontiguousarray(cols[:p].T),
-        summaries=np.ascontiguousarray(cols[p:].T),
-        seed=seed, model_id=model_id)
-

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -258,8 +258,8 @@ PHIS: dict[str, tuple[Callable, Callable[[float, float], float]]] = {
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Estimator values on a tensor grid plus the run metadata needed to
-    reproduce them."""
+    """Estimator values on a tensor grid plus the facts of the estimate:
+    k, h, the kernel, d_(k+1) and the grid shape."""
 
     values: np.ndarray            # (G,) nonnegative, at grid_points(axes)
     axes: tuple                   # per-coordinate ascending 1-D grids
@@ -297,9 +297,9 @@ def grid_points(axes) -> np.ndarray:
 
 
 def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
-                     axes=None, meta: Optional[dict] = None) -> DensityEstimate:
+                     axes=None) -> DensityEstimate:
     """Evaluate the estimate of :func:`g_hat_many` on a tensor grid (the
-    default grid if none is given) and package the result.
+    default grid if none is given) and package it with its facts.
 
     The values are computed axis by axis, not point by point; they equal
     ``g_hat_many`` on ``grid_points(axes)`` up to the order of summation,
@@ -322,14 +322,12 @@ def estimate_density(accepted: AcceptedSet, h: float, kernel: KernelSpec,
         values = _gaussian_grid_sums(centers, h, axes)
     values *= kernel.normalizer
     values *= scale
-    full_meta = {
+    meta = {
         "k": accepted.k,
         "h": float(h),
         "kernel": kernel.kind,
         "d_k_plus_1": accepted.radius_next,
         "grid_shape": [int(len(a)) for a in axes],
     }
-    if meta:
-        full_meta.update(meta)
-    return DensityEstimate(values=values.reshape(-1), axes=axes, meta=full_meta)
+    return DensityEstimate(values=values.reshape(-1), axes=axes, meta=meta)
 

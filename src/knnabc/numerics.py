@@ -39,12 +39,12 @@ def trapezoid_nd(values: np.ndarray, axes) -> float:
     return float(vals)
 
 
-def adaptive_trapezoid(fn, a: float, b: float, rtol: float = 1e-6) -> float:
+def adaptive_trapezoid(fn, a: float, b: float) -> float:
     """Adaptive trapezoid quadrature of a vectorized function on [a, b].
 
     Starts from 129 points and doubles the panel count, at most 16 times,
-    until successive estimates agree to ``rtol`` relative (or an absolute
-    floor for integrals near zero).
+    until successive estimates agree to 1e-6 relative (or an absolute
+    floor of 1e-14 for integrals near zero).
     """
     if b <= a:
         raise InvalidArgumentError("integration interval is empty")
@@ -59,7 +59,7 @@ def adaptive_trapezoid(fn, a: float, b: float, rtol: float = 1e-6) -> float:
         h_new = (b - a) / (2 * (n - 1))
         new_est = 0.5 * est + h_new * float(np.sum(y_mid))
         x = np.sort(np.concatenate([x, mid]))
-        converged = abs(new_est - est) <= rtol * max(abs(new_est), 1e-300) + 1e-14
+        converged = abs(new_est - est) <= 1e-6 * max(abs(new_est), 1e-300) + 1e-14
         est = new_est
         n = 2 * n - 1
         if converged:

@@ -72,13 +72,22 @@ def schedule(m: int, p: int, n_rows: int, c_k: float = 1.0, c_h: float = 1.0) ->
 AUTO_MIN_ROWS = 2
 
 
-def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
-    """The bandwidth ``h`` asks for: a number as given, or "auto", the
-    accepted thetas' standard deviation times the schedule power of N."""
+def check_bandwidth(h):
+    """The checked bandwidth request: "auto" or a finite positive float."""
     if not isinstance(h, str):
-        return float(h)
-    if h != "auto":
+        h = float(h)
+    if not (h == "auto" or isinstance(h, float) and 0 < h < math.inf):
         raise InvalidArgumentError("h must be a positive number or 'auto'")
+    return h
+
+
+def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
+    """The bandwidth ``h`` asks for (:func:`check_bandwidth`): a number as
+    given, or "auto", the accepted thetas' standard deviation times the
+    schedule power of N."""
+    h = check_bandwidth(h)
+    if h != "auto":
+        return h
     if thetas.shape[0] < AUTO_MIN_ROWS:
         raise KnnAbcError(f"auto bandwidth needs at least {AUTO_MIN_ROWS} accepted rows")
     spread = float(np.std(thetas, ddof=1))
@@ -108,6 +117,20 @@ def _power(base: float, exponent) -> float:
         return math.inf
 
 
+def check_bound_inputs(m: int, xi0: float, L_diam: float, order: int) -> tuple[int, int]:
+    """The checked (m, order) of a distance-moment bound: order 2 or 4,
+    m >= 1, and xi0 and L_diam positive."""
+    m = int(m)
+    order = int(order)
+    if order not in (2, 4):
+        raise InvalidArgumentError("order must be 2 or 4")
+    if m < 1:
+        raise InvalidArgumentError("m must be >= 1")
+    if not (xi0 > 0 and L_diam > 0):
+        raise InvalidArgumentError("xi0 and L_diam must be > 0")
+    return m, order
+
+
 def distance_moment_bound(m: int, k: int, n_rows: int, xi0: float, L_diam: float,
                           order: int) -> float:
     """Plug-in upper bound for E[d_(k+1)^order], order in {2, 4}.
@@ -119,14 +142,7 @@ def distance_moment_bound(m: int, k: int, n_rows: int, xi0: float, L_diam: float
     +inf, so an L^m beyond it meets the hypothesis, and a bound whose terms
     leave the float range saturates to +inf, which bounds anything.
     """
-    m = int(m)
-    order = int(order)
-    if order not in (2, 4):
-        raise InvalidArgumentError("order must be 2 or 4")
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1")
-    if not (xi0 > 0 and L_diam > 0):
-        raise InvalidArgumentError("xi0 and L_diam must be > 0")
+    m, order = check_bound_inputs(m, xi0, L_diam, order)
     ratio = (int(k) + 1) / (int(n_rows) + 1)
     cap = xi0 * _power(L_diam, m)
     if ratio > cap:

@@ -102,6 +102,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     (:func:`tuning.resolve_bandwidth`).
     """
     s0 = _require_oracle(model, s0)
+    h = tuning.check_bandwidth(h)
 
     def one(replicate_seed: int):
         accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
@@ -262,12 +263,12 @@ def bound_check(model: Model, s0, Ns_ks: Sequence[tuple[int, int]], xi0: float,
     (:func:`core.kth_distances`); the mean is taken in replicate order, so
     the result is the same at any worker count.
     """
-    order = int(order)
+    _, order = tuning.check_bound_inputs(model.m, xi0, L_diam, order)
     replicates = int(replicates)
     if replicates < 1:
         raise InvalidArgumentError("replicates must be >= 1")
     s0 = core.check_s0(s0, model.m)
-    # every pair is checked before the first table is simulated
+    # the arguments and every pair are checked before the first table is simulated
     pairs = [(int(n_rows), int(k)) for n_rows, k in Ns_ks]
     for n_rows, k in pairs:
         if n_rows < 2 or not 0 <= k <= n_rows - 1:
@@ -310,6 +311,8 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
                 f"unknown phi '{name}'; registered: {', '.join(sorted(estimators.PHIS))}")
         phi, moment = estimators.PHIS[name]
         resolved.append((name, phi, moment(mean, var)))
+    if not resolved:
+        raise InvalidArgumentError("phis must name at least one functional")
 
     def one(replicate_seed: int):
         accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)

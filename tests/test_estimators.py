@@ -295,7 +295,7 @@ class TestTensorGridEvaluation:
         assert rel.max() <= 1e-12
 
     @pytest.mark.parametrize("kind", ["naive", "gaussian"])
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_dense_path(self, kind, p):
         gen = np.random.default_rng(40 + p)
         acc = _accepted(gen.normal(0, 1, size=(80, p)))
@@ -304,7 +304,7 @@ class TestTensorGridEvaluation:
         self._assert_matches_dense(acc, h, kind, axes)
 
     @pytest.mark.parametrize("h", [0.5, 1.25])
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_naive_ball_boundary(self, p, h):
         # centres and grid on one lattice of step 0.25, so that grid points
         # lie at distance exactly h from centres: the closed ball includes

@@ -17,6 +17,10 @@ from knnabc.rng import derive_seed
 from knnabc.validate import integrated_squared_error
 
 
+def _no_table(*args, **kwargs):
+    raise AssertionError("simulated a table before checking the request")
+
+
 class TestMiseEstimate:
     def test_oracle_against_itself_is_zero(self):
         model = get_model("gaussian_conjugate_1d")
@@ -51,6 +55,18 @@ class TestMiseEstimate:
         model = get_model("gaussian_conjugate_1d")
         with pytest.raises(KnnAbcError, match="auto bandwidth needs at least 2 accepted rows"):
             mise_estimate(model, [1.0], 100, 1, "auto", make_kernel("gaussian", 1), 2, seed=3)
+
+    @pytest.mark.parametrize("h", ["bogus", -1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("run", [
+        lambda model, h: mise_estimate(model, [1.0], 500, 30, h, make_kernel("gaussian", 1),
+                                       2, seed=1),
+        lambda model, h: rate_experiment(model, [1.0], [200, 400, 800],
+                                         make_kernel("gaussian", 1), 2, seed=1, bandwidth=h),
+    ], ids=["mise", "rates"])
+    def test_bad_bandwidth_rejected_before_any_table(self, monkeypatch, run, h):
+        monkeypatch.setattr(core, "simulate_knn", _no_table)
+        with pytest.raises(InvalidArgumentError, match="h must be a positive number or 'auto'"):
+            run(get_model("gaussian_conjugate_1d"), h)
 
     def test_requires_oracle(self):
         with pytest.raises(UnsupportedModelError):
@@ -256,6 +272,18 @@ class TestBoundCheck:
             bound_check(model, [0.5], [(999, 9)], xi0=1.0, L_diam=1.0,
                         order=3, replicates=5, seed=1)
 
+    @pytest.mark.parametrize("order, xi0, L, message", [
+        (3, 1.0, 1.0, "order must be 2 or 4"),
+        (2, -1.0, 1.0, "xi0 and L_diam must be > 0"),
+        (4, 1.0, 0.0, "xi0 and L_diam must be > 0"),
+    ], ids=["order", "xi0", "L"])
+    def test_bad_arguments_raise_without_a_pair(self, monkeypatch, order, xi0, L, message):
+        # the arguments are checked once, not only inside each pair's bound
+        monkeypatch.setattr(core, "kth_distances", _no_table)
+        with pytest.raises(InvalidArgumentError, match=message):
+            bound_check(get_model("uniform_box_1d"), [0.5], [], xi0=xi0, L_diam=L,
+                        order=order, replicates=3, seed=1)
+
 
 _BOUND_MODELS = [
     # (model, s0, xi0, L): every pair below meets the bound hypothesis
@@ -391,6 +419,12 @@ class TestMomentConsistency:
         model = get_model("gaussian_conjugate_1d")
         with pytest.raises(InvalidArgumentError, match="replicates must be >= 2"):
             moment_consistency(model, [1.0], 500, 30, ["identity"], replicates, seed=95)
+
+    def test_empty_phis_rejected_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(core, "simulate_knn", _no_table)
+        with pytest.raises(InvalidArgumentError, match="phis must name at least one"):
+            moment_consistency(get_model("gaussian_conjugate_1d"), [1.0], 500, 30, [], 5,
+                               seed=1)
 
     def test_unknown_phi_name_rejected(self):
         model = get_model("gaussian_conjugate_1d")
