@@ -29,7 +29,9 @@ from .numerics import ordered_map, parallel_map, round_half_up
 from .rng import WORDS_PER_BLOCK, derive_key, derive_keys, row_words, uniform01, word_bins
 
 _CHUNK_ROWS = 1 << 15
-_BLOCK_ROWS = 1 << 13  # table rows per block of validation tables
+_BLOCK_ROWS = 1 << 15  # table rows per block of validation tables
+_RAMP_ROWS = 1 << 10  # the least first span of a ramped scan
+_MOVE_ROWS = 1 << 8  # rows of words moved at a time after a bounds pass
 # key derivation keeps only a seed's low 64 bits and table.bin stores it as
 # uint64, so a larger seed is an error, not an alias
 SEED_MAX = 2**64 - 1
@@ -105,20 +107,55 @@ class _Scratch:
         self.bit_gen = np.random.Philox(0)  # reset to each key and counter by row_words
 
 
-class _ScratchPool:
-    """Spare scratch for one call: ``take`` reuses or makes one, and ``give``
-    returns it once its result is used; never more than work in flight."""
+class Spares:
+    """Spare buffers for one call: ``take`` reuses one or makes one with
+    ``make()``, and ``give`` returns it once its result is used; never more
+    than work in flight."""
 
-    def __init__(self, model: Model, rows: int, words: bool = False):
-        self._args = model, rows, words
+    def __init__(self, make):
+        self._make = make
         self._spare = []  # list.pop and list.append are atomic, so threads can share it
         self.give = self._spare.append
 
-    def take(self) -> _Scratch:
+    def take(self):
         try:
             return self._spare.pop()
         except IndexError:
-            return _Scratch(*self._args)
+            return self._make()
+
+
+class Workspace:
+    """One thread's buffers for a run of calls on one model: the candidate
+    pool and chunk scratch of ``simulate_knn`` and the batch scratch of
+    ``sample_restricted``.  A call given a workspace takes its buffers from
+    it and leaves them there for the next call, so replicates of one size
+    allocate them once; it serves one call at a time.  A call given none
+    builds its own."""
+
+    def __init__(self, model: Model):
+        self.model = model
+        self._held = {}  # name -> (size, buffers)
+
+    def _get(self, name: str, size: int, make):
+        held = self._held.get(name)
+        if held is None or held[0] != size:
+            held = self._held[name] = size, make()
+        return held[1]
+
+    def pool(self, cap: int) -> tuple[np.ndarray, ...]:
+        """Candidate arrays of ``cap`` rows: d2, row index, thetas, summaries."""
+        p, m = self.model.p, self.model.m
+        return self._get("pool", cap, lambda: (np.empty(cap), np.empty(cap, dtype=np.int64),
+                                               np.empty((cap, p)), np.empty((cap, m))))
+
+    def chunks(self, rows: int) -> Spares:
+        """Spare scratch for chunks of up to ``rows`` rows."""
+        model = self.model  # a maker holding self would make a cycle only gc frees
+        return self._get("chunks", rows, lambda: Spares(lambda: _Scratch(model, rows)))
+
+    def batch(self) -> _Scratch:
+        """Scratch for one batch of the restricted sampler."""
+        return self._get("batch", _BATCH_ROWS, lambda: _Scratch(self.model, _BATCH_ROWS))
 
 
 def _bounds_filter(model: Model, words: np.ndarray, scratch: _Scratch, s0: np.ndarray,
@@ -198,7 +235,13 @@ def _simulate_rows(model: Model, words: np.ndarray, scratch: _Scratch,
     if s0 is not None and tau != np.inf:
         rows = _bounds_filter(model, words, scratch, s0, tau)
         if rows is not None:
-            words = words[rows]
+            # move the rows left to the front, a few at a time, so that no
+            # copy of all of them exists beside the chunk's words; rows
+            # ascend, so each part reads only rows not yet overwritten
+            for start in range(0, rows.size, _MOVE_ROWS):
+                part = rows[start:start + _MOVE_ROWS]
+                words[start:start + part.size] = words[part]
+            words = words[:rows.size]
     n = words.shape[0]
     u = uniform01(words)[:, :model.words]  # the model never sees the padding words
     thetas, summaries, d2 = scratch.thetas[:n], scratch.summaries[:n], scratch.d2[:n]
@@ -229,25 +272,41 @@ def check_s0(s0, m: int) -> np.ndarray:
 
 
 def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, visit,
-                s0: np.ndarray | None = None, tau=lambda: np.inf) -> None:
-    """Simulate the table of ``n_rows`` rows with this key one chunk at a
-    time, calling ``visit(start, rows, thetas, summaries, d2)`` with each
-    chunk's first row number and its ``_simulate_rows`` result for
-    ``tau()`` read as the chunk starts.  Workers only simulate; ``visit``
-    runs in the calling thread, in row order, and a chunk's scratch goes
-    back when it returns, before ``ordered_map`` starts another chunk.
+                s0: np.ndarray | None = None, tau=lambda: np.inf, first: int = _CHUNK_ROWS,
+                workspace: Workspace | None = None) -> None:
+    """Simulate the table of ``n_rows`` rows with this key one span of rows
+    at a time, calling ``visit(start, rows, thetas, summaries, d2)`` with
+    each span's first row number and its ``_simulate_rows`` result for
+    ``tau()`` read as the span starts.  The first span has ``first`` rows
+    and each later one 4 times as many, up to ``_CHUNK_ROWS``; a row's
+    bits depend only on its words, so the spans change no output.  Workers
+    only simulate; ``visit`` runs in the calling thread, in row order, and
+    a span's scratch (from ``workspace``, if given) goes back when it
+    returns, before ``ordered_map`` starts another span.
     """
     wpr = _words_per_row(model)
-    pool = _ScratchPool(model, min(_CHUNK_ROWS, n_rows))
+    pool = (workspace or Workspace(model)).chunks(min(_CHUNK_ROWS, n_rows))
+    ramp, rows = [0], first  # where each span shorter than a chunk starts, then the chunks
+    while rows < _CHUNK_ROWS and ramp[-1] < n_rows:
+        ramp.append(min(n_rows, ramp[-1] + rows))
+        rows *= 4
+    short, chunked = len(ramp) - 1, ramp[-1]
 
-    def simulate(start: int):
+    def simulate(span: int):
+        if span < short:
+            start, stop = ramp[span], ramp[span + 1]
+        else:
+            start = chunked + (span - short) * _CHUNK_ROWS
+            stop = min(n_rows, start + _CHUNK_ROWS)
         scratch = pool.take()
-        words = row_words(key, start, min(_CHUNK_ROWS, n_rows - start), wpr, scratch.bit_gen)
+        words = row_words(key, start, stop - start, wpr, scratch.bit_gen)
         return start, scratch, _simulate_rows(model, words, scratch, s0, tau())
 
-    with closing(ordered_map(simulate, range(0, n_rows, _CHUNK_ROWS), max_workers)) as chunks:
-        for start, scratch, chunk in chunks:
-            visit(start, *chunk)
+    # the span numbers are a range, read in place, however long the table
+    spans = range(short + (n_rows - chunked + _CHUNK_ROWS - 1) // _CHUNK_ROWS)
+    with closing(ordered_map(simulate, spans, max_workers)) as simulated:
+        for start, scratch, result in simulated:
+            visit(start, *result)
             pool.give(scratch)
 
 
@@ -314,7 +373,7 @@ def kth_distances(model: Model, keys: np.ndarray, n_rows: int, s0, k: int,
     and faulted in again between blocks.
     """
     per_block = max(1, _BLOCK_ROWS // n_rows)
-    pool = _ScratchPool(model, per_block * min(n_rows, _CHUNK_ROWS), words=True)
+    pool = Spares(lambda: _Scratch(model, per_block * min(n_rows, _CHUNK_ROWS), words=True))
 
     def block(start: int) -> np.ndarray:
         scratch = pool.take()
@@ -431,7 +490,7 @@ def abc_knn(table: ReferenceTable, s0, k: int) -> AcceptedSet:
 
 
 def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
-                 max_workers: int = 1) -> AcceptedSet:
+                 max_workers: int = 1, workspace: Workspace | None = None) -> AcceptedSet:
     """``abc_knn(generate_table(model, n_rows, seed), s0, k)``, bit for bit,
     without holding the table.
 
@@ -443,18 +502,20 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     d_(k+1), so the pool never holds more than 2(k+1) rows plus one chunk,
     and the cuts cost amortised O(N).  Once tau is finite, a chunk drops
     most rows beyond it from their words' bins, before their inverse CDF
-    (see ``_simulate_rows``).  The pool is filled and cut in the calling
-    thread, in row order; a chunk reads tau as it starts, and a stale tau
-    only adds rows, so the result is the same at any worker count.
+    (see ``_simulate_rows``).  A table longer than one chunk is scanned in
+    spans that start at max(``_RAMP_ROWS``, 4(k+1)) rows, so tau is finite
+    after the first of them (``_scan_table``).  The pool is filled and cut
+    in the calling thread, in row order; a chunk reads tau as it starts,
+    and a stale tau only adds rows, so the result is the same at any
+    worker count.  The pool and the chunk scratch come from ``workspace``
+    if given.
     """
     n_rows, _, key = _table_stream(model, n_rows, seed)
     k = _check_k(k, n_rows)
     s0 = check_s0(s0, model.m)
-    cap = min(n_rows, 2 * (k + 1) + _CHUNK_ROWS)
-    pool_d2 = np.empty(cap)
-    pool_index = np.empty(cap, dtype=np.int64)
-    pool_thetas = np.empty((cap, model.p))
-    pool_summaries = np.empty((cap, model.m))
+    workspace = workspace or Workspace(model)
+    pool_d2, pool_index, pool_thetas, pool_summaries = workspace.pool(
+        min(n_rows, 2 * (k + 1) + _CHUNK_ROWS))
     size = 0
     tau = np.inf
 
@@ -473,7 +534,8 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
             size = k + 1
             tau = pool_d2[k]
 
-    _scan_table(model, key, n_rows, max_workers, add, s0, lambda: tau)
+    first = max(_RAMP_ROWS, 4 * (k + 1)) if n_rows > _CHUNK_ROWS else _CHUNK_ROWS
+    _scan_table(model, key, n_rows, max_workers, add, s0, lambda: tau, first, workspace)
     pos, next_value = _nearest(pool_d2[:size], k, pool_index[:size])
     return _build_accepted(pool_thetas, pool_summaries, pos, pool_index[pos],
                            np.sqrt(pool_d2[pos]), np.sqrt(next_value))
@@ -534,7 +596,8 @@ _BATCH_ROWS = 1 << 14
 _PROBE_BUDGET = 10_000_000
 
 
-def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
+def sample_restricted(model: Model, s0, radius: float, count: int, seed: int,
+                      workspace: Workspace | None = None):
     """Draw ``count`` iid pairs from the joint density restricted to the
     cylinder {(theta, s): ||s - s0|| <= radius}.
 
@@ -548,7 +611,8 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
     on batch sizes.  Batches hold ``_BATCH_ROWS`` rows until a row is
     accepted; later ones are sized from the acceptance rate seen so far.
     Each batch drops most rows outside the ball from their words' bins,
-    before their inverse CDF (see ``_simulate_rows``).
+    before their inverse CDF (see ``_simulate_rows``), in a scratch from
+    ``workspace`` if given.
     """
     radius = float(radius)
     if not radius > 0.0:
@@ -562,7 +626,7 @@ def sample_restricted(model: Model, s0, radius: float, count: int, seed: int):
 
     thetas = np.empty((count, model.p))
     summaries = np.empty((count, model.m))
-    scratch = _Scratch(model, _BATCH_ROWS)
+    scratch = (workspace or Workspace(model)).batch()
     wpr = _words_per_row(model)
     kept = 0
     drawn = 0

@@ -185,6 +185,12 @@ def derive_seeds(seed: int, *tags, count: int) -> np.ndarray:
     return _states_varying(_entropy_words(_entropy(seed, tags)), replicates, [], 1)[:, 0]
 
 
+def derive_subseeds(seeds, *tags) -> np.ndarray:
+    """``derive_seed(s, *tags)`` for each of ``seeds`` (uint64), as a uint64
+    array, hashed in one vectorised pass."""
+    return _states_varying([], seeds, _entropy_words(_tag_ints(tags)), 1)[:, 0]
+
+
 def derive_keys(seeds, *tags) -> np.ndarray:
     """``derive_key(s, *tags)`` for each of ``seeds`` (uint64), as rows of a
     (len(seeds), 2) array, hashed in one vectorised pass."""

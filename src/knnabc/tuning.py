@@ -81,6 +81,13 @@ def check_bandwidth(h):
     return h
 
 
+def check_auto_rows(h, rows: int) -> None:
+    """An error when the checked bandwidth request ``h`` is "auto" and
+    ``rows`` accepted rows are too few to give it a spread."""
+    if h == "auto" and rows < AUTO_MIN_ROWS:
+        raise KnnAbcError(f"auto bandwidth needs at least {AUTO_MIN_ROWS} accepted rows")
+
+
 def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> float:
     """The bandwidth ``h`` asks for (:func:`check_bandwidth`): a number as
     given, or "auto", the accepted thetas' standard deviation times the
@@ -88,8 +95,7 @@ def resolve_bandwidth(h, thetas: np.ndarray, m: int, p: int, n_rows: int) -> flo
     h = check_bandwidth(h)
     if h != "auto":
         return h
-    if thetas.shape[0] < AUTO_MIN_ROWS:
-        raise KnnAbcError(f"auto bandwidth needs at least {AUTO_MIN_ROWS} accepted rows")
+    check_auto_rows(h, thetas.shape[0])
     spread = float(np.std(thetas, ddof=1))
     return spread * n_rows ** float(resolve_schedule(m, p).h_exponent)
 

@@ -22,7 +22,7 @@ from . import core, estimators, tuning
 from .errors import BoundHypothesisError, InvalidArgumentError, UnsupportedModelError
 from .models import Model
 from .numerics import ols_slope, parallel_map, trapezoid_nd
-from .rng import derive_seed, derive_seeds
+from .rng import derive_seed, derive_seeds, derive_subseeds
 
 _MIN_KS_K = 20
 _PROP1_LEVEL = 0.05
@@ -59,16 +59,33 @@ class RateReport:
     reports: tuple = field(repr=False, default=())
 
 
-def _replicates(work: Callable[[int], object], seed: int, tag: str, count: int,
-                least: int, max_workers: int, what: str = "replicates") -> list:
-    """``[work(derive_seed(seed, tag, r)) for r in range(count)]``, with
-    every sub-seed derived in one ``derive_seeds`` pass and the work mapped
-    over ``max_workers`` threads; the results come in replicate order.
-    ``count`` (named ``what``) must be at least ``least``."""
+def _replicates(work: Callable[..., object], model: Model, seed: int, tag: str, count: int,
+                least: int, max_workers: int, what: str = "replicates",
+                subtags: Sequence[str] = ()) -> list:
+    """``[work(workspace, s) for s in (derive_seed(seed, tag, r) for r in
+    range(count))]``, with every sub-seed derived in one ``derive_seeds``
+    pass and the work mapped over ``max_workers`` threads; the results come
+    in replicate order.  With ``subtags``, ``work`` gets the seeds
+    ``derive_seed(s, t)`` for each tag t in place of s, each tag's in one
+    more pass.  ``count`` (named ``what``) must be at least ``least``.
+
+    A replicate takes a ``core.Workspace`` from the spares and gives it back
+    when done, so the call builds at most one per worker, and frees them
+    when it returns."""
     count = int(count)
     if count < least:
         raise InvalidArgumentError(f"{what} must be >= {least}")
-    return parallel_map(work, derive_seeds(seed, tag, count=count).tolist(), max_workers)
+    seeds = derive_seeds(seed, tag, count=count)
+    columns = [derive_subseeds(seeds, t) for t in subtags] if subtags else [seeds]
+    spares = core.Spares(lambda: core.Workspace(model))
+
+    def one(replicate_seeds):
+        workspace = spares.take()
+        result = work(workspace, *replicate_seeds)
+        spares.give(workspace)
+        return result
+
+    return parallel_map(one, np.stack(columns, axis=1).tolist(), max_workers)
 
 
 def _require_oracle(model: Model, s0) -> np.ndarray:
@@ -103,9 +120,10 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     """
     s0 = _require_oracle(model, s0)
     h = tuning.check_bandwidth(h)
+    tuning.check_auto_rows(h, int(k))
 
-    def one(replicate_seed: int):
-        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
+    def one(workspace: core.Workspace, replicate_seed: int):
+        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k, workspace=workspace)
         h_r = tuning.resolve_bandwidth(h, accepted.ordered_thetas, model.m, model.p, n_rows)
         axes = estimators.default_grid(accepted, h_r, points=grid_points,
                                        padding=grid_padding)
@@ -113,7 +131,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
         oracle_vals = model.oracle.pdf(estimators.grid_points(axes), s0)
         return integrated_squared_error(est.values, oracle_vals, axes), h_r
 
-    results = _replicates(one, seed, "mise", replicates, 2, max_workers)
+    results = _replicates(one, model, seed, "mise", replicates, 2, max_workers)
     ise = np.array([r[0] for r in results])
     h_used = np.array([r[1] for r in results])
     return MiseReport(
@@ -138,8 +156,12 @@ def rate_experiment(model: Model, s0, Ns: Sequence[int], kernel: estimators.Kern
     if len(Ns) < 3 or len(set(Ns)) < 2:
         raise InvalidArgumentError(
             "need at least 3 table sizes, 2 of them distinct, for a rate fit")
-    # every (N, k) is checked before the first table is simulated
+    # every (N, k) and the bandwidth for each k are checked before the
+    # first table is simulated
     ks = [tuning.schedule(model.m, model.p, n_rows, c_k=c_k)[0] for n_rows in Ns]
+    bandwidth = tuning.check_bandwidth(bandwidth)
+    for k in ks:
+        tuning.check_auto_rows(bandwidth, k)
     reports = [mise_estimate(model, s0, n_rows, k, bandwidth, kernel, replicates,
                              derive_seed(seed, "rate", i), grid_points=grid_points,
                              grid_padding=grid_padding, max_workers=max_workers)
@@ -197,15 +219,23 @@ def _check_law_test(model: Model, k: int, oracle_draws: int,
     return k, oracle_draws
 
 
-def _law_statistic(model: Model, s0, n_rows: int, k: int, oracle_draws: int, seed: int,
-                   oracle_kind: str) -> float:
-    """The KS statistic of one conditional-law test (its arguments checked)."""
-    accepted = core.simulate_knn(model, n_rows, derive_seed(seed, "prop1-table"), s0, k)
+def _law_tags(oracle_kind: str) -> tuple[str, str]:
+    """The tags of a conditional-law test's table seed and oracle seed,
+    each derived from the test's seed."""
+    return "prop1-table", "prop1-oracle" if oracle_kind == "restricted" else "prop1-null"
+
+
+def _law_statistic(model: Model, s0, n_rows: int, k: int, oracle_draws: int,
+                   oracle_kind: str, workspace: core.Workspace | None, table_seed: int,
+                   oracle_seed: int) -> float:
+    """The KS statistic of one conditional-law test (its arguments checked),
+    from its table and oracle seeds (``_law_tags``)."""
+    accepted = core.simulate_knn(model, n_rows, table_seed, s0, k, workspace=workspace)
     if oracle_kind == "restricted":
         oracle_thetas, _ = core.sample_restricted(
-            model, s0, accepted.radius_next, oracle_draws, derive_seed(seed, "prop1-oracle"))
+            model, s0, accepted.radius_next, oracle_draws, oracle_seed, workspace=workspace)
     else:
-        aux = core.generate_table(model, max(2, oracle_draws), derive_seed(seed, "prop1-null"))
+        aux = core.generate_table(model, max(2, oracle_draws), oracle_seed)
         oracle_thetas = aux.thetas[:oracle_draws]
     return _ks_statistic(accepted.ordered_thetas[:, 0], oracle_thetas[:, 0])
 
@@ -224,7 +254,8 @@ def conditional_law_test(model: Model, s0, n_rows: int, k: int, oracle_draws: in
     """
     k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
     s0 = core.check_s0(s0, model.m)
-    statistic = _law_statistic(model, s0, n_rows, k, oracle_draws, seed, oracle_kind)
+    statistic = _law_statistic(model, s0, n_rows, k, oracle_draws, oracle_kind, None,
+                               *(derive_seed(seed, tag) for tag in _law_tags(oracle_kind)))
     return statistic, float(_ks_pvalues(np.array([statistic]), k, oracle_draws)[0])
 
 
@@ -238,8 +269,10 @@ def prop1_calibration(model: Model, s0, n_rows: int, k: int, runs: int,
     k, oracle_draws = _check_law_test(model, k, oracle_draws, oracle_kind)
     s0 = core.check_s0(s0, model.m)
     statistics = _replicates(
-        lambda run_seed: _law_statistic(model, s0, n_rows, k, oracle_draws, run_seed, oracle_kind),
-        seed, "prop1-run", runs, 1, max_workers, what="runs")
+        lambda workspace, *seeds: _law_statistic(model, s0, n_rows, k, oracle_draws,
+                                                 oracle_kind, workspace, *seeds),
+        model, seed, "prop1-run", runs, 1, max_workers, what="runs",
+        subtags=_law_tags(oracle_kind))
     p_values = _ks_pvalues(np.array(statistics), k, oracle_draws)
     return {
         "runs": p_values.size,
@@ -314,11 +347,11 @@ def moment_consistency(model: Model, s0, n_rows: int, k: int,
     if not resolved:
         raise InvalidArgumentError("phis must name at least one functional")
 
-    def one(replicate_seed: int):
-        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k)
+    def one(workspace: core.Workspace, replicate_seed: int):
+        accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k, workspace=workspace)
         return [estimators.posterior_functional(accepted, fn) for _, fn, _ in resolved]
 
-    rows = np.array(_replicates(one, seed, "moment", replicates, 2, max_workers))
+    rows = np.array(_replicates(one, model, seed, "moment", replicates, 2, max_workers))
     out = []
     for col, (name, _, oracle_value) in enumerate(resolved):
         values = rows[:, col]

@@ -392,6 +392,88 @@ class TestSimulateKnn:
         _assert_same_accepted(got, abc_knn(expected, s0, 50))
         _assert_same_accepted(got_within, abc_tolerance(expected, s0, 0.9))
 
+    def test_first_span_is_ramped(self):
+        # a table longer than a chunk is scanned from a span of
+        # max(_RAMP_ROWS, 4(k+1)) rows, so tau is finite after a few
+        # thousand rows and few rows reach the inverse CDF: 33 311 here
+        # while the first span was a whole chunk
+        model = get_model("gauss_5d")
+        rows = []
+
+        def counting(u, out):
+            rows.append(u.shape[0])
+            return model.thetas_from_uniforms(u, out)
+
+        counted = dataclasses.replace(model, thetas_from_uniforms=counting)
+        got = simulate_knn(counted, 100_000, 3, np.full(5, 0.2), 316)
+        assert sum(rows) <= 8192
+        _assert_same_accepted(got, simulate_knn(model, 100_000, 3, np.full(5, 0.2), 316))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ramped_spans_match_table_path(self, monkeypatch, workers):
+        # 256-row chunks and a least first span of 4 rows: the spans start
+        # at max(4, 4(k+1)) rows and grow 4x up to a chunk, the table's end
+        # cuts them short, and a table of one chunk is not ramped
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 256)
+        monkeypatch.setattr(core, "_RAMP_ROWS", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        model, s0 = get_model("gauss_5d"), np.full(5, 0.2)
+        spans = []
+
+        def recording(key, start_row, n_rows, *args):
+            spans.append((start_row, n_rows))
+            return row_words(key, start_row, n_rows, *args)
+
+        monkeypatch.setattr(core, "row_words", recording)
+        for n in (256, 257, 300, 2000):
+            table = generate_table(model, n, 9)
+            for k in (1, 15, 100, n - 1):
+                spans.clear()
+                _assert_same_accepted(simulate_knn(model, n, 9, s0, k, max_workers=workers),
+                                      abc_knn(table, s0, k))
+                expected, start, rows = [], 0, max(4, 4 * (k + 1)) if n > 256 else 256
+                while start < n:
+                    expected.append((start, min(rows, 256, n - start)))
+                    start, rows = start + expected[-1][1], 4 * rows
+                assert sorted(spans) == expected
+
+    def test_a_ramped_scan_never_builds_its_span_list(self):
+        # a scan of 2^62 rows: its span numbers are read in place, so four
+        # spans cost what four spans cost, whatever the table's length
+        visited = []
+
+        class Enough(Exception):
+            pass
+
+        def visit(start, rows, thetas, summaries, d2):
+            visited.append((start, thetas.shape[0]))
+            if len(visited) == 4:
+                raise Enough
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                core._scan_table(get_model("uniform_box_1d"), derive_key(1, "scan"), 2**62, 1,
+                                 visit, first=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert visited == [(0, 1024), (1024, 4096), (5120, 16384), (21504, _CHUNK_ROWS)]
+        assert peak < 4 << 20
+
+    def test_a_reused_workspace_keeps_every_bit(self):
+        # one workspace serves calls of several sizes in turn, the
+        # sampler's too; each result is the one a call without it gives
+        model, s0 = get_model("gauss_5d"), np.full(5, 0.1)
+        workspace = core.Workspace(model)
+        for seed, (n, k) in enumerate(((5000, 40), (3000, 40), (70_000, 300), (70_000, 5),
+                                       (5000, 40))):
+            _assert_same_accepted(simulate_knn(model, n, seed, s0, k, workspace=workspace),
+                                  simulate_knn(model, n, seed, s0, k))
+            got = sample_restricted(model, s0, 2.0, 50, seed, workspace=workspace)
+            expected = sample_restricted(model, s0, 2.0, 50, seed)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
     def test_memory_beyond_accepted_set_does_not_grow_with_rows(self):
         model = get_model("gauss_5d")
         s0 = np.full(5, 0.2)

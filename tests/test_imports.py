@@ -98,13 +98,18 @@ def test_benchmark_tracer_wraps_and_restores_every_name(monkeypatch):
 def test_models_rebuilt_by_the_benchmark_tracer_keep_their_bits(monkeypatch):
     # the tracer rebuilds each model with both transforms wrapped in spans;
     # a change to the model protocol that the wrapped transforms no longer
-    # follow shows here, not first in a traced benchmark run.  Each of the
-    # 4 chunks calls each transform once.
+    # follow shows here, not first in a traced benchmark run.  Each span of
+    # the scan calls each transform once; the spans start at
+    # max(_RAMP_ROWS, 4(k + 1)) rows and grow 4x up to a chunk.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    n_rows = 3 * core._CHUNK_ROWS + 17
+    n_rows, k = 3 * core._CHUNK_ROWS + 17, 50
+    spans, done, rows = 0, 0, max(core._RAMP_ROWS, 4 * (k + 1))
+    while done < n_rows:
+        done, rows, spans = done + min(rows, core._CHUNK_ROWS), 4 * rows, spans + 1
+    assert spans == 6
 
     def run(model):
-        accepted = core.simulate_knn(model, n_rows, 5, np.full(model.m, 0.3), 50)
+        accepted = core.simulate_knn(model, n_rows, 5, np.full(model.m, 0.3), k)
         return ([a.tobytes() for a in (accepted.ordered_thetas, accepted.ordered_summaries,
                                        accepted.distances, accepted.source_indices)],
                 accepted.radius_next)
@@ -116,7 +121,7 @@ def test_models_rebuilt_by_the_benchmark_tracer_keep_their_bits(monkeypatch):
         for model_id in models.model_ids():
             before = len(tracer.spans)
             assert run(models.get_model(model_id)) == plain[model_id]
-            spans = [s.name for s in tracer.spans[before:]]
-            assert spans.count("models.inverse_cdf") == 2 * 4
+            names = [s.name for s in tracer.spans[before:]]
+            assert names.count("models.inverse_cdf") == 2 * spans
     finally:
         tracer.uninstall()

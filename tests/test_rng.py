@@ -110,6 +110,17 @@ class TestVectorisedDerivation:
         assert np.array_equal(keys, [rng.derive_key(s, "table", "uniform_box_1d")
                                      for s in seeds.tolist()])
 
+    @pytest.mark.parametrize("tags", [("prop1-table",), ("prop1-oracle",), (), (3, "x")])
+    def test_derive_subseeds_match_derive_seed(self, tags):
+        gen = np.random.default_rng(11)
+        seeds = gen.integers(0, 2**64 - 1, size=300, dtype=np.uint64, endpoint=True)
+        seeds[::3] >>= np.uint64(32)
+        seeds[:len(_EDGE_SEEDS)] = _EDGE_SEEDS
+        got = rng.derive_subseeds(seeds, *tags)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [rng.derive_seed(s, *tags) for s in seeds.tolist()]
+        assert rng.derive_subseeds(seeds[:0], *tags).shape == (0,)
+
     def test_empty(self):
         assert rng.derive_seeds(3, "x", count=0).shape == (0,)
         assert rng.derive_keys(np.array([], dtype=np.uint64), "x").shape == (0, 2)

@@ -1,15 +1,17 @@
 """Validation harness at reduced scale (full scale runs in acceptance)."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from knnabc import (bound_check, conditional_law_test, core, generate_table, get_model,
-                    mise_estimate, moment_consistency, prop1_calibration, rate_experiment,
-                    validate)
+                    mise_estimate, moment_consistency, numerics, prop1_calibration,
+                    rate_experiment, validate)
 from knnabc.core import squared_distances
 from knnabc.errors import InvalidArgumentError, KnnAbcError, UnsupportedModelError
 from knnabc.estimators import make_kernel
@@ -55,6 +57,18 @@ class TestMiseEstimate:
         model = get_model("gaussian_conjugate_1d")
         with pytest.raises(KnnAbcError, match="auto bandwidth needs at least 2 accepted rows"):
             mise_estimate(model, [1.0], 100, 1, "auto", make_kernel("gaussian", 1), 2, seed=3)
+
+    @pytest.mark.parametrize("run", [
+        lambda model: mise_estimate(model, [1.0], 100, 1, "auto", make_kernel("gaussian", 1),
+                                    2, seed=3),
+        lambda model: rate_experiment(model, [1.0], [200, 400, 2], make_kernel("gaussian", 1),
+                                      3, seed=3),
+    ], ids=["mise", "rates"])
+    def test_auto_bandwidth_with_one_row_rejected_before_any_table(self, monkeypatch, run):
+        # k fixes the accepted count in advance; rates' k at N = 2 is 1
+        monkeypatch.setattr(core, "simulate_knn", _no_table)
+        with pytest.raises(KnnAbcError, match="auto bandwidth needs at least 2 accepted rows"):
+            run(get_model("gaussian_conjugate_1d"))
 
     @pytest.mark.parametrize("h", ["bogus", -1.0, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("run", [
@@ -394,6 +408,57 @@ class TestBoundCheckBlocks:
         with pytest.raises(InvalidArgumentError, match="s0 must not contain NaN or infinite"):
             bound_check(get_model("uniform_box_1d"), [bad], [(999, 9)], xi0=1.0,
                         L_diam=1.0, order=2, replicates=3, seed=1)
+
+
+class TestReplicateWorkspaces:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run, per_replicate", [
+        (lambda model, workers: mise_estimate(model, [1.0], 2000, 50, "auto",
+                                              make_kernel("gaussian", 1), 6, seed=5,
+                                              max_workers=workers), 1),
+        (lambda model, workers: moment_consistency(model, [1.0], 2000, 50, ["identity"], 6,
+                                                   seed=5, max_workers=workers), 1),
+        (lambda model, workers: prop1_calibration(model, [1.0], 2000, 50, runs=6,
+                                                  oracle_draws=100, seed=5,
+                                                  max_workers=workers), 2),
+    ], ids=["mise", "moments", "prop1"])
+    def test_a_call_builds_scratch_once_per_worker(self, monkeypatch, workers, run,
+                                                    per_replicate):
+        # each replicate takes its worker's workspace, so the chunk scratch
+        # (and prop1's sampler scratch) is built once per worker, not once
+        # per replicate
+        built = []
+
+        class Counted(core._Scratch):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_Scratch", Counted)
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
+        run(get_model("gaussian_conjugate_1d"), workers)
+        assert 1 <= len(built) <= per_replicate * workers
+
+    def test_a_call_frees_its_workspaces_when_it_returns(self, monkeypatch):
+        # no reference cycle holds a workspace, so its buffers go back as
+        # the call returns, not at some later garbage collection
+        made = []
+
+        class Tracked(core.Workspace):
+            def __init__(self, model):
+                super().__init__(model)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(core, "Workspace", Tracked)
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
+        gc.disable()
+        try:
+            prop1_calibration(get_model("gaussian_conjugate_1d"), [1.0], 2000, 50, runs=4,
+                              oracle_draws=100, seed=5, max_workers=2)
+            alive = [r() is not None for r in made]
+        finally:
+            gc.enable()
+        assert alive and not any(alive)
 
 
 class TestMomentConsistency:
