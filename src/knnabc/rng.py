@@ -4,6 +4,8 @@ All randomness in the package flows through Philox-4x64 streams keyed by a
 64-bit user seed plus string purpose tags.  Row i of any generated block
 consumes a fixed window of counter positions, so regeneration is
 bit-identical no matter how the work is chunked or how many workers run.
+It also loads the scipy modules knnabc needs without their packages
+(``load_alone``).
 """
 
 from __future__ import annotations
@@ -18,35 +20,46 @@ from functools import lru_cache
 import numpy as np
 
 
-def _normal_ufuncs():
-    """scipy.special's compiled ``ndtr`` and ``ndtri``, loaded without
-    running the package's ``__init__``.
+def load_alone(package: str, module: str) -> types.ModuleType:
+    """``package.module``, imported without running ``package``'s
+    ``__init__`` if that package is not imported yet.
 
-    That ``__init__`` sets up scipy's array-API layer
-    (``_support_alternative_backends``, ``scipy._lib._array_api``): about
-    0.1 s of the 0.26 s ``import knnabc.cli`` took with it (2 vCPUs,
-    median of 9 runs; 0.15 s without), for two ufuncs.  A bare stub for
-    ``scipy.special`` that carries only ``__path__`` lets
-    ``scipy.special._ufuncs`` load alone, and the stub leaves
-    ``sys.modules`` at once.  A later ``import scipy.special`` reuses the
-    loaded ``_ufuncs``, so its ``ndtr`` and ``ndtri`` are these very
-    objects.  Another thread that imports ``scipy.special`` while knnabc
-    itself is being imported could see the stub.  A scipy laid out
-    otherwise gets the package import.
+    A bare stub for ``package`` that carries only ``__path__`` stands in
+    ``sys.modules`` while the module loads, and leaves at once.  A later
+    import of the package reuses the loaded module.  Another thread that
+    imports ``package`` during the load could see the stub.  A module that
+    cannot load alone (an ``ImportError``) gets the package import.
     """
-    module = sys.modules.get("scipy.special")
-    if module is None:
-        import scipy
-        stub = types.ModuleType("scipy.special")
-        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-        sys.modules["scipy.special"] = stub
+    name = f"{package}.{module}"
+    if package not in sys.modules and name not in sys.modules:
+        parent, _, leaf = package.rpartition(".")
+        stub = types.ModuleType(package)
+        stub.__path__ = [os.path.join(path, leaf)
+                         for path in importlib.import_module(parent).__path__]
+        sys.modules[package] = stub
         try:
-            module = importlib.import_module("scipy.special._ufuncs")
+            importlib.import_module(name)
         except ImportError:
             pass
         finally:
-            if sys.modules.get("scipy.special") is stub:
-                del sys.modules["scipy.special"]
+            if sys.modules.get(package) is stub:
+                del sys.modules[package]
+    return importlib.import_module(name)
+
+
+def _normal_ufuncs():
+    """scipy.special's compiled ``ndtr`` and ``ndtri``, loaded alone
+    (``load_alone``).
+
+    The package's ``__init__`` sets up scipy's array-API layer
+    (``_support_alternative_backends``, ``scipy._lib._array_api``): about
+    0.1 s of the 0.26 s ``import knnabc.cli`` took with it (2 vCPUs,
+    median of 9 runs; 0.15 s without), for two ufuncs.  A later
+    ``import scipy.special`` reuses the loaded ``_ufuncs``, so its ``ndtr``
+    and ``ndtri`` are these very objects.  A scipy laid out otherwise gets
+    the package import.
+    """
+    module = load_alone("scipy.special", "_ufuncs")
     if not (hasattr(module, "ndtr") and hasattr(module, "ndtri")):
         import scipy.special as module
     return module.ndtr, module.ndtri

@@ -22,7 +22,7 @@ from . import core, estimators, tuning
 from .errors import BoundHypothesisError, InvalidArgumentError, UnsupportedModelError
 from .models import Model
 from .numerics import ols_slope, parallel_map, trapezoid_nd
-from .rng import derive_seed, derive_seeds, derive_subseeds
+from .rng import derive_seed, derive_seeds, derive_subseeds, load_alone
 
 _MIN_KS_K = 20
 _PROP1_LEVEL = 0.05
@@ -195,12 +195,15 @@ def _ks_pvalues(statistics: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """``ks_2samp(..., method="asymp")``'s two-sided p-values of samples of
     sizes n1 and n2 with these statistics, bit for bit: the KS null law is
     evaluated once per distinct statistic, in one vectorised call."""
-    # scipy.stats is slow to import and only this test needs it, so the CLI
-    # loads it for `validate prop1` alone
-    from scipy.stats import kstwo
+    # kstwo.sf(x, n) is kolmogn(n, x, cdf=False), which itself gives 1 for
+    # x <= 1/(2n) and 0 for x >= 1, outside kstwo's support.  Its module
+    # loads alone on the first call, without the scipy.stats package (about
+    # 0.5 s and 40 MB more for `validate prop1`).  Another thread that
+    # imports scipy.stats during that first call could see the stub.
+    kolmogn = load_alone("scipy.stats", "_ksstats").kolmogn
     distinct, index = np.unique(statistics, return_inverse=True)
     n = np.round(float(n1) * float(n2) / (float(n1) + float(n2)))
-    return np.clip(kstwo.sf(distinct, n), 0, 1)[index]
+    return np.clip(kolmogn(n, distinct, cdf=False), 0, 1)[index]
 
 
 def _check_law_test(model: Model, k: int, oracle_draws: int,

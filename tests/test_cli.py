@@ -1127,6 +1127,68 @@ def test_validate_blocks_load_no_validate_outside_it(tmp_path, probe, expected):
     assert _run_probe(tmp_path, probe, raw) == expected
 
 
+# `abc validate prop1` in process loads scipy.stats._ksstats alone: not the
+# scipy.stats package, nor what only the package needs, and numpy.ma stays
+# unexecuted
+_PROP1_PROBE = """
+import json, pathlib, sys, types
+import knnabc.cli
+config, out = sys.argv[1:]
+assert knnabc.cli.main(["validate", "prop1", "--config", config, "--out", out]) == 0
+print(json.dumps([[name in sys.modules for name in ("scipy.stats", "scipy.optimize",
+                                                     "scipy.sparse", "scipy.integrate")],
+                  type(sys.modules["numpy.ma"]) is not types.ModuleType,
+                  pathlib.Path(out, "prop1_pvalues.csv").read_text()]))
+"""
+# scipy.stats imported after prop1 reuses the _ksstats knnabc loaded, and
+# kstwo.sf gives the p-values' bits
+_STATS_AFTER_PROP1_PROBE = """
+import json, pathlib, sys
+import numpy as np
+import knnabc.cli
+from knnabc import validate
+config, out = sys.argv[1:]
+assert knnabc.cli.main(["validate", "prop1", "--config", config, "--out", out]) == 0
+loaded = sys.modules["scipy.stats._ksstats"]
+statistics = np.linspace(0.0, 1.0, 201)
+before = validate._ks_pvalues(statistics, 100, 100)
+from scipy.stats import kstwo
+import scipy.stats._continuous_distns
+print(json.dumps([scipy.stats._continuous_distns.kolmogn is loaded.kolmogn,
+                  before.tobytes() == np.clip(kstwo.sf(statistics, 50), 0, 1).tobytes(),
+                  pathlib.Path(out, "prop1_pvalues.csv").read_text()]))
+"""
+# a scipy whose _ksstats cannot load alone: prop1 imports the package
+_KSSTATS_REFUSED_PROBE = _REFUSED_PROBE.split("import knnabc.cli")[0].replace(
+    "scipy.special._ufuncs", "scipy.stats._ksstats") + """
+import pathlib
+import knnabc.cli
+config, out = sys.argv[1:]
+assert knnabc.cli.main(["validate", "prop1", "--config", config, "--out", out]) == 0
+print(json.dumps([finder.refused, "scipy.stats" in sys.modules,
+                  pathlib.Path(out, "prop1_pvalues.csv").read_text()]))
+"""
+
+
+@pytest.mark.parametrize("probe, expected", [
+    pytest.param(_PROP1_PROBE, [[False] * 4, True], id="prop1-loads-no-scipy-stats"),
+    pytest.param(_STATS_AFTER_PROP1_PROBE, [True, True], id="scipy.stats-imported-after-prop1"),
+    pytest.param(_KSSTATS_REFUSED_PROBE, [1, True], id="ksstats-load-refused-once"),
+])
+def test_validate_prop1_leaves_scipy_stats_unloaded(tmp_path, probe, expected):
+    # the reference p-values come from the scipy.stats package in this process
+    import scipy.stats  # noqa: F401
+    raw = minimal_config(N=2000, acceptance={"k": 50},
+                         validate={"prop1": {"runs": 20, "oracle_draws": 200}})
+    (tmp_path / "reference").mkdir()
+    config = tmp_path / "reference" / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["validate", "prop1", "--config", str(config),
+                     "--out", str(tmp_path / "reference")]) == 0
+    reference = (tmp_path / "reference" / "prop1_pvalues.csv").read_text()
+    assert _run_probe(tmp_path, probe, raw) == [*expected, reference]
+
+
 def _run_probe(tmp_path, probe, raw):
     """The last stdout line, as JSON, of ``probe`` run in a fresh interpreter
     with the arguments (config path, output directory) for config ``raw``."""

@@ -244,6 +244,22 @@ class TestConditionalLaw:
             assert p_value[0].tobytes() == np.float64(expected.pvalue).tobytes()
             assert p_value[2] == p_value[0]
 
+    def test_p_values_match_kstwo_bit_for_bit_on_every_branch(self):
+        from scipy.stats import kstwo
+        reached = set()
+        for n in (1, 2, 4, 36, 45, 140, 141, 500, 2000, 100_000, 100_001):
+            points = _ks_branch_points(n)
+            if n > 10_000:  # smirnov takes about 0.1 s a point here; n = 500 reaches it
+                points = points[[_kolmogn_sf_branch(n, x) != "smirnov" for x in points]]
+            # sizes 2n and 2n give the null law of n = (2n)^2 / 4n
+            p_values = validate._ks_pvalues(points, 2 * n, 2 * n)
+            assert p_values.tobytes() == np.clip(kstwo.sf(points, n), 0, 1).tobytes(), n
+            reached |= {(n <= 140, _kolmogn_sf_branch(n, x)) for x in points}
+        ends = {"0", "1", "t<=1/2", "rg-low", "rg-high", "x>=1/2"}
+        assert reached == ({(True, b) for b in ends | {"dmtw", "pomeranz", "miller"}}
+                           | {(False, b) for b in ends | {"dmtw", "pelz-good", "smirnov",
+                                                          "370"}})
+
     def test_calibration_p_values_are_the_single_tests(self):
         model = get_model("gaussian_conjugate_1d")
         calib = prop1_calibration(model, [1.0], 1000, 40, runs=6, oracle_draws=300, seed=76,
@@ -258,6 +274,43 @@ class TestConditionalLaw:
         stat, pval = conditional_law_test(model, [1.0, 0, 0, 0, 0], 800, 25, 100,
                                           seed=74)
         assert 0.0 <= pval <= 1.0
+
+
+def _ks_branch_points(n):
+    """Statistics that reach every branch of the KS null law at n
+    (``_kolmogn_sf_branch``): 0, 1 and each branch edge, the doubles one ulp
+    either side of them, and three points inside each interval between two
+    edges."""
+    edges = np.unique(np.clip([0.0, 1.0, 0.5 / n, 1.0 / n, (n - 1.0) / n, 0.5,
+                               *np.sqrt(np.array([0.754693, 4.0, 2.2, 370.0]) / n),
+                               (1.4 / n) ** (2.0 / 3.0)], 0.0, 1.0))
+    inside = edges[:-1, None] + np.diff(edges)[:, None] * np.array([0.25, 0.5, 0.75])
+    return np.unique(np.clip(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                             np.nextafter(edges, 2.0), inside.ravel()]),
+                             0.0, 1.0))
+
+
+def _kolmogn_sf_branch(n, x):
+    """The branch scipy 1.17's ``stats._ksstats._kolmogn(n, x, cdf=False)``
+    takes: its tests, in its order."""
+    t, nxx = n * x, n * x * x
+    if x >= 1.0:
+        return "0"
+    if x <= 0.0:
+        return "1"
+    if t <= 1.0:
+        return "t<=1/2" if t <= 0.5 else "rg-low"
+    if t >= n - 1:
+        return "rg-high"
+    if x >= 0.5:
+        return "x>=1/2"
+    if n <= 140:
+        return "dmtw" if nxx <= 0.754693 else "pomeranz" if nxx <= 4 else "miller"
+    if nxx >= 370.0:
+        return "370"
+    if nxx >= 2.2:
+        return "smirnov"
+    return "dmtw" if n <= 100_000 and n * x**1.5 <= 1.4 else "pelz-good"
 
 
 class TestBoundCheck:
