@@ -10,7 +10,7 @@ simulating, without holding the table; ``block_distances`` gives the
 distances of many equal-size tables at once, for validation replicates.
 ``sample_restricted`` draws from the ball-restricted joint by rejection.
 ``write_table`` writes a table's binary layout one chunk at a time.  Worker
-threads only simulate a table's chunks; the caller visits them in order.
+threads only simulate a table's chunks; the caller loops over them in order.
 """
 
 from __future__ import annotations
@@ -271,18 +271,20 @@ def check_s0(s0, m: int) -> np.ndarray:
     return s0
 
 
-def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, visit,
+def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int,
                 s0: np.ndarray | None = None, tau=lambda: np.inf, first: int = _CHUNK_ROWS,
-                workspace: Workspace | None = None) -> None:
+                workspace: Workspace | None = None):
     """Simulate the table of ``n_rows`` rows with this key one span of rows
-    at a time, calling ``visit(start, rows, thetas, summaries, d2)`` with
-    each span's first row number and its ``_simulate_rows`` result for
-    ``tau()`` read as the span starts.  The first span has ``first`` rows
-    and each later one 4 times as many, up to ``_CHUNK_ROWS``; a row's
-    bits depend only on its words, so the spans change no output.  Workers
-    only simulate; ``visit`` runs in the calling thread, in row order, and
-    a span's scratch (from ``workspace``, if given) goes back when it
-    returns, before ``ordered_map`` starts another span.
+    at a time, yielding ``(start, rows, thetas, summaries, d2)`` for each
+    span in row order: its first row number and its ``_simulate_rows``
+    result for ``tau()`` read as the span starts.  The first span has
+    ``first`` rows and each later one 4 times as many, up to
+    ``_CHUNK_ROWS``; a row's bits depend only on its words, so the spans
+    change no output.  Workers only simulate; the caller's loop runs in
+    the calling thread, and a span's scratch (from ``workspace``, if given)
+    goes back when the caller asks for the next span, before
+    ``ordered_map`` starts another.  Closing the generator, as dropping an
+    abandoned loop does, waits for the spans started.
     """
     wpr = _words_per_row(model)
     pool = (workspace or Workspace(model)).chunks(min(_CHUNK_ROWS, n_rows))
@@ -306,7 +308,7 @@ def _scan_table(model: Model, key: np.ndarray, n_rows: int, max_workers: int, vi
     spans = range(short + (n_rows - chunked + _CHUNK_ROWS - 1) // _CHUNK_ROWS)
     with closing(ordered_map(simulate, spans, max_workers)) as simulated:
         for start, scratch, result in simulated:
-            visit(start, *result)
+            yield start, *result
             pool.give(scratch)
 
 
@@ -398,11 +400,9 @@ def generate_table(model: Model, n_rows: int, seed: int, max_workers: int = 1) -
     thetas = np.empty((n_rows, model.p))
     summaries = np.empty((n_rows, model.m))
 
-    def fill(start, _, chunk_thetas, chunk_summaries, __):
+    for start, _, chunk_thetas, chunk_summaries, _ in _scan_table(model, key, n_rows, max_workers):
         stop = start + chunk_thetas.shape[0]
         thetas[start:stop], summaries[start:stop] = chunk_thetas, chunk_summaries
-
-    _scan_table(model, key, n_rows, max_workers, fill)
     return ReferenceTable(thetas=thetas, summaries=summaries, seed=seed, model_id=model.model_id)
 
 
@@ -516,11 +516,10 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
     workspace = workspace or Workspace(model)
     pool_d2, pool_index, pool_thetas, pool_summaries = workspace.pool(
         min(n_rows, 2 * (k + 1) + _CHUNK_ROWS))
-    size = 0
-    tau = np.inf
-
-    def add(start, rows, thetas, summaries, d2):
-        nonlocal size, tau
+    size, tau = 0, np.inf
+    first = max(_RAMP_ROWS, 4 * (k + 1)) if n_rows > _CHUNK_ROWS else _CHUNK_ROWS
+    for start, rows, thetas, summaries, d2 in _scan_table(model, key, n_rows, max_workers, s0,
+                                                          lambda: tau, first, workspace):
         end = size + d2.size
         pool_d2[size:end] = d2
         pool_index[size:end] = (start + np.arange(d2.size)) if rows is None else start + rows
@@ -533,9 +532,6 @@ def simulate_knn(model: Model, n_rows: int, seed: int, s0, k: int,
                 pool[:k + 1] = pool[cut]
             size = k + 1
             tau = pool_d2[k]
-
-    first = max(_RAMP_ROWS, 4 * (k + 1)) if n_rows > _CHUNK_ROWS else _CHUNK_ROWS
-    _scan_table(model, key, n_rows, max_workers, add, s0, lambda: tau, first, workspace)
     pos, next_value = _nearest(pool_d2[:size], k, pool_index[:size])
     return _build_accepted(pool_thetas, pool_summaries, pos, pool_index[pos],
                            np.sqrt(pool_d2[pos]), np.sqrt(next_value))
@@ -565,15 +561,13 @@ def simulate_tolerance(model: Model, n_rows: int, seed: int, s0, epsilon: float,
     n_rows, _, key = _table_stream(model, n_rows, seed)
     epsilon, s0 = _check_epsilon(epsilon), check_s0(s0, model.m)
     parts, beyond = [], np.inf
-
-    def keep(start, rows, thetas, summaries, d2):
-        nonlocal beyond
+    for start, rows, thetas, summaries, d2 in _scan_table(model, key, n_rows, max_workers, s0,
+                                                          lambda: beyond):
         inside = np.sqrt(d2) <= epsilon  # the test of abc_tolerance
         beyond = min(beyond, np.min(d2, where=~inside, initial=np.inf))
         if inside.any() or not parts:  # only the first part may be empty: it sets the dtypes
             index = start + (np.arange(d2.size) if rows is None else rows)
             parts.append((index[inside], thetas[inside], summaries[inside], d2[inside]))
-    _scan_table(model, key, n_rows, max_workers, keep, s0, lambda: beyond)
     index, thetas, summaries, d2 = map(np.concatenate, zip(*parts))
     pos = np.lexsort((index, d2))  # sqrt is monotone, so sqrt(beyond) is the least distance
     return _build_accepted(thetas, summaries, pos, index[pos], np.sqrt(d2[pos]), np.sqrt(beyond))
@@ -697,10 +691,7 @@ def write_table(model: Model, n_rows: int, seed: int, fh, write_chunk,
     n_rows, seed, key = _table_stream(model, n_rows, seed)
     header = _table_header(n_rows, model.p, model.m, seed, model.model_id)
     fh.write(header)
-
-    def write(start, _, thetas, summaries, __):
+    for start, _, thetas, summaries, _ in _scan_table(model, key, n_rows, max_workers):
         _write_rows(fh, len(header), n_rows, start, thetas, summaries)
         write_chunk(thetas, summaries)
-
-    _scan_table(model, key, n_rows, max_workers, write)
 

@@ -10,6 +10,7 @@ accepted thetas; ``PHIS`` holds the maps a config may name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,6 +112,12 @@ def _points_sq_dist(points: np.ndarray, centers: np.ndarray, h: float) -> np.nda
     return sq
 
 
+def check_kernel(kernel: KernelSpec, p: int) -> None:
+    """A kernel smooths thetas of its own dimension only."""
+    if kernel.dim != p:
+        raise InvalidArgumentError(f"kernel dimension {kernel.dim} != parameter dimension {p}")
+
+
 def _checked_centers(accepted: AcceptedSet, h: float, kernel: KernelSpec):
     """The bandwidth as a float, the accepted thetas, and the normaliser
     1 / (k h^p), which must be a finite float > 0."""
@@ -121,8 +128,7 @@ def _checked_centers(accepted: AcceptedSet, h: float, kernel: KernelSpec):
         raise InvalidArgumentError("bandwidth h must be > 0")
     centers = accepted.ordered_thetas
     p = centers.shape[1]
-    if kernel.dim != p:
-        raise InvalidArgumentError(f"kernel dimension {kernel.dim} != parameter dimension {p}")
+    check_kernel(kernel, p)
     try:
         scale = 1.0 / (accepted.k * h**p)
     except (OverflowError, ZeroDivisionError):  # h**p over- or underflows
@@ -270,11 +276,25 @@ class DensityEstimate:
         return trapezoid_nd(self.values, self.axes)
 
 
+def check_grid(points: int, padding: float) -> tuple[int, float]:
+    """The checked (points, padding) of ``default_grid``: an integer of at
+    least 2 points per axis, as one point's trapezoid integrates to 0, and
+    a finite padding > 0, so that the grid covers the accepted thetas."""
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 2:
+        raise InvalidArgumentError(f"grid points must be an integer >= 2, got {points!r}")
+    if isinstance(padding, bool) or not isinstance(padding, numbers.Real) \
+            or not 0.0 < padding < math.inf:
+        raise InvalidArgumentError(f"grid padding must be a finite number > 0, got {padding!r}")
+    return int(points), float(padding)
+
+
 def default_grid(accepted: AcceptedSet, h: float, points: int = GRID_POINTS_1D,
                  padding: float = GRID_PADDING, cap: int = GRID_CAP):
     """Axes of the default evaluation grid: each coordinate spans the
     accepted thetas padded by ``padding`` bandwidths; the tensor size is
-    capped by shrinking the per-axis count."""
+    capped by shrinking the per-axis count.  ``check_grid`` states the
+    points and paddings it takes."""
+    points, padding = check_grid(points, padding)
     if accepted.k == 0:
         raise EmptyAcceptedSetError("cannot build a grid from an empty accepted set")
     p = accepted.ordered_thetas.shape[1]

@@ -147,9 +147,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_sequence_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words, np.uint64)`` for each row
-    of a (rows, L) uint32 array of assembled entropy words."""
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, np.uint64)`` for each row of a
+    (rows, L) uint32 array of assembled entropy words.  Its first column is
+    ``generate_state(1)``, which gives the same first word."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     columns = list(entropy.T)
     zero = np.zeros(entropy.shape[0], dtype=np.uint32)
@@ -162,20 +163,19 @@ def _seed_sequence_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(column))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    halves = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * n_words)]
+    halves = [hashmix(word).astype(np.uint64) for word in pool]  # hashmix advances per call
     return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
                     axis=1)
 
 
-def _states_varying(prefix: list[int], values: np.ndarray, suffix: list[int],
-                    n_words: int) -> np.ndarray:
+def _states_varying(prefix: list[int], values: np.ndarray, suffix: list[int]) -> np.ndarray:
     """States of the entropies ``prefix + [v] + suffix``, one row per uint64 v.
 
     A v below 2^32 (0 included) is one entropy word, a larger one two, so
     the two kinds are hashed apart.
     """
     values = np.asarray(values, dtype=np.uint64).reshape(-1)
-    out = np.empty((values.size, n_words), dtype=np.uint64)
+    out = np.empty((values.size, 2), dtype=np.uint64)
     low = (values & np.uint64(_U32_MASK)).astype(np.uint32)
     high = (values >> np.uint64(32)).astype(np.uint32)
     short = values <= np.uint64(_U32_MASK)
@@ -187,7 +187,7 @@ def _states_varying(prefix: list[int], values: np.ndarray, suffix: list[int],
             for i, column in enumerate(middle):
                 entropy[:, len(prefix) + i] = column[rows]
             entropy[:, len(prefix) + len(middle):] = suffix
-            out[rows] = _seed_sequence_states(entropy, n_words)
+            out[rows] = _seed_sequence_states(entropy)
     return out
 
 
@@ -195,19 +195,14 @@ def derive_seeds(seed: int, *tags, count: int) -> np.ndarray:
     """``[derive_seed(seed, *tags, r) for r in range(count)]`` as a uint64
     array, hashed in one vectorised pass."""
     replicates = np.arange(int(count), dtype=np.uint64)
-    return _states_varying(_entropy_words(_entropy(seed, tags)), replicates, [], 1)[:, 0]
-
-
-def derive_subseeds(seeds, *tags) -> np.ndarray:
-    """``derive_seed(s, *tags)`` for each of ``seeds`` (uint64), as a uint64
-    array, hashed in one vectorised pass."""
-    return _states_varying([], seeds, _entropy_words(_tag_ints(tags)), 1)[:, 0]
+    return _states_varying(_entropy_words(_entropy(seed, tags)), replicates, [])[:, 0]
 
 
 def derive_keys(seeds, *tags) -> np.ndarray:
     """``derive_key(s, *tags)`` for each of ``seeds`` (uint64), as rows of a
-    (len(seeds), 2) array, hashed in one vectorised pass."""
-    return _states_varying([], seeds, _entropy_words(_tag_ints(tags)), 2)
+    (len(seeds), 2) array, hashed in one vectorised pass.  A key's first
+    word is ``derive_seed(s, *tags)``, so column 0 holds the sub-seeds."""
+    return _states_varying([], seeds, _entropy_words(_tag_ints(tags)))
 
 
 def row_words(key: np.ndarray, start_row: int, n_rows: int, words_per_row: int,

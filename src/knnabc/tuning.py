@@ -125,11 +125,12 @@ def _power(base: float, exponent) -> float:
 
 def check_bound_inputs(m: int, xi0: float, L_diam: float, order: int) -> tuple[int, int]:
     """The checked (m, order) of a distance-moment bound: order 2 or 4,
-    m >= 1, and xi0 and L_diam positive."""
+    m >= 1, and xi0 and L_diam positive.  The order is tested as given,
+    so 4.0 passes and 2.5 fails where int() would truncate it."""
     m = int(m)
-    order = int(order)
-    if order not in (2, 4):
+    if order not in (2, 4):  # False and True equal 0 and 1, so they fail too
         raise InvalidArgumentError("order must be 2 or 4")
+    order = int(order)
     if m < 1:
         raise InvalidArgumentError("m must be >= 1")
     if not (xi0 > 0 and L_diam > 0):

@@ -22,7 +22,7 @@ from . import core, estimators, tuning
 from .errors import BoundHypothesisError, InvalidArgumentError, UnsupportedModelError
 from .models import Model
 from .numerics import ols_slope, parallel_map, trapezoid_nd
-from .rng import derive_seed, derive_seeds, derive_subseeds, load_alone
+from .rng import derive_keys, derive_seed, derive_seeds, load_alone
 
 _MIN_KS_K = 20
 _PROP1_LEVEL = 0.05
@@ -67,7 +67,8 @@ def _replicates(work: Callable[..., object], model: Model, seed: int, tag: str, 
     pass and the work mapped over ``max_workers`` threads; the results come
     in replicate order.  With ``subtags``, ``work`` gets the seeds
     ``derive_seed(s, t)`` for each tag t in place of s, each tag's in one
-    more pass.  ``count`` (named ``what``) must be at least ``least``.
+    more pass (column 0 of ``derive_keys``).  ``count`` (named ``what``)
+    must be at least ``least``.
 
     A replicate takes a ``core.Workspace`` from the spares and gives it back
     when done, so the call builds at most one per worker, and frees them
@@ -76,7 +77,7 @@ def _replicates(work: Callable[..., object], model: Model, seed: int, tag: str, 
     if count < least:
         raise InvalidArgumentError(f"{what} must be >= {least}")
     seeds = derive_seeds(seed, tag, count=count)
-    columns = [derive_subseeds(seeds, t) for t in subtags] if subtags else [seeds]
+    columns = [derive_keys(seeds, t)[:, 0] for t in subtags] if subtags else [seeds]
     spares = core.Spares(lambda: core.Workspace(model))
 
     def one(replicate_seeds):
@@ -121,6 +122,8 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
     s0 = _require_oracle(model, s0)
     h = tuning.check_bandwidth(h)
     tuning.check_auto_rows(h, int(k))
+    estimators.check_kernel(kernel, model.p)
+    grid_points, grid_padding = estimators.check_grid(grid_points, grid_padding)
 
     def one(workspace: core.Workspace, replicate_seed: int):
         accepted = core.simulate_knn(model, n_rows, replicate_seed, s0, k, workspace=workspace)
@@ -140,7 +143,7 @@ def mise_estimate(model: Model, s0, n_rows: int, k: int, h, kernel: estimators.K
         kernel=kernel.kind, replicates=ise.size,
         mise_mean=float(ise.mean()),
         mise_stderr=float(ise.std(ddof=1) / np.sqrt(ise.size)),
-        grid_spec={"points": int(grid_points), "padding": float(grid_padding)},
+        grid_spec={"points": grid_points, "padding": grid_padding},
         per_replicate=ise, seed=int(seed))
 
 

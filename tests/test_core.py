@@ -1,12 +1,15 @@
 """Reference table, acceptance rules, restricted sampler, persistence."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import struct
 import sys
+import threading
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -440,26 +443,29 @@ class TestSimulateKnn:
     def test_a_ramped_scan_never_builds_its_span_list(self):
         # a scan of 2^62 rows: its span numbers are read in place, so four
         # spans cost what four spans cost, whatever the table's length
-        visited = []
-
-        class Enough(Exception):
-            pass
-
-        def visit(start, rows, thetas, summaries, d2):
-            visited.append((start, thetas.shape[0]))
-            if len(visited) == 4:
-                raise Enough
-
         tracemalloc.start()
         try:
-            with pytest.raises(Enough):
-                core._scan_table(get_model("uniform_box_1d"), derive_key(1, "scan"), 2**62, 1,
-                                 visit, first=1024)
+            with closing(core._scan_table(get_model("uniform_box_1d"), derive_key(1, "scan"),
+                                          2**62, 1, first=1024)) as spans:
+                visited = [(start, thetas.shape[0])
+                           for start, _, thetas, _, _ in itertools.islice(spans, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert visited == [(0, 1024), (1024, 4096), (5120, 16384), (21504, _CHUNK_ROWS)]
         assert peak < 4 << 20
+
+    def test_an_abandoned_scan_leaves_no_thread(self, monkeypatch):
+        # the loop of simulate_knn stopped after 2 spans: closing the
+        # generator shuts the pool of its 2 workers down
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        model, s0 = get_model("gauss_5d"), np.full(5, 0.2)
+        baseline = threading.active_count()
+        with closing(core._scan_table(model, derive_key(1, "scan"), 10 * _CHUNK_ROWS, 2, s0,
+                                      first=1024)) as spans:
+            assert [start for start, *_ in itertools.islice(spans, 2)] == [0, 1024]
+            assert threading.active_count() > baseline
+        assert threading.active_count() == baseline
 
     def test_a_reused_workspace_keeps_every_bit(self):
         # one workspace serves calls of several sizes in turn, the

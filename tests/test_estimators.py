@@ -238,6 +238,14 @@ class TestDensityEstimate:
             acc = _accepted(gen.normal(0, 1, (10, p)))
             assert [len(a) for a in default_grid(acc, 0.5, cap=cap)] == [per_axis] * p
 
+    @pytest.mark.parametrize("options", [{"points": 1}, {"padding": -1.0}])
+    def test_default_grid_rejects_a_degenerate_grid(self, options):
+        # one point integrates to 0; a negative padding cuts into the thetas
+        acc = _accepted(np.zeros((3, 1)))
+        with pytest.raises(InvalidArgumentError, match="grid (points|padding) must be"):
+            default_grid(acc, 1.0, **options)
+        assert len(default_grid(acc, 1.0, points=np.int64(2), padding=np.float64(0.5))[0]) == 2
+
     @pytest.mark.parametrize("axis", [np.array([1.0, 0.0, -1.0]), np.array([0.0, np.nan, 1.0]),
                                       np.array([np.nan]), np.array([-np.inf, 0.0, np.inf])],
                              ids=["descending", "nan", "only-nan", "infinite"])

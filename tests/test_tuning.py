@@ -158,6 +158,17 @@ class TestDistanceMomentBound:
         with pytest.raises(InvalidArgumentError):
             distance_moment_bound(1, 9, 999, 1.0, 1.0, order=3)
 
+    @pytest.mark.parametrize("order", [2.5, 4.7, 1.999, True, False, "2", None])
+    def test_order_is_not_truncated(self, order):
+        # int(2.5) is 2: the order itself is tested, not its truncation
+        with pytest.raises(InvalidArgumentError, match="order must be 2 or 4"):
+            distance_moment_bound(1, 9, 999, 1.0, 1.0, order=order)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_an_integral_float_order_passes(self, order):
+        assert distance_moment_bound(1, 9, 999, 1.0, 1.0, order=float(order)) == \
+            distance_moment_bound(1, 9, 999, 1.0, 1.0, order=np.int64(order))
+
 
 class TestRateQuantities:
     """Closed-form oracles for the conjugate model (untruncated forms):

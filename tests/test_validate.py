@@ -87,6 +87,37 @@ class TestMiseEstimate:
             mise_estimate(get_model("gaussian_mean_demo"), [0.0], 100, 5, 0.3,
                           make_kernel("gaussian", 1), 2, seed=63)
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"grid_points": 1}, "grid points must be an integer >= 2"),
+        ({"grid_points": 0}, "grid points must be an integer >= 2"),
+        ({"grid_points": -3}, "grid points must be an integer >= 2"),
+        ({"grid_points": 512.0}, "grid points must be an integer >= 2"),
+        ({"grid_points": True}, "grid points must be an integer >= 2"),
+        ({"grid_padding": -1.0}, "grid padding must be a finite number > 0"),
+        ({"grid_padding": 0.0}, "grid padding must be a finite number > 0"),
+        ({"grid_padding": math.inf}, "grid padding must be a finite number > 0"),
+        ({"grid_padding": math.nan}, "grid padding must be a finite number > 0"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda model, grid: mise_estimate(model, [1.0], 500, 30, 0.3, make_kernel("gaussian", 1),
+                                          2, seed=1, **grid),
+        lambda model, grid: rate_experiment(model, [1.0], [200, 400, 800],
+                                            make_kernel("gaussian", 1), 2, seed=1, **grid),
+    ], ids=["mise", "rates"])
+    def test_bad_grid_rejected_before_any_table(self, monkeypatch, run, grid, message):
+        # one grid point integrated to a MISE of 0, and a negative padding
+        # cut the grid inside the accepted thetas
+        monkeypatch.setattr(core, "simulate_knn", _no_table)
+        with pytest.raises(InvalidArgumentError, match=message):
+            run(get_model("gaussian_conjugate_1d"), grid)
+
+    def test_kernel_of_another_dimension_rejected_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(core, "simulate_knn", _no_table)
+        with pytest.raises(InvalidArgumentError,
+                           match="kernel dimension 2 != parameter dimension 1"):
+            mise_estimate(get_model("gaussian_conjugate_1d"), [1.0], 500, 30, 0.3,
+                          make_kernel("gaussian", 2), 2, seed=1)
+
     def test_report_is_reproducible(self):
         model = get_model("gaussian_conjugate_1d")
         kernel = make_kernel("naive", 1)
@@ -341,15 +372,23 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("order, xi0, L, message", [
         (3, 1.0, 1.0, "order must be 2 or 4"),
+        (4.7, 1.0, 1.0, "order must be 2 or 4"),
         (2, -1.0, 1.0, "xi0 and L_diam must be > 0"),
         (4, 1.0, 0.0, "xi0 and L_diam must be > 0"),
-    ], ids=["order", "xi0", "L"])
+    ], ids=["order", "fractional-order", "xi0", "L"])
     def test_bad_arguments_raise_without_a_pair(self, monkeypatch, order, xi0, L, message):
         # the arguments are checked once, not only inside each pair's bound
         monkeypatch.setattr(core, "kth_distances", _no_table)
         with pytest.raises(InvalidArgumentError, match=message):
             bound_check(get_model("uniform_box_1d"), [0.5], [], xi0=xi0, L_diam=L,
                         order=order, replicates=3, seed=1)
+
+    def test_fractional_order_is_not_reported_as_order_4(self, monkeypatch):
+        # int(4.7) is 4: such a pair once reported order-4 moments as tested
+        monkeypatch.setattr(core, "kth_distances", _no_table)
+        with pytest.raises(InvalidArgumentError, match="order must be 2 or 4"):
+            bound_check(get_model("uniform_box_1d"), [0.5], [(999, 9)], xi0=1.0, L_diam=1.0,
+                        order=4.7, replicates=3, seed=1)
 
 
 _BOUND_MODELS = [
